@@ -14,6 +14,12 @@ one backward for the growing branch).  Naive trapezoid quadrature would
 poison the e^{lambda1 t} tail that the decay diagnostics must recover;
 exactness in the source keeps the only discretization error in the
 piecewise-linear representation itself, O(step^2).
+
+The scan keeps its two branch accumulators (:class:`Convolution`), left
+tail and right closure included.  The convolution at a sub-step offset
+t_i + delta then follows from the accumulators at t_i and t_{i+1} and one
+partial-cell integral per branch, in closed form: a single node costs
+O(1) and a whole shifted grid one elementwise pass, with no second scan.
 """
 
 from __future__ import annotations
@@ -23,10 +29,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = [
     "GreenKernel",
+    "Grid",
+    "Convolution",
     "LeftTail",
     "make_kernel",
     "tail_response",
@@ -166,174 +173,183 @@ def tail_response(k: GreenKernel, tail, t_minus: float, t):
     return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
 
-def _check_uniform(t: np.ndarray) -> float:
-    if t.size < 2:
-        raise ValueError("grid needs at least two nodes")
-    steps = np.diff(t)
-    step = float(steps[0])
-    if step <= 0 or not np.allclose(steps, step, rtol=1e-9, atol=1e-12):
-        raise ValueError("grid must be uniform and increasing")
-    return step
+class Grid:
+    """Uniform increasing nodes, validated once.
+
+    Every kernel function takes a Grid or a plain node array.  An array
+    is validated on each call; a Grid only when it is built, so a caller
+    that scans one grid many times (the profile solver) builds it once.
+    """
+
+    __slots__ = ("t", "step")
+
+    def __init__(self, t):
+        t = np.asarray(t, dtype=float)
+        if t.size < 2:
+            raise ValueError("grid needs at least two nodes")
+        steps = np.diff(t)
+        step = float(steps[0])
+        if step <= 0 or not np.allclose(steps, step, rtol=1e-9, atol=1e-12):
+            raise ValueError("grid must be uniform and increasing")
+        self.t, self.step = t, step
+
+    def __len__(self) -> int:
+        return self.t.size
 
 
-def convolve(k: GreenKernel, t, src, left_tail, right_const: float):
+def _grid(t) -> Grid:
+    return t if isinstance(t, Grid) else Grid(t)
+
+
+def _exp_scan(src: np.ndarray, step: float, rate: float, start: float) -> np.ndarray:
+    """y_0 = start, y_j = e^{-rate step} y_{j-1} + the integral of
+    e^{-rate u} src over the cell that ends at node j, u the distance to it.
+
+    The module's one exponential scan: the decaying kernel branch sweeps
+    the source left to right, the growing branch sweeps it reversed.
+    """
+    # deferred: scipy.signal is most of the package's import time, and
+    # only commands that solve a profile reach a scan
+    from scipy.signal import lfilter
+
+    x = -rate * step
+    far = step * _phi2(x)
+    near = step * _phi1(x) - far
+    u = np.empty(src.size)
+    u[0] = start
+    u[1:] = far * src[:-1] + near * src[1:]
+    return lfilter([1.0], [1.0, -math.exp(x)], u)
+
+
+@dataclass(frozen=True, eq=False)
+class Convolution:
+    """One exact convolution, kept as its two kernel-branch accumulators.
+
+    At every node t_i
+
+        fwd_i = integral of e^{mu_minus(t_i - s)} source(s) over (-inf, t_i],
+        bwd_i = integral of e^{mu_plus (t_i - s)} source(s) over [t_i, +inf),
+
+    the left tail included in fwd and the right closure in bwd, so
+    ``values = norm * (fwd + bwd)``.  Across part of one cell both
+    accumulators continue in closed form,
+
+        F(t_i + d) = e^{mu_minus d} fwd_i + integral over [t_i, t_i + d],
+        B(t_i + d) = e^{-mu_plus (step - d)} bwd_{i+1} + integral over [t_i + d, t_{i+1}],
+
+    the integrals being partial-cell integrals of the linear source
+    (constant ``right_const`` past the last node).  The value at any
+    sub-step offset is therefore O(1) per node and needs no further scan.
+    """
+
+    kernel: GreenKernel
+    grid: Grid
+    src: np.ndarray
+    left_tail: LeftTail
+    right_const: float
+    fwd: np.ndarray
+    bwd: np.ndarray
+    values: np.ndarray
+
+    def _weights(self, d: float) -> tuple[float, float, float, float]:
+        """Coefficients of (fwd_i, bwd_{i+1}, src_i, src_{i+1}) in the
+        value at t_i + d, 0 < d < step (the common factor norm left out)."""
+        mu_m, mu_p = self.kernel.mu_minus_root, self.kernel.mu_plus_root
+        step = self.grid.step
+        lead = step - d
+        f1, f2 = d * _phi1(mu_m * d), d * d * _phi2(mu_m * d) / step
+        b1, b2 = lead * _phi1(-mu_p * lead), lead * lead * _phi2(-mu_p * lead) / step
+        theta = d / step
+        w_lo = (1.0 - theta) * (f1 + b1) + f2 - b2
+        w_hi = theta * (f1 + b1) - f2 + b2
+        return math.exp(mu_m * d), math.exp(-mu_p * lead), w_lo, w_hi
+
+    def _below_first(self, ell: float) -> float:
+        """The value at t_0 - ell, 0 < ell < step: the tail's own response
+        there plus bwd_0 discounted over ell."""
+        k = self.kernel
+        tail = tail_response(k, self.left_tail, 0.0, -ell)
+        return tail + k.norm * math.exp(-k.mu_plus_root * ell) * float(self.bwd[0])
+
+    def at(self, i: int, delta: float) -> float:
+        """The value at t_i + delta, 0 <= i < n and |delta| < step, in O(1)."""
+        if delta < 0.0:
+            if i == 0:
+                return self._below_first(-delta)
+            i, delta = i - 1, delta + self.grid.step  # t_i - ell = t_{i-1} + (step - ell)
+        elif delta == 0.0:
+            return float(self.values[i])
+        cf, cb, w_lo, w_hi = self._weights(delta)
+        if i < self.src.size - 1:
+            b_next, lo, hi = self.bwd[i + 1], self.src[i], self.src[i + 1]
+        else:  # past the last node the source is the constant closure
+            rc = self.right_const
+            b_next, lo, hi = rc / self.kernel.mu_plus_root, rc, rc
+        return float(self.kernel.norm * (cf * self.fwd[i] + cb * b_next + w_lo * lo + w_hi * hi))
+
+    def shifted(self, delta: float) -> np.ndarray:
+        """The values at every t_i + delta, |delta| < step.
+
+        Elementwise the same arithmetic as :meth:`at`, so a node read
+        with either gives the same number.
+        """
+        if delta == 0.0:
+            return self.values.copy()
+        cf, cb, w_lo, w_hi = self._weights(delta if delta > 0.0 else delta + self.grid.step)
+        cells = self.kernel.norm * (
+            cf * self.fwd[:-1] + cb * self.bwd[1:] + w_lo * self.src[:-1] + w_hi * self.src[1:]
+        )
+        if delta > 0.0:
+            return np.append(cells, self.at(self.src.size - 1, delta))
+        return np.append(self._below_first(-delta), cells)
+
+
+def convolve(k: GreenKernel, t, src, left_tail, right_const: float) -> Convolution:
     """integral of K(t_i - s) * source(s) over all of R, at every grid node.
 
     source = piecewise-linear interpolant of ``src`` on the uniform grid
-    ``t``, extended by ``left_tail`` below t[0] and by the constant
-    ``right_const`` above t[-1].
+    ``t`` (a :class:`Grid` or node array), extended by ``left_tail`` below
+    t[0] and by the constant ``right_const`` above t[-1].  The node values
+    are ``.values`` of the result, which also reads the convolution
+    between nodes without another scan (:meth:`Convolution.at`,
+    :meth:`Convolution.shifted`).
     """
-    t = np.asarray(t, dtype=float)
+    grid = _grid(t)
     src = np.asarray(src, dtype=float)
-    if src.shape != t.shape:
+    if src.shape != grid.t.shape:
         raise ValueError("source values must match the grid")
-    step = _check_uniform(t)
-    N, mu_m, mu_p = k.norm, k.mu_minus_root, k.mu_plus_root
-
-    # forward scan: decaying branch against cells left of each node
-    x_m = mu_m * step
-    e1 = step * _phi1(x_m)
-    e2 = step * step * _phi2(x_m)
-    j_prev, j_cur = e2 / step, e1 - e2 / step
-    u = j_prev * src[:-1] + j_cur * src[1:]
-    decay = math.exp(x_m)
-    i_minus = np.concatenate(([0.0], lfilter([1.0], [1.0, -decay], u)))
-
-    # backward scan: growing branch against cells right of each node
-    x_p = -mu_p * step
-    e1p = step * _phi1(x_p)
-    e2p = step * step * _phi2(x_p)
-    g_cur, g_next = e1p - e2p / step, e2p / step
-    w = g_cur * src[-2::-1] + g_next * src[:0:-1]
-    i_plus = np.concatenate(([0.0], lfilter([1.0], [1.0, -math.exp(x_p)], w)))[::-1]
-
-    out = N * (i_minus + i_plus)
-    out += tail_response(k, left_tail, float(t[0]), t)
-    out += right_const * (N / mu_p) * np.exp(mu_p * (t - t[-1]))
-    return out
-
-
-def _offset_scans(k: GreenKernel, t, src, left_tail, right_const: float, delta: float):
-    """Both kernel-branch accumulators at the shifted nodes t_i + delta.
-
-    Requires 0 < delta < step.  Returns (F, B) with
-
-        F_i = integral of e^{mu_minus(tau_i - s)} src(s) over (-inf, tau_i],
-        B_i = integral of e^{mu_plus (tau_i - s)} src(s) over [tau_i, +inf),
-
-    tau_i = t_i + delta, so the convolution value is norm * (F + B).  Each
-    recurrence step spans the trailing (step-delta) part of one grid cell
-    and the leading delta part of the next, giving three-tap inputs with
-    offset-dependent weights; at delta -> 0 they collapse to the two-tap
-    weights of :func:`convolve` via e^x phi2(-x) = phi1(x) - phi2(x).
-    """
-    v, rate, slope = _as_tail(left_tail)
+    tail = _as_tail(left_tail)
+    v, rate, slope = tail
     if rate < 0:
         raise ValueError("left tail must not grow leftward: rate >= 0 required")
-    step = _check_uniform(np.asarray(t, dtype=float))
-    n = src.size
-    mu_m, mu_p = k.mu_minus_root, k.mu_plus_root
     rc = float(right_const)
-    theta = delta / step
-    lead = step - delta  # trailing part of the lower cell in each span
-
-    # forward (decaying) branch
-    e_md = math.exp(mu_m * step)
-    e_mdel = math.exp(mu_m * delta)
-    a_lo1 = lead * _phi1(-mu_m * lead)
-    a_lo2 = lead * lead * _phi2(-mu_m * lead)
-    a_hi1 = delta * _phi1(-mu_m * delta)
-    a_hi2 = delta * delta * _phi2(-mu_m * delta)
-    a0 = e_md * ((1.0 - theta) * a_lo1 - a_lo2 / step)
-    a1_lo = e_md * (theta * a_lo1 + a_lo2 / step)
-    a1 = a1_lo + e_mdel * (a_hi1 - a_hi2 / step)
-    a2 = e_mdel * a_hi2 / step
-
-    gamma = rate - mu_m  # > 0 always
-    u = np.empty(n)
-    # integral over (-inf, tau_0]: the whole analytic tail discounted over
-    # delta, plus the leading part of cell 0
-    u[0] = e_mdel * (v / gamma - slope / gamma**2) + e_mdel * (
-        src[0] * a_hi1 + (src[1] - src[0]) * a_hi2 / step
-    )
-    u[1:-1] = a0 * src[:-2] + a1 * src[1:-1] + a2 * src[2:]
-    # beyond t[-1] the source is the constant right closure, not a ramp
-    u[-1] = a0 * src[-2] + a1_lo * src[-1] + e_mdel * a_hi1 * rc
-    fwd = lfilter([1.0], [1.0, -e_md], u)
-
-    # backward (growing) branch
-    e_pd = math.exp(-mu_p * step)
-    e_plead = math.exp(-mu_p * lead)
-    b_lo1 = lead * _phi1(-mu_p * lead)
-    b_lo2 = lead * lead * _phi2(-mu_p * lead)
-    b_hi1 = delta * _phi1(-mu_p * delta)
-    b_hi2 = delta * delta * _phi2(-mu_p * delta)
-    b0 = (1.0 - theta) * b_lo1 - b_lo2 / step
-    b1_lo = theta * b_lo1 + b_lo2 / step
-    b1 = b1_lo + e_plead * (b_hi1 - b_hi2 / step)
-    b2 = e_plead * b_hi2 / step
-
-    # scan right-to-left: inputs ordered [B_last, J_{n-2}, J_{n-3}, ..., J_0]
-    w = np.empty(n)
-    w[0] = rc / mu_p  # constant closure on [tau_{n-1}, +inf)
-    w[1] = b0 * src[-2] + b1_lo * src[-1] + e_plead * b_hi1 * rc
-    w[2:] = (b0 * src[:-2] + b1 * src[1:-1] + b2 * src[2:])[::-1]
-    bwd = lfilter([1.0], [1.0, -e_pd], w)[::-1]
-    return fwd, bwd
+    # decaying branch swept left to right from the whole left tail, growing
+    # branch right to left from the constant right closure
+    gamma = rate - k.mu_minus_root  # > 0 always
+    fwd = _exp_scan(src, grid.step, -k.mu_minus_root, v / gamma - slope / gamma**2)
+    bwd = _exp_scan(src[::-1], grid.step, k.mu_plus_root, rc / k.mu_plus_root)[::-1]
+    return Convolution(k, grid, src, tail, rc, fwd, bwd, k.norm * (fwd + bwd))
 
 
 def convolve_at_offset(k: GreenKernel, t, src, left_tail, right_const: float, delta: float):
     """integral of K(t_i + delta - s) * source(s) over R: :func:`convolve`
     read at the sub-step shifted nodes t + delta, |delta| < step.
 
-    The same piecewise-linear-source model is integrated in closed form
-    against both kernel branches, so the values agree with re-running the
-    convolution on an exactly translated grid.  Resampling a profile this
-    way (instead of interpolating node values) keeps a translation step
-    free of interpolation error.
+    The read continues the scan's two branch accumulators across part of
+    one cell in closed form (see :class:`Convolution`): the same
+    piecewise-linear source model is integrated exactly at the shifted
+    points, so the values agree with re-running the convolution on an
+    exactly translated grid.  Resampling a profile this way (instead of
+    interpolating node values) keeps a translation step free of
+    interpolation error.  To read one source at several offsets, call
+    :func:`convolve` once and read its result.
     """
-    t = np.asarray(t, dtype=float)
-    src = np.asarray(src, dtype=float)
-    if src.shape != t.shape:
-        raise ValueError("source values must match the grid")
-    if src.size < 3:
+    grid = _grid(t)
+    if np.size(src) < 3:
         raise ValueError("offset evaluation needs at least three nodes")
-    step = _check_uniform(t)
-    if delta == 0.0:
-        return convolve(k, t, src, left_tail, right_const)
-    if not abs(delta) < step:
+    if not abs(delta) < grid.step:
         raise ValueError(f"|delta| must be below one step, got {delta:g}")
-    if delta > 0.0:
-        fwd, bwd = _offset_scans(k, t, src, left_tail, right_const, delta)
-        return k.norm * (fwd + bwd)
-
-    # negative shift: t_i - ell = t_{i-1} + (step - ell), so every node but
-    # the first comes from the positive-offset scan one index down
-    ell = -delta
-    d2 = step - ell
-    fwd, bwd = _offset_scans(k, t, src, left_tail, right_const, d2)
-    out = np.empty_like(src)
-    out[1:] = k.norm * (fwd[:-1] + bwd[:-1])
-
-    # remaining node tau = t_0 - ell sits inside the analytic tail region
-    v, rate, slope = _as_tail(left_tail)
-    mu_m, mu_p = k.mu_minus_root, k.mu_plus_root
-    gamma = rate - mu_m
-    eta = rate - mu_p
-    damp = math.exp(-rate * ell)
-    # decaying branch over (-inf, tau]
-    f_pt = damp * ((v - slope * ell) / gamma - slope / gamma**2)
-    # growing branch over [tau, t_0]: (value + slope*u)e^{rate u} against
-    # e^{mu_plus(tau - s)}; phi1/phi2 absorb the rate = mu_plus resonance
-    b_tail = damp * (
-        (v - slope * ell) * ell * _phi1(eta * ell) + slope * ell * ell * _phi2(eta * ell)
-    )
-    # growing branch over [t_0, +inf): leading d2 part of cell 0, then the
-    # scan value at t_0 + d2, each discounted back to tau
-    j0 = src[0] * d2 * _phi1(-mu_p * d2) + (src[1] - src[0]) * d2 * _phi2(-mu_p * d2) * d2 / step
-    b_grid = math.exp(-mu_p * ell) * (j0 + math.exp(-mu_p * d2) * bwd[0])
-    out[0] = k.norm * (f_pt + b_tail + b_grid)
-    return out
+    return convolve(k, grid, src, left_tail, right_const).shifted(delta)
 
 
 def exp_integral_right(t, src, rate: float, tail_const: float = 0.0):
@@ -344,28 +360,20 @@ def exp_integral_right(t, src, rate: float, tail_const: float = 0.0):
     """
     if rate <= 0:
         raise ValueError("rate must be positive")
-    t = np.asarray(t, dtype=float)
+    grid = _grid(t)
     src = np.asarray(src, dtype=float)
-    if src.shape != t.shape:
+    if src.shape != grid.t.shape:
         raise ValueError("source values must match the grid")
-    step = _check_uniform(t)
-    x = -rate * step
-    e1 = step * _phi1(x)
-    e2 = step * step * _phi2(x)
-    g_cur, g_next = e1 - e2 / step, e2 / step
-    w = g_cur * src[-2::-1] + g_next * src[:0:-1]
-    out = np.concatenate(([0.0], lfilter([1.0], [1.0, -math.exp(x)], w)))[::-1]
-    out += (tail_const / rate) * np.exp(rate * (t - t[-1]))
-    return out
+    return _exp_scan(src[::-1], grid.step, rate, tail_const / rate)[::-1]
 
 
 def pl_exp_integral(t, src, rate: float) -> float:
     """Exact integral of e^{rate s} * (piecewise-linear src) over [t[0], t[-1]]."""
-    t = np.asarray(t, dtype=float)
+    grid = _grid(t)
+    t, step = grid.t, grid.step
     src = np.asarray(src, dtype=float)
     if src.shape != t.shape:
         raise ValueError("source values must match the grid")
-    step = _check_uniform(t)
     x = rate * step
     e1 = step * _phi1(x)
     e2 = step * step * _phi2(x)

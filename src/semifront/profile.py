@@ -30,10 +30,12 @@ import numpy as np
 
 from .chareq import SubcriticalError, chi_dz, real_roots
 from .kernel import (
+    Convolution,
     GreenKernel,
+    Grid,
     LeftTail,
     convolve,
-    convolve_at_offset,
+    convolve_at_offset,  # noqa: F401 - not called here; perfbench wraps this binding
     exp_integral_right,
     make_kernel,
 )
@@ -130,15 +132,7 @@ class ProfileSolution:
 
     def evaluate(self, tq):
         """phi at arbitrary points: tail below t[0], frozen value above t[-1]."""
-        tq = np.asarray(tq, dtype=float)
-        out = np.interp(tq, self.t, self.phi)
-        left = tq < self.t[0]
-        if np.any(left):
-            u = tq[left] - self.t[0]
-            out[left] = (self.tail.value + self.tail.slope * u) * np.exp(
-                self.tail.rate * u
-            )
-        return out
+        return _extended(np.asarray(tq, dtype=float), self.t, self.phi, self.tail)
 
     def crossing_count(self, level: Optional[float] = None) -> int:
         """Number of sign changes of phi - level (default: the equilibrium)."""
@@ -148,10 +142,23 @@ class ProfileSolution:
         return int(np.sum(s[1:] * s[:-1] < 0.0))
 
 
+def _extended(tq: np.ndarray, t: np.ndarray, phi: np.ndarray, tail: LeftTail) -> np.ndarray:
+    """Grid values ``phi`` at points ``tq``: linear interpolation, the
+    ``tail`` below t[0] and the last value frozen above t[-1]."""
+    out = np.interp(tq, t, phi)
+    left = tq < t[0]
+    if np.any(left):
+        u = tq[left] - t[0]
+        out[left] = (tail.value + tail.slope * u) * np.exp(tail.rate * u)
+    return out
+
+
 class _PinnedMap:
     """The iteration map P = recenter∘clamp∘A on a fixed uniform grid."""
 
-    def __init__(self, m: Model, c: float, opts: SolverOptions):
+    def __init__(self, m: Model, c: float, opts: SolverOptions, t=None):
+        # a stored grid ``t`` is adopted verbatim: re-deriving its edges from
+        # the stored floats can gain or lose a node to rounding
         roots = real_roots(m, c)
         if roots is None:
             raise SubcriticalError(
@@ -162,22 +169,24 @@ class _PinnedMap:
         self.lam = roots.lambda1
         self.lam2 = roots.lambda2
         self.critical = roots.critical
-        step = opts.step
-        # snap to whole steps so 0 is a node; the 1e-9 slack keeps an
-        # already-aligned edge from spilling onto an extra node.  At the
-        # critical speed the edge stays shallow: the (A - t)e^{lam t} tail
-        # structure is only resolvable where phi is well above the solver
-        # tolerance, and the analytic tail carries the rest of the line.
-        if opts.t_minus is None:
-            depth = 20.0 if self.critical else 40.0
-            n_lo = math.ceil(depth / self.lam / step - 1e-9)
-        else:
-            n_lo = math.ceil(-opts.t_minus / step - 1e-9)
-        n_hi = math.ceil(opts.t_plus / step - 1e-9)
-        # integer-multiple grid so the pin node sits at exactly 0.0
-        self.t = step * np.arange(-n_lo, n_hi + 1)
-        self.step = step
-        self.i_zero = n_lo
+        if t is None:
+            step = opts.step
+            # snap to whole steps so 0 is a node; the 1e-9 slack keeps an
+            # already-aligned edge from spilling onto an extra node.  At the
+            # critical speed the edge stays shallow: the (A - t)e^{lam t} tail
+            # structure is only resolvable where phi is well above the solver
+            # tolerance, and the analytic tail carries the rest of the line.
+            if opts.t_minus is None:
+                depth = 20.0 if self.critical else 40.0
+                n_lo = math.ceil(depth / self.lam / step - 1e-9)
+            else:
+                n_lo = math.ceil(-opts.t_minus / step - 1e-9)
+            n_hi = math.ceil(opts.t_plus / step - 1e-9)
+            # integer-multiple grid so the pin node sits at exactly 0.0
+            t = step * np.arange(-n_lo, n_hi + 1)
+        self.grid = Grid(t)
+        self.t, self.step = self.grid.t, self.grid.step
+        self.i_zero = int(round(-self.t[0] / self.step))
         self.kernel: GreenKernel = make_kernel(c, m.lin.q)
         # chi(lam) = 0 turns the source tail into closed form:
         # (1+q)*e + f'(0)[e] = D*e for e = e^{lam t}, D = 1 + q + c*lam - lam^2
@@ -222,17 +231,9 @@ class _PinnedMap:
         s = min(0.0, max(s, -v / float(u[-1])))
         return LeftTail(v, self.lam, s)
 
-    def history(self, tq: np.ndarray, phi: np.ndarray, tail: LeftTail) -> np.ndarray:
-        out = np.interp(tq, self.t, phi)
-        left = tq < self.t[0]
-        if np.any(left):
-            u = tq[left] - self.t[0]
-            out[left] = (tail.value + tail.slope * u) * np.exp(self.lam * u)
-        return out
-
     def source_of(self, phi: np.ndarray, tail: LeftTail) -> tuple[np.ndarray, LeftTail]:
         m, c = self.m, self.c
-        vals = [self.history(self.t + c * s, phi, tail) for s in m.eval_points]
+        vals = [_extended(self.t + c * s, self.t, phi, tail) for s in m.eval_points]
         src = (1.0 + m.lin.q) * phi + m.f_pointwise(*vals)
         sv = tail.value * self.D + tail.slope * (c - 2.0 * self.lam + self.chz)
         return src, LeftTail(sv, self.lam, tail.slope * self.D)
@@ -240,31 +241,25 @@ class _PinnedMap:
     def raw(self, phi: np.ndarray) -> np.ndarray:
         tail = self.tail_of(phi)
         src, stail = self.source_of(phi, tail)
-        return convolve(self.kernel, self.t, src, stail, float(src[-1]))
+        return convolve(self.kernel, self.grid, src, stail, float(src[-1])).values
 
-    def crossing(self, phi: np.ndarray) -> Optional[float]:
-        """Location of the first upward kappa/2 crossing, by cell interpolation."""
-        half = 0.5 * self.m.kappa
-        idx = np.nonzero((phi[:-1] < half) & (phi[1:] >= half))[0]
-        if idx.size == 0:
-            return None
-        i = idx[0]
-        return float(self.t[i] + self.step * (half - phi[i]) / (phi[i + 1] - phi[i]))
-
-    def pin(self, phi, src=None, stail=None, rc=None) -> np.ndarray:
+    def pin(self, phi: np.ndarray, conv: Convolution) -> np.ndarray:
         """Translate so the first upward kappa/2 crossing sits at t = 0.
 
-        With the convolution inputs supplied the translation is exact and
-        the crossing is located on the continuous image: whole steps shift
-        node indices, and chord iteration on the sub-step offset drives the
-        re-evaluated node value at t = 0 onto kappa/2 itself.  Both halves
-        matter for a clean fixed point.  Resampling by interpolation
-        corrugates the map along the translation direction (the O(step^2)
-        error varies with the sub-cell phase of the crossing), and a
-        cell-interpolated crossing estimate kinks when the crossing passes
-        a node; either defect splits the pinned fixed point into several
-        nearby ones.  Interpolation (with the tail closure) still fills the
-        few nodes an off-grid transient shift exposes at the edges.
+        ``phi`` is the clipped image of the convolution ``conv``, so the
+        translation is exact and the crossing is located on the continuous
+        image: whole steps shift node indices, and chord iteration on the
+        sub-step offset drives the re-evaluated node value at t = 0 onto
+        kappa/2 itself.  Each chord probe reads that one node from the
+        scan's accumulators in O(1); the accepted offset is read on the
+        whole grid once.  Both halves matter for a clean fixed point.
+        Resampling by interpolation corrugates the map along the
+        translation direction (the O(step^2) error varies with the sub-cell
+        phase of the crossing), and a cell-interpolated crossing estimate
+        kinks when the crossing passes a node; either defect splits the
+        pinned fixed point into several nearby ones.  Interpolation (with
+        the tail closure) still fills the few nodes the whole-step shift
+        exposes at the edges.
         """
         half = 0.5 * self.m.kappa
         idx = np.nonzero((phi[:-1] < half) & (phi[1:] >= half))[0]
@@ -277,42 +272,42 @@ class _PinnedMap:
             return phi
         size = self.t.size
         n = int(round(tc / self.step))
-        exact = src is not None and 0 <= self.i_zero + n < size
-        if exact:
-            frac = tc - n * self.step
-            shifted = phi  # whole-step translations need no re-evaluation
-            if abs(frac) > 1e-14 * self.step:
-                # the pinned value is Y(n*step + frac) at the zero node;
-                # chord steps with the crossing-cell slope drive it to
-                # kappa/2, each probing the exact offset evaluation
-                for _ in range(6):
-                    cand = convolve_at_offset(
-                        self.kernel, self.t, src, stail, rc, frac
-                    )
-                    shifted, tc = cand, n * self.step + frac
-                    gap = float(cand[self.i_zero + n]) - half
-                    if abs(gap) <= 1e-13 * max(1.0, self.m.kappa):
-                        break
-                    nudged = frac - gap / slope
-                    if not abs(nudged) < self.step:
-                        break  # crossing left the offset window; keep last
-                    frac = nudged
-                shifted = np.clip(shifted, self.floor, self.ceil)
-        out = self.history(self.t + tc, phi, self.tail_of(phi))
-        if exact:
-            lo, hi = max(0, -n), min(size, size - n)
-            out[lo:hi] = shifted[lo + n : hi + n]
+        node = self.i_zero + n
+        if not 0 <= node < size:
+            return _extended(self.t + tc, self.t, phi, self.tail_of(phi))
+        frac = tc - n * self.step
+        shifted = phi  # whole-step translations need no re-evaluation
+        if abs(frac) > 1e-14 * self.step:
+            # the pinned value is Y(n*step + frac) at the zero node; chord
+            # steps with the crossing-cell slope drive it to kappa/2
+            for _ in range(6):
+                accepted = frac
+                gap = conv.at(node, frac) - half
+                if abs(gap) <= 1e-13 * max(1.0, self.m.kappa):
+                    break
+                nudged = frac - gap / slope
+                if not abs(nudged) < self.step:
+                    break  # crossing left the offset window; keep last
+                frac = nudged
+            tc = n * self.step + accepted
+            shifted = np.clip(conv.shifted(accepted), self.floor, self.ceil)
+        lo, hi = max(0, -n), min(size, size - n)
+        out = np.empty(size)
+        out[lo:hi] = shifted[lo + n : hi + n]
+        if lo:
+            out[:lo] = _extended(self.t[:lo] + tc, self.t, phi, self.tail_of(phi))
+        out[hi:] = np.interp(self.t[hi:] + tc, self.t, phi)
         return out
 
     def __call__(self, phi: np.ndarray) -> np.ndarray:
         tail = self.tail_of(phi)
         src, stail = self.source_of(phi, tail)
-        rc = float(src[-1])
-        img = convolve(self.kernel, self.t, src, stail, rc)
+        conv = convolve(self.kernel, self.grid, src, stail, float(src[-1]))
+        img = conv.values
         clipped = np.clip(img, self.floor, self.ceil)
         self.clamp_low = int(np.sum(img < self.floor))
         self.clamp_high = int(np.sum(img > self.ceil))
-        return self.pin(clipped, src, stail, rc)
+        return self.pin(clipped, conv)
 
 
 def solve_profile(
@@ -355,11 +350,14 @@ def solve_profile(
             break
         phi = (1.0 - omega) * phi + omega * img
 
-    # Anderson mixing on P: combine the last accel_depth residual
-    # differences by least squares, damped by accel_damping.
+    # Anderson mixing on P: combine the differences between the last
+    # accel_depth iterates by least squares, damped by accel_damping.  The
+    # difference columns live in a ring: each iteration writes one.
     beta = opts.accel_damping
-    xs: list = []
-    fs: list = []
+    cols = opts.accel_depth - 1
+    dX = np.empty((phi.size, cols), order="F")
+    dF = np.empty((phi.size, cols), order="F")
+    filled, head, prev = 0, 0, None
     best_res, best_phi = res, phi.copy()
     n_accel = 0
     # mixing can fall into a limit cycle on near-neutral oscillatory modes;
@@ -383,23 +381,20 @@ def solve_profile(
             stall += 1
         if res > 1e3 * best_res or stall >= 150:
             phi = best_phi.copy()
-            xs.clear()
-            fs.clear()
+            filled, head, prev = 0, 0, None
             stall, mark = 0, best_res
             restarts += 1
             continue
-        xs.append(phi.copy())
-        fs.append(fx.copy())
-        if len(xs) > opts.accel_depth:
-            xs.pop(0)
-            fs.pop(0)
-        if len(xs) == 1:
+        if prev is not None and cols:
+            np.subtract(phi, prev[0], out=dX[:, head])
+            np.subtract(fx, prev[1], out=dF[:, head])
+            head, filled = (head + 1) % cols, min(filled + 1, cols)
+        prev = (phi, fx)
+        if filled == 0:
             phi = phi + beta * fx / (1.0 + restarts)
         else:
-            dF = np.stack([fs[i + 1] - fs[i] for i in range(len(fs) - 1)], axis=1)
-            dX = np.stack([xs[i + 1] - xs[i] for i in range(len(xs) - 1)], axis=1)
-            gamma, *_ = np.linalg.lstsq(dF, fx, rcond=None)
-            phi = phi + beta * fx - (dX + beta * dF) @ gamma
+            gamma, *_ = np.linalg.lstsq(dF[:, :filled], fx, rcond=None)
+            phi = phi + beta * fx - dX[:, :filled] @ gamma - beta * (dF[:, :filled] @ gamma)
 
     if res > best_res:
         phi = best_phi
@@ -468,10 +463,5 @@ def fixed_point_residual(sol: ProfileSolution) -> float:
     Rebuilds the pinned map on the solution's own grid, so the value is
     reproducible from the stored arrays alone.
     """
-    step = sol.step
-    P = _PinnedMap(sol.model, sol.c, SolverOptions(step=step))
-    # adopt the stored grid verbatim: re-deriving the edges from the stored
-    # floats can gain or lose a node to rounding
-    P.t = np.asarray(sol.t, dtype=float)
-    P.step = step
+    P = _PinnedMap(sol.model, sol.c, SolverOptions(step=sol.step), sol.t)
     return float(np.max(np.abs(P(sol.phi) - sol.phi)))

@@ -318,3 +318,22 @@ def test_evolve_too_short_to_measure(tmp_path, capsys):
     assert code == EXIT_NUMERICS
     assert doc["speed"] is None
     assert doc["rel_error"] is None
+
+
+# --------------------------------------------------------------- import
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal is most of the package's import time, and only a kernel
+    # scan needs it: speed and zeros must not pay for it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import semifront
+
+    env = dict(os.environ, PYTHONPATH=str(Path(semifront.__file__).resolve().parents[1]))
+    code = "import sys, semifront.cli; sys.exit(int('scipy.signal' in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert proc.returncode == 0

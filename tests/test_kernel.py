@@ -88,14 +88,14 @@ def test_convolve_constant_source_total_mass():
     for c, q in [(2.0, 0.0), (1.7, 0.8), (0.4, 2.5)]:
         k = make_kernel(c, q)
         t = grid(-10, 10, 0.05)
-        out = convolve(k, t, np.ones_like(t), LeftTail(1.0, 0.0), 1.0)
+        out = convolve(k, t, np.ones_like(t), LeftTail(1.0, 0.0), 1.0).values
         assert np.max(np.abs(out - 1.0 / (1.0 + q))) <= 1e-12
 
 
 def test_convolve_zero_source():
     k = make_kernel(1.1, 0.3)
     t = grid(-5, 5, 0.1)
-    out = convolve(k, t, np.zeros_like(t), LeftTail(0.0, 1.0), 0.0)
+    out = convolve(k, t, np.zeros_like(t), LeftTail(0.0, 1.0), 0.0).values
     assert np.all(out == 0.0)
 
 
@@ -109,7 +109,7 @@ def test_convolve_eigenfunction_identity_kpp():
         t = grid(-80.0, 40.0, step)
         phi = np.exp(lam * t)
         src = phi + phi  # (1+q)phi + atom-at-0 evaluation
-        out = convolve(k, t, src, LeftTail(2 * phi[0], lam), 2 * phi[-1])
+        out = convolve(k, t, src, LeftTail(2 * phi[0], lam), 2 * phi[-1]).values
         sel = t <= 30.0  # keep clear of the (wrong) constant right extension
         return np.max(np.abs(out[sel] - phi[sel]) / phi[sel])
 
@@ -125,8 +125,8 @@ def test_convolve_linearity():
     s1 = RNG.uniform(0, 1, t.size)
     s2 = RNG.uniform(0, 1, t.size)
     tail1, tail2 = LeftTail(s1[0], 0.7), LeftTail(s2[0], 0.7)
-    out12 = convolve(k, t, 2 * s1 + 3 * s2, LeftTail(2 * s1[0] + 3 * s2[0], 0.7), 2 * s1[-1] + 3 * s2[-1])
-    ref = 2 * convolve(k, t, s1, tail1, s1[-1]) + 3 * convolve(k, t, s2, tail2, s2[-1])
+    out12 = convolve(k, t, 2 * s1 + 3 * s2, LeftTail(2 * s1[0] + 3 * s2[0], 0.7), 2 * s1[-1] + 3 * s2[-1]).values
+    ref = 2 * convolve(k, t, s1, tail1, s1[-1]).values + 3 * convolve(k, t, s2, tail2, s2[-1]).values
     assert np.max(np.abs(out12 - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -135,8 +135,8 @@ def test_convolve_monotone_in_source():
     t = grid(-6, 6, 0.05)
     lo = RNG.uniform(0.0, 1.0, t.size)
     hi = lo + RNG.uniform(0.0, 1.0, t.size)
-    out_lo = convolve(k, t, lo, LeftTail(lo[0], 0.5), lo[-1])
-    out_hi = convolve(k, t, hi, LeftTail(hi[0], 0.5), hi[-1])
+    out_lo = convolve(k, t, lo, LeftTail(lo[0], 0.5), lo[-1]).values
+    out_hi = convolve(k, t, hi, LeftTail(hi[0], 0.5), hi[-1]).values
     assert np.all(out_hi >= out_lo - 1e-14)
 
 
@@ -145,7 +145,7 @@ def test_convolve_exact_for_piecewise_linear_source():
     k = make_kernel(1.9, 1.2)
     t = grid(-5, 5, 0.5)
     vals = RNG.uniform(-1, 1, t.size)
-    out = convolve(k, t, vals, LeftTail(0.0, 1.0), 0.0)
+    out = convolve(k, t, vals, LeftTail(0.0, 1.0), 0.0).values
     pl = lambda s: np.interp(s, t, vals)
     for idx in (2, 7, 10, 14, 18):
         ti = t[idx]
@@ -161,7 +161,7 @@ def test_convolve_second_order_in_step_on_smooth_source():
     def run(step):
         t = grid(-12, 12, step)
         src = 1.0 / (1.0 + np.exp(-t))
-        return t, convolve(k, t, src, LeftTail(src[0], 1.0), src[-1])
+        return t, convolve(k, t, src, LeftTail(src[0], 1.0), src[-1]).values
 
     tc, coarse = run(0.1)
     tf, fine = run(0.05)
@@ -329,13 +329,42 @@ def test_offset_matches_quadrature():
             assert out[idx] == pytest.approx(ref, abs=2e-9)
 
 
+def test_offset_read_matches_quadrature_critical_resonant_tail():
+    # the accumulator read at single nodes, both signs of delta; the tail is
+    # critical (slope != 0) at the resonant rate mu_plus, and the right
+    # closure differs from the last node value
+    k = make_kernel(2.1, 0.6)
+    step = 0.25
+    t = grid(-4, 4, step)
+    vals = RNG.uniform(0.2, 1.0, t.size)
+    tail = LeftTail(vals[0], k.mu_plus_root, -0.1)
+    rc = 0.5 * float(vals[-1])
+    conv = convolve(k, t, vals, tail, rc)
+    for delta in (0.37 * step, -0.37 * step, 0.9 * step, -0.9 * step):
+        for idx in (0, 1, t.size // 2, t.size - 2, t.size - 1):
+            ref = quad_offset(k, t, vals, tail, rc, t[idx] + delta)
+            assert conv.at(idx, delta) == pytest.approx(ref, abs=2e-9)
+
+
+def test_offset_node_probe_equals_vector_read():
+    k = make_kernel(2.3, 0.9)
+    step = 0.1
+    t = grid(-7, 7, step)
+    vals = RNG.uniform(0.1, 1.1, t.size)
+    conv = convolve(k, t, vals, LeftTail(vals[0], 0.7, -0.02), 0.8)
+    for delta in (-0.93 * step, -0.3 * step, 0.0, 0.41 * step, 0.99 * step):
+        row = conv.shifted(delta)
+        for idx in (0, 1, t.size // 2, t.size - 2, t.size - 1):
+            assert conv.at(idx, delta) == row[idx]
+
+
 def test_offset_zero_delta_is_convolve():
     k = make_kernel(1.4, 0.3)
     t = grid(-6, 6, 0.1)
     vals = RNG.uniform(0, 1, t.size)
     tail = LeftTail(vals[0], 0.5)
     out0 = convolve_at_offset(k, t, vals, tail, vals[-1], 0.0)
-    ref = convolve(k, t, vals, tail, vals[-1])
+    ref = convolve(k, t, vals, tail, vals[-1]).values
     assert np.array_equal(out0, ref)
 
 

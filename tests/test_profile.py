@@ -10,6 +10,7 @@ from semifront.kernel import LeftTail, convolve, make_kernel
 from semifront.model import builtin_kpp, builtin_nicholson
 from semifront.profile import (
     ProfileSolution,
+    _PinnedMap,
     SolverOptions,
     fixed_point_residual,
     recover_derivative,
@@ -70,7 +71,7 @@ def test_equilibrium_is_fixed_point():
     k = make_kernel(2.5, q)
     t = 0.02 * np.arange(-2000, 2001)
     src = (1.0 + q) * kap * np.ones_like(t)
-    out = convolve(k, t, src, LeftTail(src[0], 0.0, 0.0), right_const=src[-1])
+    out = convolve(k, t, src, LeftTail(src[0], 0.0, 0.0), right_const=src[-1]).values
     assert np.max(np.abs(out - kap)) <= 1e-10
 
 
@@ -81,6 +82,34 @@ def test_converged_runs(kpp_h0, kpp_h1, kpp_h2, nich):
         assert sol.clamp_low == 0 and sol.clamp_high == 0
         # stored arrays reproduce the reported residual
         assert fixed_point_residual(sol) <= 2.0 * sol.residual + 1e-12
+
+
+@pytest.mark.parametrize("t_minus", [-30.0, -60.0])
+def test_fixed_point_residual_on_stored_grid(t_minus):
+    # the stored grid fixes the pin node; a map rebuilt on the default grid
+    # pinned one node off and reported ~10x the stored residual
+    sol = solve_profile(builtin_kpp(1.0), 2.5, SolverOptions(t_minus=t_minus))
+    assert sol.converged
+    assert fixed_point_residual(sol) == pytest.approx(sol.residual, rel=1e-6)
+
+
+def test_one_kernel_scan_per_map_application(kpp_h1, monkeypatch):
+    # a sub-step translation makes the map re-read its image off the nodes;
+    # the chord probes and the accepted read come from the one scan
+    import scipy.signal
+
+    lfilter, sweeps = scipy.signal.lfilter, []
+
+    def counted(*args, **kwargs):
+        sweeps.append(args[1])
+        return lfilter(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.signal, "lfilter", counted)
+    P = _PinnedMap(kpp_h1.model, kpp_h1.c, SolverOptions(), kpp_h1.t)
+    out = P(kpp_h1.evaluate(kpp_h1.t + 1.3 * kpp_h1.step))
+    assert len(sweeps) == 2  # the forward and the backward sweep of one scan
+    i0 = int(np.argmin(np.abs(kpp_h1.t)))
+    assert abs(out[i0] - 0.5 * kpp_h1.model.kappa) <= 1e-12
 
 
 def test_pinned_at_half_kappa(kpp_h0, kpp_h2, nich):
