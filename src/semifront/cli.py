@@ -36,6 +36,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -69,6 +70,17 @@ class _ConfigError(Exception):
     def __init__(self, message: str, usage: Optional[str] = None):
         super().__init__(message)
         self.usage = usage
+
+
+@contextmanager
+def _config_errors():
+    """Report a KeyError or TypeError raised while reading the configuration
+    as invalid configuration; raised anywhere else they are bugs and
+    propagate (exit 1 with a traceback)."""
+    try:
+        yield
+    except (KeyError, TypeError, SyntaxError) as exc:  # SyntaxError: a custom expr
+        raise _ConfigError(str(exc)) from exc
 
 
 # ----------------------------------------------------------- emitters
@@ -156,6 +168,7 @@ def _speed_request(args, default):
     return default
 
 
+@_config_errors()
 def _c_value(cfg) -> Optional[float]:
     """Numeric speed from the resolved config; None requests critical."""
     c = cfg.get("c")
@@ -164,6 +177,7 @@ def _c_value(cfg) -> Optional[float]:
     return float(c)
 
 
+@_config_errors()
 def _resolve(args, **extra) -> dict:
     """Defaults + flags, overridden by the --config file when given."""
     cfg: dict = {"command": args.cmd, "model": _model_config(args), "outdir": args.outdir}
@@ -177,9 +191,11 @@ def _resolve(args, **extra) -> dict:
         cfg["config_file"] = args.config
     if not cfg.get("outdir"):
         cfg["outdir"] = os.environ.get("SEMIFRONT_OUTDIR") or "."
+    cfg["outdir"] = os.fspath(cfg["outdir"])
     return cfg
 
 
+@_config_errors()
 def _require_model(cfg: dict, args) -> Model:
     mcfg = cfg.get("model") or {}
     if not mcfg.get("name"):
@@ -313,9 +329,10 @@ def _cmd_zeros(args) -> int:
     )
     m = _require_model(cfg, args)
     sa = analyze_speed(m, _c_value(cfg), check_dominance=False)
-    re_min = sa.lambda1 - 1e-3 if cfg.get("re_min") is None else float(cfg["re_min"])
-    re_max = sa.lambda2 + 1e-3 if cfg.get("re_max") is None else float(cfg["re_max"])
-    im_max = 50.0 if cfg.get("im_max") is None else float(cfg["im_max"])
+    with _config_errors():
+        re_min = sa.lambda1 - 1e-3 if cfg.get("re_min") is None else float(cfg["re_min"])
+        re_max = sa.lambda2 + 1e-3 if cfg.get("re_max") is None else float(cfg["re_max"])
+        im_max = 50.0 if cfg.get("im_max") is None else float(cfg["im_max"])
     count = count_zeros_rect(m, sa.c, (re_min, re_max), im_max)
     payload = {
         "c": sa.c,
@@ -344,14 +361,15 @@ def _cmd_profile(args) -> int:
     )
     m = _require_model(cfg, args)
     sa = analyze_speed(m, _c_value(cfg), check_dominance=False)
-    opts = SolverOptions(
-        t_minus=None if cfg.get("t_minus") is None else float(cfg["t_minus"]),
-        t_plus=float(cfg["t_plus"]),
-        step=float(cfg["step"]),
-        tol=float(cfg["tol"]),
-        max_iter=int(cfg["max_iter"]),
-        accel_iter=int(cfg["accel_iter"]),
-    )
+    with _config_errors():
+        opts = SolverOptions(
+            t_minus=None if cfg.get("t_minus") is None else float(cfg["t_minus"]),
+            t_plus=float(cfg["t_plus"]),
+            step=float(cfg["step"]),
+            tol=float(cfg["tol"]),
+            max_iter=int(cfg["max_iter"]),
+            accel_iter=int(cfg["accel_iter"]),
+        )
     sol = solve_profile(m, sa.c, opts)
     fit = fit_decay(sol)
     oscillatory, crossings = detect_oscillation(sol)
@@ -405,20 +423,13 @@ def _cmd_verify(args) -> int:
     )
     m = _require_model(cfg, args)
     c_req = cfg.get("c")
+    with _config_errors():
+        c_val = None if c_req in (None, "critical") else float(c_req)
+        counts = {key: int(cfg[key]) for key in ("n_samples", "seed", "n_seeds")}
+        epsilon = float(cfg["epsilon"])
     if c_req == "critical":
-        c_val: Optional[float] = critical_speed(m)[0]
-    elif c_req is not None:
-        c_val = float(c_req)
-    else:
-        c_val = None
-    report = verify_model(
-        m,
-        n_samples=int(cfg["n_samples"]),
-        seed=int(cfg["seed"]),
-        epsilon=float(cfg["epsilon"]),
-        c=c_val,
-        n_seeds=int(cfg["n_seeds"]),
-    )
+        c_val = critical_speed(m)[0]
+    report = verify_model(m, epsilon=epsilon, c=c_val, **counts)
     _emit_json(cfg, report.to_dict(), "verify")
     return EXIT_OK if report.all_passed else EXIT_HYPOTHESIS
 
@@ -438,7 +449,10 @@ def _cmd_evolve(args) -> int:
     )
     m = _require_model(cfg, args)
     sa = analyze_speed(m, _c_value(cfg), check_dominance=False)
-    x0 = float(cfg["x0"])
+    with _config_errors():
+        x0 = float(cfg["x0"])
+        span = tuple(float(cfg[key]) for key in ("x_lo", "x_hi", "dx", "t_run"))
+        dt = None if cfg.get("dt") is None else float(cfg["dt"])
     ic = cfg.get("ic")
     if ic == "tail":
         u0 = tail_seed(m.kappa, sa.lambda1, x0)
@@ -446,15 +460,7 @@ def _cmd_evolve(args) -> int:
         u0 = step_init(m.kappa, x0)
     else:
         raise _ConfigError(f"unknown initial data kind {ic!r}; expected tail or step")
-    run = front_speed(
-        m,
-        u0,
-        float(cfg["x_lo"]),
-        float(cfg["x_hi"]),
-        float(cfg["dx"]),
-        float(cfg["t_run"]),
-        dt=None if cfg.get("dt") is None else float(cfg["dt"]),
-    )
+    run = front_speed(m, u0, *span, dt=dt)
 
     outdir = Path(cfg["outdir"])
     _write_csv(outdir / "track.csv", ("t", "x_half"), (run.times, run.positions))
@@ -517,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-plus", type=float, default=40.0, help="right edge of the grid")
     sp.add_argument("--t-minus", type=float, help="left edge of the grid (default auto)")
     sp.add_argument("--step", type=float, default=0.02, help="grid step")
-    sp.add_argument("--tol", type=float, default=1e-9, help="relative sup-norm tolerance")
+    sp.add_argument("--tol", type=float, default=1e-9, help="absolute sup-norm residual tolerance")
     sp.add_argument("--max-iter", type=int, default=600, help="damped iteration budget")
     sp.add_argument("--accel-iter", type=int, default=400, help="accelerated iteration budget")
     sp.add_argument("--svg", action="store_true", help="also write an SVG figure")
@@ -560,8 +566,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stderr.write(exc.usage)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SubcriticalError, OSError, KeyError, TypeError, ValueError) as exc:
-        # bad inputs surface as ValueError subclasses throughout the library
+    except (SubcriticalError, OSError, ValueError) as exc:
+        # bad inputs surface as ValueError subclasses throughout the library;
+        # a KeyError or TypeError counts only while reading the configuration
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ContourError, ArithmeticError, RuntimeError) as exc:

@@ -149,28 +149,32 @@ def tail_response(k: GreenKernel, tail, t_minus: float, t):
         raise ValueError("left tail must not grow leftward: rate >= 0 required")
     N, mu_m, mu_p = k.norm, k.mu_minus_root, k.mu_plus_root
     gamma = rate - mu_m  # > 0 always
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    tau = t_arr - t_minus
-    out = np.empty_like(tau)
 
-    rgt = tau >= 0
-    out[rgt] = N * np.exp(mu_m * tau[rgt]) * (v / gamma - slope / gamma**2)
+    def right(tau):
+        return N * np.exp(mu_m * tau) * (v / gamma - slope / gamma**2)
 
-    lft = ~rgt
-    if np.any(lft):
-        tl = tau[lft]
+    def left(tl):
         # s < t piece, antiderivatives of (v + slope*u) e^{gamma u} up to u = tau
         p1 = N * np.exp(rate * tl) * (v / gamma + slope * (tl / gamma - 1.0 / gamma**2))
         delta = rate - mu_p
         if abs(delta) <= 1e-8 * max(1.0, mu_p):
-            p2 = N * np.exp(mu_p * tl) * (-v * tl - 0.5 * slope * tl * tl)
-        else:
-            x = delta * tl
-            i0 = -np.expm1(x) / delta
-            i1 = (np.expm1(x) - x * np.exp(x)) / delta**2
-            p2 = N * np.exp(mu_p * tl) * (v * i0 + slope * i1)
-        out[lft] = p1 + p2
-    return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+            return p1 + N * np.exp(mu_p * tl) * (-v * tl - 0.5 * slope * tl * tl)
+        x = delta * tl
+        i0 = -np.expm1(x) / delta
+        i1 = (np.expm1(x) - x * np.exp(x)) / delta**2
+        return p1 + N * np.exp(mu_p * tl) * (v * i0 + slope * i1)
+
+    if np.ndim(t) == 0:  # one point: the same formulas, without masks
+        tau = float(t) - t_minus
+        return float(right(tau) if tau >= 0 else left(tau))
+    tau = np.asarray(t, dtype=float) - t_minus
+    out = np.empty_like(tau)
+    rgt = tau >= 0
+    out[rgt] = right(tau[rgt])
+    lft = ~rgt
+    if np.any(lft):
+        out[lft] = left(tau[lft])
+    return out
 
 
 class Grid:

@@ -18,6 +18,11 @@ Two stages: damped sweeps take the seed into the contraction basin,
 then Anderson mixing on P finishes to tolerance.  Plain damped
 iteration cannot finish the job — it ends up orbiting the fixed point
 along the translation direction at the drift amplitude.
+
+An iteration costs one kernel scan plus O(n) work with no search and no
+n-row factorisation: delayed reads are precomputed slices of the grid
+(:class:`_DelayRead`), and Anderson's least squares solve the normal
+equations of a Gram matrix updated one row per step (:class:`_AndersonRing`).
 """
 
 from __future__ import annotations
@@ -56,8 +61,10 @@ class SolverOptions:
 
     ``t_minus=None`` places the left edge at -40/lambda1 (rounded to the
     grid), deep enough that the exponential tail is below double noise.
-    ``switch_res`` is the sup-norm residual (relative to max(1, kappa))
-    at which the damped stage hands over to Anderson mixing.
+    ``tol`` bounds the absolute sup-norm residual sup|P(phi) - phi| (not
+    scaled by kappa); a solve counts as converged at residual <= 2*tol.
+    ``switch_res`` is the sup-norm residual, scaled by max(1, kappa), at
+    which the damped stage hands over to Anderson mixing.
     """
 
     t_minus: Optional[float] = None
@@ -142,15 +149,52 @@ class ProfileSolution:
         return int(np.sum(s[1:] * s[:-1] < 0.0))
 
 
+def _tail_at(tail: LeftTail, u: np.ndarray) -> np.ndarray:
+    """The left tail at offsets u = t - t[0] <= 0."""
+    return (tail.value + tail.slope * u) * np.exp(tail.rate * u)
+
+
 def _extended(tq: np.ndarray, t: np.ndarray, phi: np.ndarray, tail: LeftTail) -> np.ndarray:
     """Grid values ``phi`` at points ``tq``: linear interpolation, the
     ``tail`` below t[0] and the last value frozen above t[-1]."""
     out = np.interp(tq, t, phi)
     left = tq < t[0]
     if np.any(left):
-        u = tq[left] - t[0]
-        out[left] = (tail.value + tail.slope * u) * np.exp(tail.rate * u)
+        out[left] = _tail_at(tail, tq[left] - t[0])
     return out
+
+
+class _DelayRead:
+    """``_extended(t + d, t, phi, tail)`` for a fixed shift d, without search.
+
+    t_j + d lies k whole steps plus a fraction theta past t_j, so the read
+    is (1-theta) phi[j+k] + theta phi[j+k+1] inside the grid, the tail at
+    the precomputed offsets u below t[0] and phi[-1] above t[-1].  The
+    step comes from the whole span (one node difference is off by ~1e-12).
+    """
+
+    def __init__(self, t: np.ndarray, d: float):
+        x = d * (t.size - 1) / (t[-1] - t[0])
+        whole = abs(x - round(x)) < 1e-9  # snap a near-node read onto the node
+        k = round(x) if whole else math.floor(x)
+        n, theta = t.size, 0.0 if whole else x - k
+        self.k, self.theta = k, theta
+        self.lo = min(n, max(0, -k))
+        self.hi = max(self.lo, min(n, n - k - (theta > 0.0)))
+        self.u = t[: self.lo] + d - t[0]
+
+    def __call__(self, phi: np.ndarray, tail: LeftTail) -> np.ndarray:
+        k, theta, lo, hi = self.k, self.theta, self.lo, self.hi
+        if k == 0 and theta == 0.0:
+            return phi
+        out = np.empty(phi.size)
+        inner = phi[lo + k : hi + k]
+        if theta:
+            inner = (1.0 - theta) * inner + theta * phi[lo + k + 1 : hi + k + 1]
+        out[lo:hi] = inner
+        out[:lo] = _tail_at(tail, self.u)
+        out[hi:] = phi[-1]
+        return out
 
 
 class _PinnedMap:
@@ -192,6 +236,7 @@ class _PinnedMap:
         # (1+q)*e + f'(0)[e] = D*e for e = e^{lam t}, D = 1 + q + c*lam - lam^2
         self.D = 1.0 + m.lin.q + c * self.lam - self.lam * self.lam
         self.chz = float(chi_dz(m, self.lam, c))
+        self.reads = [_DelayRead(self.t, c * s) for s in m.eval_points]
         self.floor = opts.clamp_floor * m.kappa
         self.ceil = m.bound
         self.clamp_low = 0
@@ -233,15 +278,14 @@ class _PinnedMap:
 
     def source_of(self, phi: np.ndarray, tail: LeftTail) -> tuple[np.ndarray, LeftTail]:
         m, c = self.m, self.c
-        vals = [_extended(self.t + c * s, self.t, phi, tail) for s in m.eval_points]
-        src = (1.0 + m.lin.q) * phi + m.f_pointwise(*vals)
+        src = (1.0 + m.lin.q) * phi + m.f_pointwise(*(read(phi, tail) for read in self.reads))
         sv = tail.value * self.D + tail.slope * (c - 2.0 * self.lam + self.chz)
         return src, LeftTail(sv, self.lam, tail.slope * self.D)
 
-    def raw(self, phi: np.ndarray) -> np.ndarray:
-        tail = self.tail_of(phi)
-        src, stail = self.source_of(phi, tail)
-        return convolve(self.kernel, self.grid, src, stail, float(src[-1])).values
+    def raw(self, phi: np.ndarray) -> Convolution:
+        """A(phi), one kernel scan kept whole for the pin's sub-step reads."""
+        src, stail = self.source_of(phi, self.tail_of(phi))
+        return convolve(self.kernel, self.grid, src, stail, float(src[-1]))
 
     def pin(self, phi: np.ndarray, conv: Convolution) -> np.ndarray:
         """Translate so the first upward kappa/2 crossing sits at t = 0.
@@ -300,14 +344,44 @@ class _PinnedMap:
         return out
 
     def __call__(self, phi: np.ndarray) -> np.ndarray:
-        tail = self.tail_of(phi)
-        src, stail = self.source_of(phi, tail)
-        conv = convolve(self.kernel, self.grid, src, stail, float(src[-1]))
+        conv = self.raw(phi)
         img = conv.values
         clipped = np.clip(img, self.floor, self.ceil)
         self.clamp_low = int(np.sum(img < self.floor))
         self.clamp_high = int(np.sum(img > self.ceil))
         return self.pin(clipped, conv)
+
+
+# the Gram solve drops eigenvalues of G below 1e-15 of the largest, i.e.
+# directions of dF below ~3e-8 of its largest singular value
+_GRAM_RCOND = 1e-15
+
+
+class _AndersonRing:
+    """Anderson's differences as ring columns of dX and dF, and G = dF^T dF.
+    Writing a column refills its row and column of G, so a restart only
+    resets the counters."""
+
+    def __init__(self, n: int, cols: int):
+        self.dX = np.empty((n, cols), order="F")
+        self.dF = np.empty((n, cols), order="F")
+        self.G = np.empty((cols, cols))
+        self.filled = self.head = 0
+
+    def push(self, x, x_prev, f, f_prev) -> None:
+        h, cols = self.head, self.G.shape[0]
+        np.subtract(x, x_prev, out=self.dX[:, h])
+        np.subtract(f, f_prev, out=self.dF[:, h])
+        self.filled = min(self.filled + 1, cols)
+        g = self.dF[:, : self.filled].T @ self.dF[:, h]
+        self.G[h, : self.filled] = g
+        self.G[: self.filled, h] = g
+        self.head = (h + 1) % cols
+
+    def gamma(self, f: np.ndarray) -> np.ndarray:
+        """The least-squares coefficients argmin |f - dF gamma|."""
+        k = self.filled
+        return np.linalg.lstsq(self.G[:k, :k], self.dF[:, :k].T @ f, rcond=_GRAM_RCOND)[0]
 
 
 def solve_profile(
@@ -352,12 +426,12 @@ def solve_profile(
 
     # Anderson mixing on P: combine the differences between the last
     # accel_depth iterates by least squares, damped by accel_damping.  The
-    # difference columns live in a ring: each iteration writes one.
+    # difference columns live in a ring: each iteration writes one, and
+    # the least squares are the normal equations of the ring's Gram matrix.
     beta = opts.accel_damping
     cols = opts.accel_depth - 1
-    dX = np.empty((phi.size, cols), order="F")
-    dF = np.empty((phi.size, cols), order="F")
-    filled, head, prev = 0, 0, None
+    ring = _AndersonRing(phi.size, cols)
+    prev = None
     best_res, best_phi = res, phi.copy()
     n_accel = 0
     # mixing can fall into a limit cycle on near-neutral oscillatory modes;
@@ -381,20 +455,19 @@ def solve_profile(
             stall += 1
         if res > 1e3 * best_res or stall >= 150:
             phi = best_phi.copy()
-            filled, head, prev = 0, 0, None
+            ring.filled, ring.head, prev = 0, 0, None
             stall, mark = 0, best_res
             restarts += 1
             continue
         if prev is not None and cols:
-            np.subtract(phi, prev[0], out=dX[:, head])
-            np.subtract(fx, prev[1], out=dF[:, head])
-            head, filled = (head + 1) % cols, min(filled + 1, cols)
+            ring.push(phi, prev[0], fx, prev[1])
         prev = (phi, fx)
-        if filled == 0:
+        k = ring.filled
+        if k == 0:
             phi = phi + beta * fx / (1.0 + restarts)
         else:
-            gamma, *_ = np.linalg.lstsq(dF[:, :filled], fx, rcond=None)
-            phi = phi + beta * fx - dX[:, :filled] @ gamma - beta * (dF[:, :filled] @ gamma)
+            gamma = ring.gamma(fx)
+            phi = phi + beta * fx - ring.dX[:, :k] @ gamma - beta * (ring.dF[:, :k] @ gamma)
 
     if res > best_res:
         phi = best_phi
@@ -405,7 +478,7 @@ def solve_profile(
     res = float(np.max(np.abs(img - phi)))
     history.append(res)
     clamp_low, clamp_high = P.clamp_low, P.clamp_high
-    drift = float(np.max(np.abs(P.raw(phi) - phi)))
+    drift = float(np.max(np.abs(P.raw(phi).values - phi)))
 
     tail = P.tail_of(phi)
     src, _ = P.source_of(phi, tail)

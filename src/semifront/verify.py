@@ -564,7 +564,10 @@ def verify_model(
     solver_opts: SolverOptions | None = None,
 ) -> VerificationReport:
     """Run every hypothesis check and, when a speed is given, the profile
-    diagnostics and (for n_seeds >= 2) the uniqueness harness."""
+    diagnostics and (for n_seeds >= 2) the uniqueness harness.
+
+    ``solver_opts`` go to both the diagnostic solve and the harness;
+    None keeps each one's default."""
     hyp = dict(check_structure(m))
     hyp["S"] = check_S(m, n_samples, seed + 1)
     hyp["UB"] = check_UB(m, n_samples, seed + 2)
@@ -581,7 +584,9 @@ def verify_model(
         if n_seeds >= 2:
             dropped: list[int] = []
             uniq = tuple(
-                uniqueness_harness(m, c, n_seeds, seed=seed, on_exclude=dropped.append)
+                uniqueness_harness(
+                    m, c, n_seeds, opts=solver_opts, seed=seed, on_exclude=dropped.append
+                )
             )
             excluded = tuple(dropped)
     return VerificationReport(

@@ -252,6 +252,39 @@ def test_outdir_env_default(tmp_path, capsys, monkeypatch):
     assert doc["config"]["outdir"] == str(flagdir)
 
 
+@pytest.mark.parametrize(
+    "argv, override",
+    [
+        (("speed", "--critical"), {"model": {"name": "nicholson", "h": 1.0}}),  # KeyError: p
+        (("profile", "--model", "kpp", "--c", "2.5"), {"tol": None}),  # TypeError
+        (("profile", "--model", "kpp", "--c", "2.5"), {"outdir": 5}),  # TypeError
+        (
+            ("speed", "--c", "2.5"),
+            {"model": {"name": "custom", "h": 0.0, "eval_points": [0.0], "expr": "u0 *"}},
+        ),  # SyntaxError in the reaction expression
+    ],
+)
+def test_bad_config_values_exit_2(tmp_path, capsys, argv, override):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(override))
+    code, _, err = run(capsys, *argv, "--config", str(cfg), "--outdir", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:")
+
+
+def test_library_type_error_is_not_a_config_error(tmp_path, monkeypatch):
+    # a KeyError or TypeError past config reading is a bug: it propagates
+    # (exit 1 with a traceback) instead of posing as bad input (exit 2)
+    import semifront.cli as cli
+
+    def broken(*args, **kwargs):
+        raise TypeError("library bug")
+
+    monkeypatch.setattr(cli, "solve_profile", broken)
+    with pytest.raises(TypeError, match="library bug"):
+        main(["profile", "--model", "kpp", "--c", "2.5", "--outdir", str(tmp_path)])
+
+
 def test_config_file_must_be_object(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("[1, 2, 3]")

@@ -230,6 +230,18 @@ def test_tail_response_continuous_at_break():
     assert below == pytest.approx(above, rel=1e-8)
 
 
+def test_tail_response_scalar_path_matches_array_path():
+    # one point skips the masks but must give the array path's numbers,
+    # on both sides of T-, for a critical slope and at the resonant rate
+    k = make_kernel(2.5, 0.0)
+    tm = -3.0
+    pts = np.array([tm - 2.0, tm - 0.4, tm - 1e-3, tm, tm + 1.7])
+    for tail in (LeftTail(0.7, 0.9), LeftTail(0.7, 0.9, -0.12), LeftTail(0.5, k.mu_plus_root, -0.2)):
+        vec = tail_response(k, tail, tm, pts)
+        one = np.array([tail_response(k, tail, tm, float(p)) for p in pts])
+        assert np.allclose(one, vec, rtol=1e-14, atol=0.0)
+
+
 def test_tail_response_rejects_growing_tail():
     k = make_kernel(1.0, 0.0)
     with pytest.raises(ValueError):

@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semifront.profile as profile_mod
 from semifront.chareq import SubcriticalError, critical_speed
 from semifront.kernel import LeftTail, convolve, make_kernel
-from semifront.model import builtin_kpp, builtin_nicholson
+from semifront.model import builtin_kpp, builtin_nicholson, model_from_config
 from semifront.profile import (
     ProfileSolution,
+    _AndersonRing,
+    _DelayRead,
+    _extended,
     _PinnedMap,
     SolverOptions,
     fixed_point_residual,
@@ -247,6 +251,118 @@ def test_seed_shape_checked():
 def test_options_validated(kwargs):
     with pytest.raises(ValueError):
         SolverOptions(**kwargs)
+
+
+# ------------------------------------------------------ iteration pieces
+
+
+def _logistic_config(h, K, expr=None):
+    """kpp's logistic reaction rescaled to equilibrium K, as a config model."""
+    return model_from_config({
+        "name": "custom",
+        "h": h,
+        "eval_points": [0.0, -h],
+        "expr": expr or f"u0 * (1.0 - u1 / {K!r})",
+        "atoms": [[0.0, 1.0]],
+        "q": 0.0,
+        "kappa": K,
+        "smoothness": [1.0, 1.0, 1.0],
+        "bound": K * builtin_kpp(h).bound,
+    })
+
+
+@pytest.mark.parametrize(
+    "m, c",
+    [
+        (builtin_kpp(2.0), 2.5),  # -5.0 is exactly 250 steps
+        (builtin_kpp(1.0), 2.51),  # half a step off the nodes
+        (builtin_nicholson(1.0, 2.0), NICH_C_STAR + 0.5),
+        (_logistic_config(1.0, 10.0), 2.37),
+    ],
+)
+def test_delay_reads_match_interpolation(m, c):
+    P = _PinnedMap(m, c, SolverOptions())
+    phi = P.seed()
+    tail = P.tail_of(phi)
+    for s, read in zip(m.eval_points, P.reads):
+        ref = _extended(P.t + c * s, P.t, phi, tail)
+        assert np.max(np.abs(read(phi, tail) - ref)) <= 1e-14 * max(1.0, m.kappa)
+    assert P.reads[0](phi, tail) is phi  # s = 0 reads phi itself
+
+
+def test_delay_read_critical_tail():
+    m = builtin_kpp(1.0)
+    c_star, _ = critical_speed(m)
+    P = _PinnedMap(m, c_star, SolverOptions())
+    phi = P.seed()
+    tail = P.tail_of(phi)
+    assert P.critical and tail.slope < 0.0
+    ref = _extended(P.t - c_star, P.t, phi, tail)
+    assert np.max(np.abs(P.reads[1](phi, tail) - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [0.37, 0.04, -0.013, -7.0, 95.0, -95.0])
+def test_delay_read_any_shift(d):
+    # right clamp (d > 0), a whole-step forward shift, a sub-step shift,
+    # and shifts that move the whole grid past either edge
+    t = 0.02 * np.arange(-2000, 2001)
+    phi = 3.0 / (1.0 + np.exp(-t)) + 0.1 * np.sin(t)
+    tail = LeftTail(float(phi[0]), 0.8, -0.2)
+    ref = _extended(t + d, t, phi, tail)
+    assert np.max(np.abs(_DelayRead(t, d)(phi, tail) - ref)) <= 3e-14
+
+
+def test_gram_step_matches_tall_least_squares():
+    rng = np.random.default_rng(7)
+    n, cols = 800, 6
+    ring = _AndersonRing(n, cols)
+    dx, df = rng.standard_normal((n, cols)), rng.standard_normal((n, cols))
+    for j in range(cols):
+        ring.push(dx[:, j], 0.0, df[:, j], 0.0)
+    f = rng.standard_normal(n)
+    ref = np.linalg.lstsq(df, f, rcond=None)[0]
+    assert np.max(np.abs(ring.gamma(f) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(ring.dX, dx)
+
+
+def test_gram_matrix_follows_ring_wraparound(monkeypatch):
+    rings = []
+
+    class Counted(_AndersonRing):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.pushes = 0
+            rings.append(self)
+
+        def push(self, *args):
+            super().push(*args)
+            self.pushes += 1
+
+    monkeypatch.setattr(profile_mod, "_AndersonRing", Counted)
+    sol = solve_profile(builtin_kpp(1.0), 2.5, SolverOptions(accel_depth=6))
+    (ring,) = rings
+    k = ring.filled
+    assert sol.converged and k == ring.G.shape[0] and ring.pushes > 2 * k
+    gram = ring.dF[:, :k].T @ ring.dF[:, :k]
+    assert np.max(np.abs(ring.G[:k, :k] - gram)) <= 1e-13 * np.max(np.abs(gram))
+
+
+# ------------------------------------------------------- metamorphic models
+
+
+@pytest.mark.parametrize("K", [10.0, 0.1])
+def test_kappa_scaling(kpp_h1, K):
+    # u0*(1 - u1/K) maps onto kpp by phi -> phi/K; tol is absolute, so the
+    # scaled solve stops at a residual relative to K that differs from kpp's
+    sol = solve_profile(_logistic_config(1.0, K), 2.5)
+    assert sol.converged and sol.t.shape == kpp_h1.t.shape
+    assert np.max(np.abs(sol.phi - K * kpp_h1.phi)) <= 1e-7 * max(1.0, K)
+
+
+def test_builtin_kpp_equals_custom_config(kpp_h1):
+    sol = solve_profile(_logistic_config(1.0, 1.0, expr="u0 * (1.0 - u1)"), 2.5)
+    assert sol.iterations == kpp_h1.iterations
+    assert np.array_equal(sol.phi, kpp_h1.phi)
 
 
 # ---------------------------------------------------------- random speeds

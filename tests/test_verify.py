@@ -232,3 +232,18 @@ def test_verify_model_with_profile_diagnostics():
     assert rep.q_min is not None and rep.q_min >= -1e-8
     assert rep.pi_integral is not None and rep.pi_integral > 0.0
     assert rep.uniqueness == ()
+
+
+@pytest.mark.parametrize("opts", [None, SolverOptions(tol=1e-8, t_plus=30.0)])
+def test_verify_model_passes_solver_opts_to_harness(monkeypatch, opts):
+    import semifront.verify as verify_mod
+
+    seen = []
+
+    def harness(m, c, n_seeds, opts=None, seed=0, on_exclude=None):
+        seen.append(opts)
+        return []
+
+    monkeypatch.setattr(verify_mod, "uniqueness_harness", harness)
+    verify_model(builtin_kpp(1.0), n_samples=200, c=2.5, n_seeds=3, solver_opts=opts)
+    assert len(seen) == 1 and seen[0] is opts
