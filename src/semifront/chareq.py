@@ -27,8 +27,8 @@ import math
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._brentq import brentq
 from .model import Measure, Model
 
 __all__ = [

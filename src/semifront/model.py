@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
+
+from ._brentq import brentq
 
 __all__ = [
     "Measure",

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._brentq import brentq
 from .kernel import pl_exp_integral
 from .model import Model
 from .profile import ProfileSolution, SolverOptions, solve_profile

@@ -5,7 +5,11 @@ import pytest
 from scipy.integrate import quad
 
 from semifront.kernel import (
+    Grid,
     LeftTail,
+    _exp_scan,
+    _phi1,
+    _phi2,
     convolve,
     convolve_at_offset,
     exp_integral_right,
@@ -180,6 +184,51 @@ def test_convolve_input_validation():
         convolve(k, np.array([0.0, 0.1, 0.3]), np.zeros(3), LeftTail(0.0, 1.0), 0.0)
     with pytest.raises(ValueError):
         convolve(k, t, np.ones(t.size), LeftTail(1.0, -0.2), 0.0)
+
+
+def test_grid_step_is_exact_on_offset_grid():
+    # one node difference at |t| ~ 80 is ~2e-13 off the step; the span is not,
+    # so a convolution does not depend on where its grid sits
+    t = -80.0 + 0.02 * np.arange(4001)
+    assert Grid(t).step == pytest.approx(0.02, rel=1e-15)
+    k = make_kernel(2.5, 1.0)
+    src = 1.0 / (1.0 + np.exp(-np.linspace(-5.0, 5.0, t.size)))
+    here = convolve(k, t, src, LeftTail(src[0], 1.0), 1.0).values
+    origin = convolve(k, 0.02 * np.arange(t.size), src, LeftTail(src[0], 1.0), 1.0).values
+    assert np.max(np.abs(here - origin) / origin) <= 1e-15
+
+
+# ------------------------------------------------------------ the scan
+
+
+def scan_reference(src, step, rate, start):
+    """The recurrence of ``_exp_scan``, one node at a time."""
+    x = -rate * step
+    far = step * _phi2(x)
+    near = step * _phi1(x) - far
+    a, out = math.exp(x), [start]
+    for lo, hi in zip(src[:-1].tolist(), src[1:].tolist()):
+        out.append(a * out[-1] + (far * lo + near * hi))
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "n, step, rate",
+    [
+        (20, 0.02, 2.5),  # below one block
+        (1000, 0.02, 0.4),  # not whole blocks
+        (3001, 0.02, 2.5),  # more than 32 blocks: the carries recurse
+        (40000, 0.01, 0.3),  # more than 32^2 blocks: they recurse twice
+        (3001, 0.5, 60.0),  # a^32 underflows
+        (3001, 0.02, 1e-7),  # rate step near 0
+    ],
+)
+def test_exp_scan_matches_recurrence(n, step, rate):
+    src = RNG.uniform(0.1, 1.0, n)
+    for s in (src, src[::-1]):  # the backward branch scans a reversed view
+        ref = scan_reference(s, step, rate, 0.3)
+        out = _exp_scan(s, step, rate, 0.3)
+        assert np.max(np.abs(out - ref) / ref) <= 1e-14
 
 
 # ------------------------------------------------------------- tail pieces

@@ -100,15 +100,15 @@ def test_fixed_point_residual_on_stored_grid(t_minus):
 def test_one_kernel_scan_per_map_application(kpp_h1, monkeypatch):
     # a sub-step translation makes the map re-read its image off the nodes;
     # the chord probes and the accepted read come from the one scan
-    import scipy.signal
+    from semifront import kernel
 
-    lfilter, sweeps = scipy.signal.lfilter, []
+    scan, sweeps = kernel._exp_scan, []
 
     def counted(*args, **kwargs):
-        sweeps.append(args[1])
-        return lfilter(*args, **kwargs)
+        sweeps.append(args[2])
+        return scan(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.signal, "lfilter", counted)
+    monkeypatch.setattr(kernel, "_exp_scan", counted)
     P = _PinnedMap(kpp_h1.model, kpp_h1.c, SolverOptions(), kpp_h1.t)
     out = P(kpp_h1.evaluate(kpp_h1.t + 1.3 * kpp_h1.step))
     assert len(sweeps) == 2  # the forward and the backward sweep of one scan
