@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .profile import ProfileSolution
+from .profile import ProfileSolution, sign_changes
 
 __all__ = ["DecayFit", "fit_decay", "detect_oscillation"]
 
@@ -150,8 +150,5 @@ def _shifted_log_slope(tn: np.ndarray, excess: np.ndarray) -> tuple[float, float
 
 def detect_oscillation(sol: ProfileSolution) -> tuple[bool, int]:
     """Sign changes of phi - kappa on t >= 0; oscillatory iff at least 2."""
-    mask = sol.t >= 0.0
-    s = np.sign(sol.phi[mask] - sol.model.kappa)
-    s = s[s != 0.0]
-    count = int(np.sum(s[1:] * s[:-1] < 0.0))
+    count = sign_changes(sol.phi[sol.t >= 0.0] - sol.model.kappa)
     return count >= 2, count

@@ -74,49 +74,40 @@ def _mu(m) -> Measure:
 # ndarray z (complex allowed) with a fixed scalar c.
 
 
-def eval_chi(m, z, c: float):
-    mu = _mu(m)
+def _atom_sum(m, z, c: float, base, factor):
+    """base(z) + sum_j factor(s_j, w_j, z) e^{c s_j z} over the delayed atoms."""
     z = np.asarray(z)
-    out = z * z - c * z - mu.q
-    for s, w in mu.atoms:
-        out = out + w * np.exp(c * s * z)
+    out = base(z)
+    for s, w in _mu(m).atoms:
+        out = out + factor(s, w, z) * np.exp(c * s * z)
     return out if out.ndim else out[()]
+
+
+def eval_chi(m, z, c: float):
+    q = _mu(m).q
+    return _atom_sum(m, z, c, lambda z: z * z - c * z - q, lambda s, w, z: w)
 
 
 def chi_dz(m, z, c: float):
-    mu = _mu(m)
-    z = np.asarray(z)
-    out = 2.0 * z - c
-    for s, w in mu.atoms:
-        out = out + w * (c * s) * np.exp(c * s * z)
-    return out if out.ndim else out[()]
+    return _atom_sum(m, z, c, lambda z: 2.0 * z - c, lambda s, w, z: w * (c * s))
 
 
 def chi_dzz(m, z, c: float):
-    mu = _mu(m)
-    z = np.asarray(z)
-    out = np.full_like(z, 2.0, dtype=np.result_type(z, float))
-    for s, w in mu.atoms:
-        out = out + w * (c * s) ** 2 * np.exp(c * s * z)
-    return out if out.ndim else out[()]
+    def base(z):
+        return np.full_like(z, 2.0, dtype=np.result_type(z, float))
+
+    return _atom_sum(m, z, c, base, lambda s, w, z: w * (c * s) ** 2)
 
 
 def chi_dc(m, z, c: float):
-    mu = _mu(m)
-    z = np.asarray(z)
-    out = -z + 0.0
-    for s, w in mu.atoms:
-        out = out + w * (s * z) * np.exp(c * s * z)
-    return out if out.ndim else out[()]
+    return _atom_sum(m, z, c, lambda z: -z + 0.0, lambda s, w, z: w * (s * z))
 
 
 def chi_dzc(m, z, c: float):
-    mu = _mu(m)
-    z = np.asarray(z)
-    out = np.full_like(z, -1.0, dtype=np.result_type(z, float))
-    for s, w in mu.atoms:
-        out = out + w * s * (1.0 + c * s * z) * np.exp(c * s * z)
-    return out if out.ndim else out[()]
+    def base(z):
+        return np.full_like(z, -1.0, dtype=np.result_type(z, float))
+
+    return _atom_sum(m, z, c, base, lambda s, w, z: w * s * (1.0 + c * s * z))
 
 
 def zero_modulus_bound(m, c: float) -> float:

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .model import Model
-from .profile import ProfileSolution
+from .profile import ProfileSolution, first_up_crossing, scan_shift
 
 __all__ = [
     "EvolutionState",
@@ -144,10 +144,9 @@ class EvolutionState:
         """Leftmost upward kappa/2 crossing of the current field, or None."""
         half = 0.5 * self.m.kappa
         u = self._ring[self._head]
-        idx = np.flatnonzero((u[:-1] < half) & (u[1:] >= half))
-        if idx.size == 0:
+        i = first_up_crossing(u, half)
+        if i is None:
             return None
-        i = int(idx[0])
         return float(self.x[i] + self.dx * (half - u[i]) / (u[i + 1] - u[i]))
 
 
@@ -246,16 +245,9 @@ def moving_frame_gap(run: FrontRun, sol: ProfileSolution, margin: float = 10.0) 
 
     # phase guess from the half-crossings (the profile's sits at 0)
     half = 0.5 * sol.model.kappa
-    idx = np.flatnonzero((uw[:-1] < half) & (uw[1:] >= half))
+    i = first_up_crossing(uw, half)
     shift0 = 0.0
-    if idx.size:
-        i = int(idx[0])
+    if i is not None:
         frac = (half - uw[i]) / (uw[i + 1] - uw[i])
         shift0 = -float(xi[i] + frac * (xi[i + 1] - xi[i]))
-    coarse = shift0 + 0.25 * np.arange(-8, 9)
-    d = [gap(s) for s in coarse]
-    best = float(coarse[int(np.argmin(d))])
-    fine = best + 0.01 * np.arange(-30, 31)
-    d = [gap(s) for s in fine]
-    i = int(np.argmin(d))
-    return float(fine[i]), float(d[i])
+    return scan_shift(gap, shift0, 0.25 * np.arange(-8, 9), 0.01 * np.arange(-30, 31))

@@ -57,17 +57,20 @@ def _phi1(x: float) -> float:
     return math.expm1(x) / x
 
 
+# Taylor coefficients 1/((k+2) k!) of _phi2, highest order first for Horner
+_PHI2_SERIES = tuple(1.0 / ((k + 2) * math.factorial(k)) for k in range(10, -1, -1))
+
+
 def _phi2(x: float) -> float:
     """integral of u e^{xu} over [0,1] = (e^x(x-1)+1)/x^2.
 
-    The closed form cancels catastrophically near 0; the series
-    sum x^k/((k+2) k!) converges fast there.
+    The closed form cancels catastrophically near 0; there the series
+    sum x^k/((k+2) k!), cut after x^10, is evaluated by Horner's rule.
     """
     if abs(x) < 0.15:
-        acc, term = 0.0, 1.0  # term = x^k/k!
-        for k in range(11):
-            acc += term / (k + 2)
-            term *= x / (k + 1)
+        acc = 0.0
+        for coef in _PHI2_SERIES:
+            acc = acc * x + coef
         return acc
     return (math.exp(x) * (x - 1.0) + 1.0) / (x * x)
 
@@ -81,26 +84,9 @@ class GreenKernel:
     norm: float
 
     def __call__(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t_arr)
-        neg = t_arr < 0
-        out[neg] = self.norm * np.exp(self.mu_plus_root * t_arr[neg])
-        out[~neg] = self.norm * np.exp(self.mu_minus_root * t_arr[~neg])
-        return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
-
-    def deriv(self, t):
-        """K'(t) away from the kink at 0 (the t=0 value is the right limit)."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t_arr)
-        neg = t_arr < 0
-        out[neg] = self.norm * self.mu_plus_root * np.exp(self.mu_plus_root * t_arr[neg])
-        out[~neg] = self.norm * self.mu_minus_root * np.exp(self.mu_minus_root * t_arr[~neg])
-        return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
-
-    @property
-    def mass(self) -> float:
-        """Total integral of K; integrating the defining ODE forces 1/(1+q)."""
-        return 1.0 / (1.0 + self.q)
+        t = np.asarray(t, dtype=float)
+        out = self.norm * np.exp(np.where(t < 0, self.mu_plus_root, self.mu_minus_root) * t)
+        return float(out) if out.ndim == 0 else out
 
 
 def make_kernel(c: float, q: float) -> GreenKernel:
@@ -321,8 +307,9 @@ class Convolution:
 
     def _weights(self, d: float) -> tuple[float, float, float, float]:
         """Coefficients of (fwd_i, bwd_{i+1}, src_i, src_{i+1}) in the
-        value at t_i + d, 0 < d < step (the common factor norm left out)."""
-        mu_m, mu_p = self.kernel.mu_minus_root, self.kernel.mu_plus_root
+        value at t_i + d, 0 < d < step, the common factor norm folded in."""
+        k = self.kernel
+        mu_m, mu_p, norm = k.mu_minus_root, k.mu_plus_root, k.norm
         step = self.grid.step
         lead = step - d
         f1, f2 = d * _phi1(mu_m * d), d * d * _phi2(mu_m * d) / step
@@ -330,7 +317,7 @@ class Convolution:
         theta = d / step
         w_lo = (1.0 - theta) * (f1 + b1) + f2 - b2
         w_hi = theta * (f1 + b1) - f2 + b2
-        return math.exp(mu_m * d), math.exp(-mu_p * lead), w_lo, w_hi
+        return norm * math.exp(mu_m * d), norm * math.exp(-mu_p * lead), norm * w_lo, norm * w_hi
 
     def _below_first(self, ell: float) -> float:
         """The value at t_0 - ell, 0 < ell < step: the tail's own response
@@ -353,23 +340,36 @@ class Convolution:
         else:  # past the last node the source is the constant closure
             rc = self.right_const
             b_next, lo, hi = rc / self.kernel.mu_plus_root, rc, rc
-        return float(self.kernel.norm * (cf * self.fwd[i] + cb * b_next + w_lo * lo + w_hi * hi))
+        return float(cf * self.fwd[i] + cb * b_next + w_lo * lo + w_hi * hi)
 
-    def shifted(self, delta: float) -> np.ndarray:
-        """The values at every t_i + delta, |delta| < step.
+    def shifted_into(self, out: np.ndarray, first: int, delta: float) -> np.ndarray:
+        """Write the values at t_j + delta, j = first .. first + out.size - 1,
+        into ``out`` and return it; |delta| < step.
 
         Elementwise the same arithmetic as :meth:`at`, so a node read
         with either gives the same number.
         """
+        n, stop = self.src.size, first + out.size
         if delta == 0.0:
-            return self.values.copy()
-        cf, cb, w_lo, w_hi = self._weights(delta if delta > 0.0 else delta + self.grid.step)
-        cells = self.kernel.norm * (
-            cf * self.fwd[:-1] + cb * self.bwd[1:] + w_lo * self.src[:-1] + w_hi * self.src[1:]
-        )
-        if delta > 0.0:
-            return np.append(cells, self.at(self.src.size - 1, delta))
-        return np.append(self._below_first(-delta), cells)
+            out[:] = self.values[first:stop]
+            return out
+        lag = int(delta < 0.0)  # t_j - ell = t_{j-1} + (step - ell): node j reads cell j-1
+        cf, cb, w_lo, w_hi = self._weights(delta + self.grid.step if lag else delta)
+        a, b = max(first - lag, 0), min(stop - lag, n - 1)  # cells [t_c, t_{c+1}] read
+        body = out[a + lag - first : b + lag - first]
+        np.multiply(self.fwd[a:b], cf, out=body)
+        part = np.multiply(self.bwd[a + 1 : b + 1], cb)
+        body += part
+        body += np.multiply(self.src[a:b], w_lo, out=part)
+        body += np.multiply(self.src[a + 1 : b + 1], w_hi, out=part)
+        edge = 0 if lag else n - 1  # the one node whose read leaves the cells
+        if first <= edge < stop:
+            out[edge - first] = self.at(edge, delta)
+        return out
+
+    def shifted(self, delta: float) -> np.ndarray:
+        """The values at every t_i + delta, |delta| < step."""
+        return self.shifted_into(np.empty(self.src.size), 0, delta)
 
 
 def convolve(k: GreenKernel, t, src, left_tail, right_const: float) -> Convolution:
@@ -442,9 +442,6 @@ def pl_exp_integral(t, src, rate: float) -> float:
     src = np.asarray(src, dtype=float)
     if src.shape != t.shape:
         raise ValueError("source values must match the grid")
-    x = rate * step
-    e1 = step * _phi1(x)
-    e2 = step * step * _phi2(x)
-    w_lo, w_hi = e1 - e2 / step, e2 / step
+    w_hi, w_lo, _ = _scan_plan(step, -rate)  # a cell's far node is its right one
     cell = w_lo * src[:-1] + w_hi * src[1:]
     return float(np.dot(np.exp(rate * t[:-1]), cell))

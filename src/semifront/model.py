@@ -163,9 +163,6 @@ class Model:
         if abs(self.lin.h - self.h) > 1e-12:
             raise ValueError("linearization horizon differs from model horizon")
 
-    def f(self, seg: HistorySegment) -> float:
-        return eval_f(self, seg)
-
     def f_const(self, x):
         """Reaction on the constant segment x (vectorized in x)."""
         x = np.asarray(x, dtype=float)

@@ -19,10 +19,11 @@ then Anderson mixing on P finishes to tolerance.  Plain damped
 iteration cannot finish the job — it ends up orbiting the fixed point
 along the translation direction at the drift amplitude.
 
-An iteration costs one kernel scan plus O(n) work with no search and no
-n-row factorisation: delayed reads are precomputed slices of the grid
-(:class:`_DelayRead`), and Anderson's least squares solve the normal
-equations of a Gram matrix updated one row per step (:class:`_AndersonRing`).
+An iteration costs one kernel scan plus a few O(n) passes, with no search
+and no n-row factorisation: delayed reads are precomputed slices of the grid
+(:class:`_DelayRead`), the pin writes the accepted offset straight into its
+output and clamps only what it reads, and Anderson's least squares solve the
+normal equations of a Gram matrix updated one row per step (:class:`_AndersonRing`).
 """
 
 from __future__ import annotations
@@ -127,7 +128,8 @@ class ProfileSolution:
 
     @property
     def step(self) -> float:
-        return float(self.t[1] - self.t[0])
+        # the whole span: one node difference is off by ~1e-12 at |t| ~ 80
+        return float((self.t[-1] - self.t[0]) / (self.t.size - 1))
 
     @property
     def sup_phi(self) -> float:
@@ -143,10 +145,34 @@ class ProfileSolution:
 
     def crossing_count(self, level: Optional[float] = None) -> int:
         """Number of sign changes of phi - level (default: the equilibrium)."""
-        lv = self.model.kappa if level is None else float(level)
-        s = np.sign(self.phi - lv)
-        s = s[s != 0.0]
-        return int(np.sum(s[1:] * s[:-1] < 0.0))
+        return sign_changes(self.phi - (self.model.kappa if level is None else float(level)))
+
+
+def first_up_crossing(values: np.ndarray, level: float) -> Optional[int]:
+    """The first i with values[i] < level <= values[i+1], or None."""
+    if values[0] < level:  # the first node at or above level ends the search
+        i = int(np.argmax(values >= level)) - 1
+        return i if i >= 0 else None
+    idx = np.flatnonzero((values[:-1] < level) & (values[1:] >= level))
+    return int(idx[0]) if idx.size else None
+
+
+def sign_changes(values: np.ndarray) -> int:
+    """Number of sign changes along ``values``, zeros skipped."""
+    s = np.sign(values)
+    s = s[s != 0.0]
+    return int(np.sum(s[1:] * s[:-1] < 0.0))
+
+
+def scan_shift(distance, start: float, coarse: np.ndarray, fine: np.ndarray) -> tuple[float, float]:
+    """(shift, distance(shift)) minimising ``distance`` over start + coarse,
+    then over the best coarse shift + fine."""
+    for offsets in (coarse, fine):
+        shifts = start + offsets
+        d = [distance(s) for s in shifts]
+        i = int(np.argmin(d))
+        start = float(shifts[i])
+    return start, float(d[i])
 
 
 def _tail_at(tail: LeftTail, u: np.ndarray) -> np.ndarray:
@@ -239,8 +265,9 @@ class _PinnedMap:
         self.reads = [_DelayRead(self.t, c * s) for s in m.eval_points]
         self.floor = opts.clamp_floor * m.kappa
         self.ceil = m.bound
-        self.clamp_low = 0
-        self.clamp_high = 0
+        # the nodes tail_of reads: a multi-unit window at the critical speed
+        span = min(5.0 / self.lam, 0.25 * (self.t[-1] - self.t[0]))
+        self.tail_nodes = max(2, int(round(span / self.step))) + 1 if self.critical else 1
 
     def seed(self) -> np.ndarray:
         base = 0.5 * self.m.kappa * np.exp(self.lam * self.t)
@@ -264,8 +291,7 @@ class _PinnedMap:
         # at phi[0] -> 0 blows up under the perturbations mixing steps probe
         # with.)  The window must span several units: over a single step the
         # width signal is only step/(A - t0).
-        span = min(5.0 / self.lam, 0.25 * (self.t[-1] - self.t[0]))
-        k = max(2, int(round(span / self.step)))
+        k = self.tail_nodes - 1
         u = self.t[: k + 1] - self.t[0]
         if v <= 0.0:
             return LeftTail(v, self.lam, 0.0)
@@ -287,40 +313,43 @@ class _PinnedMap:
         src, stail = self.source_of(phi, self.tail_of(phi))
         return convolve(self.kernel, self.grid, src, stail, float(src[-1]))
 
-    def pin(self, phi: np.ndarray, conv: Convolution) -> np.ndarray:
-        """Translate so the first upward kappa/2 crossing sits at t = 0.
+    def clip(self, values: np.ndarray) -> np.ndarray:
+        return np.clip(values, self.floor, self.ceil)
 
-        ``phi`` is the clipped image of the convolution ``conv``, so the
-        translation is exact and the crossing is located on the continuous
-        image: whole steps shift node indices, and chord iteration on the
-        sub-step offset drives the re-evaluated node value at t = 0 onto
-        kappa/2 itself.  Each chord probe reads that one node from the
-        scan's accumulators in O(1); the accepted offset is read on the
-        whole grid once.  Both halves matter for a clean fixed point.
-        Resampling by interpolation corrugates the map along the
-        translation direction (the O(step^2) error varies with the sub-cell
-        phase of the crossing), and a cell-interpolated crossing estimate
-        kinks when the crossing passes a node; either defect splits the
-        pinned fixed point into several nearby ones.  Interpolation (with
-        the tail closure) still fills the few nodes the whole-step shift
-        exposes at the edges.
+    def pin(self, conv: Convolution) -> np.ndarray:
+        """Clamp the image ``conv.values`` to [floor, ceil] and translate it
+        so its first upward kappa/2 crossing sits at t = 0.
+
+        The translation is exact and the crossing is located on the
+        continuous image: whole steps shift node indices, and chord steps
+        on the sub-step offset drive the node value at t = 0, read in O(1)
+        from the scan's accumulators, onto kappa/2 itself; the accepted
+        offset is read once, straight into the output.  Resampling by
+        interpolation would corrugate the map along the translation
+        direction (its O(step^2) error varies with the crossing's sub-cell
+        phase), and a cell-interpolated crossing kinks when the crossing
+        passes a node; either splits the pinned fixed point into several
+        nearby ones.  Interpolation (with the tail closure) only fills the
+        few nodes the whole-step shift exposes at the edges.  Clamping keeps
+        every node on its side of kappa/2, so only the nodes the result
+        reads are clamped.
         """
-        half = 0.5 * self.m.kappa
-        idx = np.nonzero((phi[:-1] < half) & (phi[1:] >= half))[0]
-        if idx.size == 0:
-            return phi
-        i = int(idx[0])
-        slope = (phi[i + 1] - phi[i]) / self.step
-        tc = float(self.t[i]) + (half - phi[i]) / slope
-        if tc == 0.0:
-            return phi
+        img, half = conv.values, 0.5 * self.m.kappa
+        i = first_up_crossing(img, half)
+        if i is None:
+            return self.clip(img)
+        lo_v, hi_v = self.clip(img[i : i + 2])
+        slope = (hi_v - lo_v) / self.step
+        tc = float(self.t[i]) + (half - lo_v) / slope
         size = self.t.size
         n = int(round(tc / self.step))
         node = self.i_zero + n
         if not 0 <= node < size:
+            phi = self.clip(img)
             return _extended(self.t + tc, self.t, phi, self.tail_of(phi))
         frac = tc - n * self.step
-        shifted = phi  # whole-step translations need no re-evaluation
+        lo, hi = max(0, -n), min(size, size - n)
+        out = np.empty(size)
         if abs(frac) > 1e-14 * self.step:
             # the pinned value is Y(n*step + frac) at the zero node; chord
             # steps with the crossing-cell slope drive it to kappa/2
@@ -334,22 +363,20 @@ class _PinnedMap:
                     break  # crossing left the offset window; keep last
                 frac = nudged
             tc = n * self.step + accepted
-            shifted = np.clip(conv.shifted(accepted), self.floor, self.ceil)
-        lo, hi = max(0, -n), min(size, size - n)
-        out = np.empty(size)
-        out[lo:hi] = shifted[lo + n : hi + n]
+            conv.shifted_into(out[lo:hi], lo + n, accepted)
+        else:  # whole-step translations need no re-evaluation
+            out[lo:hi] = img[lo + n : hi + n]
+        np.clip(out[lo:hi], self.floor, self.ceil, out=out[lo:hi])
+        # |accepted| < step: the fills read past the ends (tail, last node)
         if lo:
-            out[:lo] = _extended(self.t[:lo] + tc, self.t, phi, self.tail_of(phi))
-        out[hi:] = np.interp(self.t[hi:] + tc, self.t, phi)
+            head = self.clip(img[: max(lo + 2, self.tail_nodes)])
+            out[:lo] = _extended(self.t[:lo] + tc, self.t[: head.size], head, self.tail_of(head))
+        if hi < size:
+            out[hi:] = np.interp(self.t[hi:] + tc, self.t[hi - 2 :], self.clip(img[hi - 2 :]))
         return out
 
     def __call__(self, phi: np.ndarray) -> np.ndarray:
-        conv = self.raw(phi)
-        img = conv.values
-        clipped = np.clip(img, self.floor, self.ceil)
-        self.clamp_low = int(np.sum(img < self.floor))
-        self.clamp_high = int(np.sum(img > self.ceil))
-        return self.pin(clipped, conv)
+        return self.pin(self.raw(phi))
 
 
 # the Gram solve drops eigenvalues of G below 1e-15 of the largest, i.e.
@@ -403,7 +430,7 @@ def solve_profile(
             raise ValueError(
                 f"initial_phi has {phi.size} nodes, grid has {P.t.size}"
             )
-        phi = np.clip(phi, P.floor, P.ceil)
+        phi = P.clip(phi)
     else:
         phi = P.seed()
 
@@ -472,13 +499,15 @@ def solve_profile(
     if res > best_res:
         phi = best_phi
 
-    # final bookkeeping on the positively clipped iterate
-    phi = np.clip(phi, P.floor, P.ceil)
-    img = P(phi)
-    res = float(np.max(np.abs(img - phi)))
+    # final bookkeeping on the positively clipped iterate; the clamp counts
+    # are those of its raw image, which also gives the drift
+    phi = P.clip(phi)
+    conv = P.raw(phi)
+    res = float(np.max(np.abs(P.pin(conv) - phi)))
     history.append(res)
-    clamp_low, clamp_high = P.clamp_low, P.clamp_high
-    drift = float(np.max(np.abs(P.raw(phi).values - phi)))
+    clamp_low = int(np.count_nonzero(conv.values < P.floor))
+    clamp_high = int(np.count_nonzero(conv.values > P.ceil))
+    drift = float(np.max(np.abs(conv.values - phi)))
 
     tail = P.tail_of(phi)
     src, _ = P.source_of(phi, tail)

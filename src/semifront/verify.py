@@ -30,7 +30,7 @@ import numpy as np
 from ._brentq import brentq
 from .kernel import pl_exp_integral
 from .model import Model
-from .profile import ProfileSolution, SolverOptions, solve_profile
+from .profile import ProfileSolution, SolverOptions, first_up_crossing, scan_shift, solve_profile
 
 __all__ = [
     "CheckResult",
@@ -77,14 +77,7 @@ class CheckResult:
     counterexample: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "detail": self.detail,
-            "counterexample": self.counterexample,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -429,42 +422,46 @@ def diagnostics_Q(sol: ProfileSolution) -> tuple[float, float]:
 
 def _half_crossing(sol: ProfileSolution) -> float:
     """Location of the first upward crossing of kappa/2, linearly interpolated."""
-    half = sol.model.kappa / 2.0
-    ph = sol.phi
-    idx = np.flatnonzero((ph[:-1] < half) & (ph[1:] >= half))
-    if idx.size == 0:
+    half, ph = sol.model.kappa / 2.0, sol.phi
+    i = first_up_crossing(ph, half)
+    if i is None:
         return float(sol.t[int(np.argmin(np.abs(ph - half)))])
-    i = int(idx[0])
     frac = (half - ph[i]) / (ph[i + 1] - ph[i])
     return float(sol.t[i] + frac * (sol.t[i + 1] - sol.t[i]))
 
 
 def _sup_distance(a: ProfileSolution, b: ProfileSolution, shift: float) -> float:
-    """sup |a(t + shift) - b(t)| over the overlap of the shifted grids."""
-    tq = b.t + shift
-    mask = (tq >= a.t[0]) & (tq <= a.t[-1])
-    if np.count_nonzero(mask) < 10:
+    """sup |a(t + shift) - b(t)| over b's nodes whose shifted point lies on
+    a's grid (inf below 10), a linearly interpolated.  With one shared
+    step every node reads k whole steps plus the same fraction theta."""
+    step = b.step
+    if abs(a.step - step) > 1e-9 * step:
+        raise ValueError(f"profiles must share one grid step, got {a.step:g} and {step:g}")
+    x = (b.t[0] + shift - a.t[0]) / step
+    k = math.floor(x)
+    theta = x - k
+    lo = max(0, -k)
+    hi = min(b.t.size, a.t.size - k - (theta > 0.0))
+    if hi - lo < 10:
         return math.inf
-    va = np.interp(tq[mask], a.t, a.phi)
-    return float(np.max(np.abs(va - b.phi[mask])))
+    va = (1.0 - theta) * a.phi[lo + k : hi + k]
+    if theta:
+        va += theta * a.phi[lo + k + 1 : hi + k + 1]
+    va -= b.phi[lo:hi]
+    return float(np.max(np.abs(va, out=va)))
 
 
 def align_profiles(a: ProfileSolution, b: ProfileSolution) -> tuple[float, float]:
     """Shift t' minimizing sup |a(t + t') - b(t)|, resolved to step/10.
 
+    The profiles must share one grid step (their origins may differ).
     The search starts from the offset of the half-level crossings, scans a
     coarse grid at the grid step, then refines around the coarse minimum
     at a tenth of the step.  Distances interpolate linearly between nodes.
     """
-    step = b.step
+    step, tenths = b.step, np.arange(-10, 11)
     shift0 = _half_crossing(a) - _half_crossing(b)
-    coarse = shift0 + step * np.arange(-10, 11)
-    d = [_sup_distance(a, b, s) for s in coarse]
-    best = float(coarse[int(np.argmin(d))])
-    fine = best + (step / 10.0) * np.arange(-10, 11)
-    d = [_sup_distance(a, b, s) for s in fine]
-    i = int(np.argmin(d))
-    return float(fine[i]), float(d[i])
+    return scan_shift(lambda s: _sup_distance(a, b, s), shift0, step * tenths, (step / 10.0) * tenths)
 
 
 def _harness_seeds(

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -196,6 +197,49 @@ def test_grid_step_is_exact_on_offset_grid():
     here = convolve(k, t, src, LeftTail(src[0], 1.0), 1.0).values
     origin = convolve(k, 0.02 * np.arange(t.size), src, LeftTail(src[0], 1.0), 1.0).values
     assert np.max(np.abs(here - origin) / origin) <= 1e-15
+
+
+# ------------------------------------------------------------ _phi2 series
+
+
+def phi2_series_loop(x):
+    """The series sum x^k/((k+2) k!), k <= 10, summed term by term."""
+    acc, term = 0.0, 1.0  # term = x^k/k!
+    for k in range(11):
+        acc += term / (k + 2)
+        term *= x / (k + 1)
+    return acc
+
+
+def phi2_exact(x):
+    """The same series in exact rationals (far past x^10), rounded once."""
+    X, acc, term = Fraction(x), Fraction(0), Fraction(1)
+    for k in range(25):
+        acc += term / (k + 2)
+        term *= X / (k + 1)
+    return float(acc)
+
+
+def test_phi2_horner_matches_series_loop():
+    xs = np.linspace(-0.15, 0.15, 20001)[1:-1]
+    horner = np.array([_phi2(float(x)) for x in xs])
+    loop = np.array([phi2_series_loop(float(x)) for x in xs])
+    # the term-by-term loop itself is up to 4 ulp off near x = -0.15
+    # (alternating terms); Horner's rule stays within 1 ulp of the exact sum
+    assert np.max(np.abs(horner - loop) / np.spacing(loop)) <= 4.0
+    picks = np.concatenate((xs[::97], xs[:40], xs[-40:]))
+    exact = np.array([phi2_exact(float(x)) for x in picks])
+    got = np.array([_phi2(float(x)) for x in picks])
+    assert np.max(np.abs(got - exact) / np.spacing(exact)) <= 1.0
+
+
+@pytest.mark.parametrize("edge", [0.15, -0.15])
+def test_phi2_continuous_at_series_edge(edge):
+    inside = math.nextafter(edge, 0.0)
+    assert abs(inside) < 0.15  # the series side
+    closed = (math.exp(edge) * (edge - 1.0) + 1.0) / (edge * edge)
+    assert _phi2(edge) == closed
+    assert _phi2(inside) == pytest.approx(closed, rel=1e-13)
 
 
 # ------------------------------------------------------------ the scan
@@ -417,6 +461,26 @@ def test_offset_node_probe_equals_vector_read():
         row = conv.shifted(delta)
         for idx in (0, 1, t.size // 2, t.size - 2, t.size - 1):
             assert conv.at(idx, delta) == row[idx]
+
+
+@pytest.mark.parametrize("delta", [0.37, -0.37, 0.999, -0.999, 0.0])
+@pytest.mark.parametrize("n", [0, 3, -3])
+def test_shifted_into_equals_node_reads(delta, n):
+    # the pin writes the nodes i + n at offset delta into out[lo:hi]; every
+    # node, the last one (delta > 0) and the first (delta < 0) included,
+    # equals the O(1) probe bit for bit
+    k = make_kernel(2.3, 0.9)
+    step = 0.1
+    t = grid(-7, 7, step)
+    vals = RNG.uniform(0.1, 1.1, t.size)
+    conv = convolve(k, t, vals, LeftTail(vals[0], 0.7, -0.02), 0.8)
+    lo, hi = max(0, -n), min(t.size, t.size - n)
+    out = np.full(t.size, np.nan)
+    got = conv.shifted_into(out[lo:hi], lo + n, delta * step)
+    assert np.shares_memory(got, out)
+    ref = [conv.at(j, delta * step) for j in range(lo + n, hi + n)]
+    assert np.array_equal(out[lo:hi], ref)
+    assert np.all(np.isnan(out[:lo])) and np.all(np.isnan(out[hi:]))
 
 
 def test_offset_zero_delta_is_convolve():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from semifront.profile import (
     _extended,
     _PinnedMap,
     SolverOptions,
+    first_up_crossing,
     fixed_point_residual,
     recover_derivative,
     solve_profile,
@@ -114,6 +116,69 @@ def test_one_kernel_scan_per_map_application(kpp_h1, monkeypatch):
     assert len(sweeps) == 2  # the forward and the backward sweep of one scan
     i0 = int(np.argmin(np.abs(kpp_h1.t)))
     assert abs(out[i0] - 0.5 * kpp_h1.model.kappa) <= 1e-12
+
+
+def pair_test_crossing(v, level):
+    idx = np.flatnonzero((v[:-1] < level) & (v[1:] >= level))
+    return int(idx[0]) if idx.size else None
+
+
+def test_first_up_crossing_matches_pair_test():
+    rng = np.random.default_rng(7)
+    cases = [rng.uniform(0.0, 1.0, n) for n in (2, 3, 10, 1000) for _ in range(50)]
+    cases += [
+        np.array([0.7, 0.2, 0.1, 0.6]),  # starts above: the pair test decides
+        np.array([0.5, 0.5, 0.2, 0.5]),  # starts on the level
+        np.array([0.1, 0.2, 0.3, 0.4]),  # no crossing from below
+        np.array([0.9, 0.8, 0.7, 0.6]),  # no crossing from above
+        np.array([0.1, 0.2, 0.3, 0.5]),  # crossing in the last cell
+        np.array([0.6, 0.1, 0.2, 0.5]),  # above, then in the last cell
+    ]
+    for v in cases:
+        assert first_up_crossing(v, 0.5) == pair_test_crossing(v, 0.5)
+
+
+@pytest.mark.parametrize("h, critical", [(2.0, False), (1.0, True)])
+def test_pin_clamps_like_clip_then_pin(h, critical):
+    # an image below the floor in the tail and above the ceiling behind the
+    # front: clamping only the nodes the pin reads gives what clamping the
+    # whole image first gives, on sub-step and whole-step translations
+    m = builtin_kpp(h)
+    c = critical_speed(m)[0] if critical else 2.5
+    base = solve_profile(m, c, SolverOptions(tol=1e-6))
+    bounded = dataclasses.replace(m, bound=1.0 + 0.5 * (base.sup_phi - 1.0))
+    P = _PinnedMap(bounded, c, SolverOptions(clamp_floor=1e-3), base.t)
+    for shift in (1.3, -2.7, 0.4, 3.0, -3.0):
+        conv = P.raw(base.evaluate(base.t + shift * base.step))
+        assert np.any(conv.values < P.floor) and np.any(conv.values > P.ceil)
+        clipped = dataclasses.replace(conv, values=np.clip(conv.values, P.floor, P.ceil))
+        assert np.array_equal(P.pin(conv), P.pin(clipped))
+        # a crossing exactly on node j is a whole-step translation by n nodes
+        v = conv.values.copy()
+        j = first_up_crossing(v, 0.5) + 1
+        v[j] = 0.5
+        on_node = dataclasses.replace(conv, values=v)
+        out = P.pin(on_node)
+        n, size = j - P.i_zero, v.size
+        lo, hi = max(0, -n), min(size, size - n)
+        assert np.array_equal(out[lo:hi], np.clip(v, P.floor, P.ceil)[lo + n : hi + n])
+        assert np.array_equal(out, P.pin(dataclasses.replace(on_node, values=np.clip(v, P.floor, P.ceil))))
+
+
+def test_clamp_counts_are_those_of_the_final_raw_image(kpp_h2):
+    m = dataclasses.replace(kpp_h2.model, bound=1.0 + 0.5 * (kpp_h2.sup_phi - 1.0))
+    opts = SolverOptions(clamp_floor=1e-3, max_iter=5, accel_iter=5, initial_phi=kpp_h2.phi)
+    sol = solve_profile(m, kpp_h2.c, opts)
+    P = _PinnedMap(m, sol.c, SolverOptions(clamp_floor=1e-3), sol.t)
+    img = P.raw(sol.phi).values
+    assert sol.clamp_low == np.count_nonzero(img < P.floor) > 0
+    assert sol.clamp_high == np.count_nonzero(img > P.ceil) > 0
+
+
+def test_solution_step_is_exact_on_offset_grid(kpp_h1):
+    # one node difference at t ~ -80 is ~2e-13 off the step; the span is not
+    sol = dataclasses.replace(kpp_h1, t=-80.0 + 0.02 * np.arange(kpp_h1.t.size))
+    assert sol.step == pytest.approx(0.02, rel=1e-15)
 
 
 def test_pinned_at_half_kappa(kpp_h0, kpp_h2, nich):

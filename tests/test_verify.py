@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -18,6 +19,7 @@ from semifront.model import (
 from semifront.profile import SolverOptions, solve_profile
 from semifront.verify import (
     FALSIFICATION_NOTE,
+    _sup_distance,
     align_profiles,
     check_LB,
     check_S,
@@ -180,6 +182,44 @@ def test_align_recovers_manufactured_translation(kpp1_sol):
     shift, dist = align_profiles(kpp1_sol, moved)
     assert shift == pytest.approx(3.0, abs=1e-9)
     assert dist <= 1e-12
+
+
+def sup_distance_by_interp(a, b, shift):
+    """The masked-interpolation form of the aligned sup distance."""
+    tq = b.t + shift
+    mask = (tq >= a.t[0]) & (tq <= a.t[-1])
+    if np.count_nonzero(mask) < 10:
+        return math.inf
+    return float(np.max(np.abs(np.interp(tq[mask], a.t, a.phi) - b.phi[mask])))
+
+
+def test_sup_distance_slices_match_interpolation(kpp1_sol):
+    a, step = kpp1_sol, kpp1_sol.step
+    moved = dataclasses.replace(a, phi=a.evaluate(a.t + 0.123))
+    origin = dataclasses.replace(moved, t=a.t - 3.0)
+    rng = np.random.default_rng(3)
+    shifts = np.concatenate(
+        (rng.uniform(-1.0, 1.0, 40), step * rng.integers(-50, 50, 20), [0.0, 3.0, 3.0 + 0.3 * step])
+    )
+    scale = float(np.max(np.abs(a.phi)))
+    for b in (a, moved, origin):
+        for s in shifts:
+            ref = sup_distance_by_interp(a, b, s)
+            assert abs(_sup_distance(a, b, s) - ref) <= 1e-14 * scale
+    # overlaps of fewer than 10 nodes, past either end of the grid
+    span = a.t[-1] - a.t[0]
+    for s in (span - 8.5 * step, span - 5 * step, -span + 3.2 * step):
+        assert sup_distance_by_interp(a, a, s) == math.inf
+        assert _sup_distance(a, a, s) == math.inf
+    assert math.isfinite(_sup_distance(a, a, span - 9.5 * step))  # 10 nodes
+
+
+def test_sup_distance_rejects_unequal_steps(kpp1_sol):
+    coarse = dataclasses.replace(kpp1_sol, t=2.0 * kpp1_sol.t)
+    with pytest.raises(ValueError):
+        _sup_distance(kpp1_sol, coarse, 0.0)
+    with pytest.raises(ValueError):
+        align_profiles(coarse, kpp1_sol)
 
 
 # ----------------------------------------------------------- the harness
