@@ -6,7 +6,6 @@ verification, and a direct time-stepping cross-check.
 """
 
 from .model import (
-    HistorySegment,
     Measure,
     Model,
     builtin_kpp,
@@ -14,8 +13,6 @@ from .model import (
     builtin_mackey_glass,
     builtin_nicholson,
     builtin_square,
-    eval_f,
-    eval_lin,
     model_from_config,
 )
 from .profile import ProfileSolution, SolverOptions, solve_profile
@@ -30,10 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Measure",
-    "HistorySegment",
     "Model",
-    "eval_f",
-    "eval_lin",
     "builtin_kpp",
     "builtin_mackey_glass",
     "builtin_nicholson",

@@ -50,10 +50,12 @@ __all__ = [
     "dominance_check",
     "analyze_speed",
     "zero_modulus_bound",
-    "default_im_bound",
 ]
 
 DOUBLE_ROOT_RTOL = 1e-6  # roots merged when |l2-l1| < tol*max(1, l2)
+# the dominance half plane is {Re z >= lambda1 - DOMINANCE_EPS}; the zero
+# count's default rectangle starts on the same edge
+DOMINANCE_EPS = 1e-3
 
 
 class ContourError(RuntimeError):
@@ -121,11 +123,6 @@ def zero_modulus_bound(m, c: float) -> float:
     return 0.5 * (c + math.sqrt(c * c + 4.0 * s))
 
 
-def default_im_bound(m, c: float) -> float:
-    mu = _mu(m)
-    return 10.0 * (c + mu.p + mu.q + 1.0)
-
-
 # ------------------------------------------------------------ real roots
 
 
@@ -189,12 +186,13 @@ def real_roots(m, c: float) -> Optional[RealRoots]:
 # ------------------------------------------------------- critical speed
 
 
-def critical_speed_bisection(m, ctol: float = 1e-12) -> tuple[float, float]:
+def critical_speed_bisection(m) -> tuple[float, float]:
     """(c*, lambda*) by bisection on the sign of min_z chi(z, c).
 
     The minimum is strictly decreasing in c (chi_c < 0 at positive z), is
     positive as c -> 0+ and nonpositive at the closed-form bound
-    2*sqrt(p - q), so the sign change brackets c*.
+    2*sqrt(p - q), so the sign change brackets c*, which is bisected to
+    1e-12 relative.
     """
     mu = _mu(m)
     c_hi = 2.0 * math.sqrt(mu.p - mu.q)
@@ -207,7 +205,7 @@ def critical_speed_bisection(m, ctol: float = 1e-12) -> tuple[float, float]:
     _, m_lo = char_min(mu, c_lo)
     if m_lo <= 0 or m_hi > 0:
         raise RuntimeError("critical-speed bracket failed; degenerate linearization?")
-    while c_hi - c_lo > ctol * max(1.0, c_hi):
+    while c_hi - c_lo > 1e-12 * max(1.0, c_hi):
         c_mid = 0.5 * (c_lo + c_hi)
         _, m_mid = char_min(mu, c_mid)
         if m_mid > 0:
@@ -220,7 +218,7 @@ def critical_speed_bisection(m, ctol: float = 1e-12) -> tuple[float, float]:
 
 
 def critical_speed_newton(
-    m, guess: tuple[float, float] | None = None, tol: float = 1e-13, max_iter: int = 100
+    m, guess: tuple[float, float] | None = None
 ) -> tuple[float, float, int, float]:
     """(c*, lambda*, iterations, residual) from damped Newton on the
     double-root system chi(lam, c) = 0, chi_z(lam, c) = 0.
@@ -228,6 +226,7 @@ def critical_speed_newton(
     The Jacobian at the solution is [[0, chi_c], [chi_zz, chi_zc]] with
     determinant -chi_c*chi_zz > 0, so Newton is locally quadratic.  The
     default start is the zero-delay closed form lam = sqrt(p-q), c = 2 lam.
+    Converged at |(chi, chi_z)| <= 1e-13 (1 + p + q), within 100 steps.
     """
     mu = _mu(m)
     if guess is None:
@@ -235,13 +234,13 @@ def critical_speed_newton(
         lam, c = lam0, 2.0 * lam0
     else:
         lam, c = guess
-    scale = 1.0 + mu.p + mu.q
+    tol = 1e-13 * (1.0 + mu.p + mu.q)
     fnorm = math.inf
-    for it in range(max_iter):
+    for it in range(100):
         F0 = float(eval_chi(mu, lam, c))
         F1 = float(chi_dz(mu, lam, c))
         fnorm = math.hypot(F0, F1)
-        if fnorm <= tol * scale:
+        if fnorm <= tol:
             return float(c), float(lam), it, fnorm
         J00 = float(chi_dz(mu, lam, c))
         J01 = float(chi_dc(mu, lam, c))
@@ -259,7 +258,7 @@ def critical_speed_newton(
                 fn = math.hypot(
                     float(eval_chi(mu, lam_n, c_n)), float(chi_dz(mu, lam_n, c_n))
                 )
-                if fn < fnorm * (1.0 - 1e-4 * alpha) or fn <= tol * scale:
+                if fn < fnorm * (1.0 - 1e-4 * alpha) or fn <= tol:
                     lam, c = lam_n, c_n
                     break
             alpha *= 0.5
@@ -315,22 +314,18 @@ def _arg_walk(f, za: complex, zb: complex, fa: complex, fb: complex, depth: int)
     return _arg_walk(f, za, zm, fa, fm, depth - 1) + _arg_walk(f, zm, zb, fm, fb, depth - 1)
 
 
-def count_zeros_rect(
-    m,
-    c: float,
-    re_range: tuple[float, float],
-    im_max: float,
-    *,
-    guard: float = 1e-12,
-    max_attempts: int = 3,
-) -> int:
+_GUARD = 1e-12  # |chi| below this, relative to 1 + |z|^2, is "on a zero"
+_ATTEMPTS = 3  # dilations of a rectangle whose contour touches a zero
+
+
+def count_zeros_rect(m, c: float, re_range: tuple[float, float], im_max: float) -> int:
     """Number of zeros of chi(., c), with multiplicity, inside the
     rectangle [a, b] x [-im_max, im_max], by the argument principle.
 
     The winding number of the boundary image is accumulated with adaptive
-    phase tracking.  Points where |chi| < guard*(1 + |z|^2) flag the
+    phase tracking.  Points where |chi| < 1e-12 (1 + |z|^2) flag the
     contour as too close to a zero; the rectangle is then dilated by a
-    small relative amount, at most ``max_attempts`` times.
+    small relative amount, at most three times.
     """
     mu = _mu(m)
     a, b = re_range
@@ -342,11 +337,11 @@ def count_zeros_rect(
         out = z * z - c * z - q
         for s, w in atoms:
             out += w * cmath.exp(c * s * z)
-        if abs(out) < guard * (1.0 + abs(z) ** 2):
+        if abs(out) < _GUARD * (1.0 + abs(z) ** 2):
             raise _TooClose
         return out
 
-    for attempt in range(max_attempts + 1):
+    for attempt in range(_ATTEMPTS + 1):
         da = attempt * 3e-4 * (1.0 + abs(a))
         db = attempt * 3e-4 * (1.0 + abs(b))
         dy = attempt * 1e-3 * im_max
@@ -375,30 +370,27 @@ def count_zeros_rect(
         except _TooClose:
             continue
     raise ContourError(
-        f"a zero sits on (or within {guard} of) every perturbed contour near "
+        f"a zero sits on (or within {_GUARD} of) every perturbed contour near "
         f"[{a},{b}]x[-{im_max},{im_max}]"
     )
 
 
-def dominance_check(m, c: float, *, eps: float = 1e-3, im_max: float | None = None) -> bool:
+def dominance_check(m, c: float) -> bool:
     """True iff lambda1 dominates: the only zeros of chi(., c) with
-    Re z >= lambda1 - eps are the real pair {lambda1, lambda2}.
+    Re z >= lambda1 - DOMINANCE_EPS are the real pair {lambda1, lambda2}.
 
     The scan rectangle extends to R = zero_modulus_bound + 1 on the right
-    and +-Y vertically with Y >= the same bound, so it contains every
-    zero of the half plane {Re z >= lambda1 - eps}; the count must equal
+    and +-Y vertically with Y = 10 (c + p + q + 1) above the same bound,
+    so it contains every zero of that half plane; the count must equal
     2 (a double root counts twice).
     """
     rr = real_roots(m, c)
     if rr is None:
         raise SubcriticalError("dominance check requires c >= c* (no real roots)")
-    bound = zero_modulus_bound(m, c)
-    R = bound + 1.0
-    Y = default_im_bound(m, c) if im_max is None else im_max
-    if Y <= bound:
-        Y = bound + 1.0
-    n = count_zeros_rect(m, c, (rr.lambda1 - eps, R), Y)
-    return n == 2
+    mu = _mu(m)
+    R = zero_modulus_bound(mu, c) + 1.0
+    Y = 10.0 * (c + mu.p + mu.q + 1.0)  # R <= c + sqrt(p + q) + 1 < Y
+    return count_zeros_rect(m, c, (rr.lambda1 - DOMINANCE_EPS, R), Y) == 2
 
 
 # -------------------------------------------------------------- summary

@@ -45,6 +45,7 @@ import numpy as np
 from .asymptotics import DecayFit, detect_oscillation, fit_decay
 from .chareq import (
     ContourError,
+    DOMINANCE_EPS,
     SubcriticalError,
     analyze_speed,
     count_zeros_rect,
@@ -330,7 +331,7 @@ def _cmd_zeros(args) -> int:
     m = _require_model(cfg, args)
     sa = analyze_speed(m, _c_value(cfg), check_dominance=False)
     with _config_errors():
-        re_min = sa.lambda1 - 1e-3 if cfg.get("re_min") is None else float(cfg["re_min"])
+        re_min = sa.lambda1 - DOMINANCE_EPS if cfg.get("re_min") is None else float(cfg["re_min"])
         re_max = sa.lambda2 + 1e-3 if cfg.get("re_max") is None else float(cfg["re_max"])
         im_max = 50.0 if cfg.get("im_max") is None else float(cfg["im_max"])
     count = count_zeros_rect(m, sa.c, (re_min, re_max), im_max)

@@ -33,6 +33,9 @@ __all__ = [
     "tail_seed",
 ]
 
+MARGIN = 10.0  # distance from either boundary the front and the comparison keep
+SAMPLE_DT = 0.05  # time between front-position samples
+
 
 def tail_seed(kappa: float, lam: float, x0: float = 0.0) -> Callable:
     """Step-like initial data with left tail kappa/2 * e^{lam (x - x0)}."""
@@ -178,19 +181,17 @@ def front_speed(
     dx: float,
     t_run: float,
     dt: Optional[float] = None,
-    margin: float = 10.0,
-    sample_dt: float = 0.05,
 ) -> FrontRun:
     """Run the field for ``t_run`` and fit the front speed.
 
-    The kappa/2 level-set position is sampled every ``sample_dt`` time
-    units; the speed is the negated least-squares slope over the second
-    half of the samples (the wave travels toward -x).  The run aborts
-    with partial data when the front comes within ``margin`` of either
-    boundary.
+    The kappa/2 level-set position is sampled every :data:`SAMPLE_DT`
+    time units; the speed is the negated least-squares slope over the
+    second half of the samples (the wave travels toward -x).  The run
+    aborts with partial data when the front comes within :data:`MARGIN`
+    of either boundary.
     """
     state = EvolutionState(m, x_lo, x_hi, dx, u0, dt)
-    every = max(1, int(round(sample_dt / state.dt)))
+    every = max(1, int(round(SAMPLE_DT / state.dt)))
     times, positions = [], []
     exited = False
 
@@ -199,7 +200,7 @@ def front_speed(
         state.step()
         if k % every == 0:
             pos = state.front_position()
-            if pos is None or pos < x_lo + margin or pos > x_hi - margin:
+            if pos is None or pos < x_lo + MARGIN or pos > x_hi - MARGIN:
                 exited = True
                 break
             times.append(state.t)
@@ -223,16 +224,16 @@ def front_speed(
     )
 
 
-def moving_frame_gap(run: FrontRun, sol: ProfileSolution, margin: float = 10.0) -> tuple[float, float]:
+def moving_frame_gap(run: FrontRun, sol: ProfileSolution) -> tuple[float, float]:
     """Sup distance between the evolved field and the profile, after alignment.
 
     Reads the final field in the co-moving coordinate xi = x + c*t_final
     and scans the residual translation (the PDE run and the pinned
     profile fix their phases independently).  Returns (shift, sup_gap)
-    over the window ``margin`` away from both boundaries, trimmed to the
-    profile's own grid.
+    over the window :data:`MARGIN` away from both boundaries, trimmed to
+    the profile's own grid.
     """
-    sel = (run.x >= run.x[0] + margin) & (run.x <= run.x[-1] - margin)
+    sel = (run.x >= run.x[0] + MARGIN) & (run.x <= run.x[-1] - MARGIN)
     xi = run.x[sel] + sol.c * run.t_final
     uw = run.u[sel]
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -24,10 +24,7 @@ from ._brentq import brentq
 
 __all__ = [
     "Measure",
-    "HistorySegment",
     "Model",
-    "eval_f",
-    "eval_lin",
     "builtin_kpp",
     "builtin_mackey_glass",
     "builtin_nicholson",
@@ -70,63 +67,6 @@ class Measure:
     def p(self) -> float:
         return float(sum(w for _, w in self.atoms))
 
-    def apply(self, values_at_zero, values_at_atoms) -> float:
-        """-q*phi(0) + sum_j w_j*phi(s_j) given precomputed point values."""
-        out = -self.q * values_at_zero
-        for (_, w), v in zip(self.atoms, values_at_atoms):
-            out = out + w * v
-        return out
-
-
-class HistorySegment:
-    """A continuous function on [-h, 0] stored as uniform samples.
-
-    Evaluation uses piecewise-linear interpolation between the samples,
-    so the segment is defined at every point of [-h, 0] regardless of
-    where the samples fall.  For h = 0 the domain is the single point 0.
-    """
-
-    __slots__ = ("h", "values", "_ts")
-
-    def __init__(self, h: float, values: Sequence[float]):
-        if h < 0:
-            raise ValueError("delay horizon must be nonnegative")
-        vals = np.atleast_1d(np.asarray(values, dtype=float))
-        if h == 0:
-            if vals.size != 1:
-                raise ValueError("a zero-delay segment is a single sample")
-        elif vals.size < 2:
-            raise ValueError("need at least two samples on a positive-length domain")
-        self.h = float(h)
-        self.values = vals
-        self._ts = np.linspace(-self.h, 0.0, vals.size) if h > 0 else np.zeros(1)
-
-    @classmethod
-    def constant(cls, h: float, value: float, n: int = 2) -> "HistorySegment":
-        n = 1 if h == 0 else max(2, n)
-        return cls(h, np.full(n, float(value)))
-
-    @classmethod
-    def from_callable(cls, h: float, fn: Callable[[float], float], n: int = 33) -> "HistorySegment":
-        if h == 0:
-            return cls(0.0, [float(fn(0.0))])
-        ts = np.linspace(-h, 0.0, max(2, n))
-        return cls(h, [float(fn(t)) for t in ts])
-
-    def __call__(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        if np.any(s_arr < -self.h - 1e-9) or np.any(s_arr > 1e-9):
-            raise ValueError(f"evaluation point {s} outside [-{self.h}, 0]")
-        if self.h == 0:
-            out = np.full_like(s_arr, self.values[0], dtype=float)
-        else:
-            out = np.interp(np.clip(s_arr, -self.h, 0.0), self._ts, self.values)
-        return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
-
-    def norm(self) -> float:
-        """Max norm over [-h, 0] (attained at a sample node)."""
-        return float(np.max(np.abs(self.values)))
-
 
 @dataclass(frozen=True)
 class Model:
@@ -168,21 +108,6 @@ class Model:
         x = np.asarray(x, dtype=float)
         vals = [x for _ in self.eval_points]
         return self.f_pointwise(*vals)
-
-
-def eval_f(m: Model, seg: HistorySegment) -> float:
-    """Value of the reaction functional on a history segment."""
-    if abs(seg.h - m.h) > 1e-12:
-        raise ValueError(f"segment horizon {seg.h} does not match model horizon {m.h}")
-    vals = [seg(s) for s in m.eval_points]
-    return float(m.f_pointwise(*vals))
-
-
-def eval_lin(m: Model, seg: HistorySegment) -> float:
-    """Linearization at 0: -q*seg(0) + sum_j w_j*seg(s_j)."""
-    if abs(seg.h - m.h) > 1e-12:
-        raise ValueError(f"segment horizon {seg.h} does not match model horizon {m.h}")
-    return float(m.lin.apply(seg(0.0), [seg(s) for s, _ in m.lin.atoms]))
 
 
 # ---------------------------------------------------------------------------

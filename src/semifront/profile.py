@@ -19,6 +19,11 @@ then Anderson mixing on P finishes to tolerance.  Plain damped
 iteration cannot finish the job — it ends up orbiting the fixed point
 along the translation direction at the drift amplitude.
 
+The stages' parameters are module constants, not options: the CLI, the
+uniqueness harness and the benchmark all run one value of each, and the
+values tried instead (damping 0.7-0.9, an earlier hand-over to Anderson)
+made kpp fail or land on another fixed point.
+
 An iteration costs one kernel scan plus a few O(n) passes, with no search
 and no n-row factorisation: delayed reads are precomputed slices of the grid
 (:class:`_DelayRead`), the pin writes the accepted offset straight into its
@@ -42,7 +47,7 @@ from .kernel import (
     LeftTail,
     convolve,
     convolve_at_offset,  # noqa: F401 - not called here; perfbench wraps this binding
-    exp_integral_right,
+    exp_integral_right,  # noqa: F401 - not called here; perfbench wraps this binding
     make_kernel,
 )
 from .model import Model
@@ -51,9 +56,16 @@ __all__ = [
     "SolverOptions",
     "ProfileSolution",
     "solve_profile",
-    "recover_derivative",
     "fixed_point_residual",
 ]
+
+DAMPING = 0.5  # relaxation of the damped stage
+SWITCH_RES = 1e-4  # residual, scaled by max(1, kappa), that hands over to Anderson
+ACCEL_DEPTH = 20  # iterates Anderson mixing combines
+ACCEL_DAMPING = 0.5  # Anderson's mixing weight beta
+# lower clamp of the map, relative to kappa: keeps the image positive and
+# lies far below the deepest tail value a default grid resolves (~e^-40)
+CLAMP_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -64,21 +76,17 @@ class SolverOptions:
     grid), deep enough that the exponential tail is below double noise.
     ``tol`` bounds the absolute sup-norm residual sup|P(phi) - phi| (not
     scaled by kappa); a solve counts as converged at residual <= 2*tol.
-    ``switch_res`` is the sup-norm residual, scaled by max(1, kappa), at
-    which the damped stage hands over to Anderson mixing.
+    ``max_iter`` and ``accel_iter`` budget the damped and the Anderson
+    stage; each stage's own parameters are module constants (see the
+    module docstring for why they have one value).
     """
 
     t_minus: Optional[float] = None
     t_plus: float = 40.0
     step: float = 0.02
-    damping: float = 0.5
     tol: float = 1e-9
     max_iter: int = 600
     accel_iter: int = 400
-    accel_depth: int = 20
-    accel_damping: float = 0.5
-    switch_res: float = 1e-4
-    clamp_floor: float = 1e-30
     initial_phi: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -88,14 +96,8 @@ class SolverOptions:
             raise ValueError("t_plus must exceed one step")
         if self.t_minus is not None and self.t_minus >= -self.step:
             raise ValueError("t_minus must be below -step")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
-        if not 0.0 < self.accel_damping <= 1.0:
-            raise ValueError("accel_damping must lie in (0, 1]")
-        if self.tol <= 0 or self.switch_res <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.accel_depth < 1:
-            raise ValueError("accel_depth must be at least 1")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
 
 
 @dataclass
@@ -104,8 +106,11 @@ class ProfileSolution:
 
     ``residual`` is sup|P(phi) - phi| for the pinned map; ``drift`` is
     sup|A(phi) - phi| for the raw convolution map and measures the
-    leftover translation per application.  ``tail`` extends phi below
-    t[0] as (value + slope*(t - t[0])) * e^{lambda1 (t - t[0])}.
+    leftover translation per application.  ``dphi`` is the exact
+    derivative of A(phi), which differs from phi by the drift, read from
+    the final scan's accumulators (:meth:`Convolution.derivative`).
+    ``tail`` extends phi below t[0] as
+    (value + slope*(t - t[0])) * e^{lambda1 (t - t[0])}.
     """
 
     model: Model
@@ -263,7 +268,7 @@ class _PinnedMap:
         self.D = 1.0 + m.lin.q + c * self.lam - self.lam * self.lam
         self.chz = float(chi_dz(m, self.lam, c))
         self.reads = [_DelayRead(self.t, c * s) for s in m.eval_points]
-        self.floor = opts.clamp_floor * m.kappa
+        self.floor = CLAMP_FLOOR * m.kappa
         self.ceil = m.bound
         # the nodes tail_of reads: a multi-unit window at the critical speed
         span = min(5.0 / self.lam, 0.25 * (self.t[-1] - self.t[0]))
@@ -302,15 +307,12 @@ class _PinnedMap:
         s = min(0.0, max(s, -v / float(u[-1])))
         return LeftTail(v, self.lam, s)
 
-    def source_of(self, phi: np.ndarray, tail: LeftTail) -> tuple[np.ndarray, LeftTail]:
-        m, c = self.m, self.c
-        src = (1.0 + m.lin.q) * phi + m.f_pointwise(*(read(phi, tail) for read in self.reads))
-        sv = tail.value * self.D + tail.slope * (c - 2.0 * self.lam + self.chz)
-        return src, LeftTail(sv, self.lam, tail.slope * self.D)
-
     def raw(self, phi: np.ndarray) -> Convolution:
         """A(phi), one kernel scan kept whole for the pin's sub-step reads."""
-        src, stail = self.source_of(phi, self.tail_of(phi))
+        m, tail = self.m, self.tail_of(phi)
+        src = (1.0 + m.lin.q) * phi + m.f_pointwise(*(read(phi, tail) for read in self.reads))
+        sv = tail.value * self.D + tail.slope * (self.c - 2.0 * self.lam + self.chz)
+        stail = LeftTail(sv, self.lam, tail.slope * self.D)
         return convolve(self.kernel, self.grid, src, stail, float(src[-1]))
 
     def clip(self, values: np.ndarray) -> np.ndarray:
@@ -342,11 +344,10 @@ class _PinnedMap:
         slope = (hi_v - lo_v) / self.step
         tc = float(self.t[i]) + (half - lo_v) / slope
         size = self.t.size
+        # floor < half < ceil keeps lo_v < half <= hi_v, so tc lies in
+        # [t_i, t_{i+1}] and the zero node i_zero + n is i or i + 1
         n = int(round(tc / self.step))
         node = self.i_zero + n
-        if not 0 <= node < size:
-            phi = self.clip(img)
-            return _extended(self.t + tc, self.t, phi, self.tail_of(phi))
         frac = tc - n * self.step
         lo, hi = max(0, -n), min(size, size - n)
         out = np.empty(size)
@@ -434,8 +435,7 @@ def solve_profile(
     else:
         phi = P.seed()
 
-    switch = opts.switch_res * max(1.0, m.kappa)
-    omega = opts.damping
+    switch = SWITCH_RES * max(1.0, m.kappa)
     # at the critical speed the deep-tail amplitude is a near-neutral
     # direction (double root): its error runs orders above the residual,
     # so aim below the contracted tolerance to resolve the tail scale
@@ -449,15 +449,14 @@ def solve_profile(
         n_damped += 1
         if res <= max(goal, switch):
             break
-        phi = (1.0 - omega) * phi + omega * img
+        phi = (1.0 - DAMPING) * phi + DAMPING * img
 
     # Anderson mixing on P: combine the differences between the last
-    # accel_depth iterates by least squares, damped by accel_damping.  The
+    # ACCEL_DEPTH iterates by least squares, damped by ACCEL_DAMPING.  The
     # difference columns live in a ring: each iteration writes one, and
     # the least squares are the normal equations of the ring's Gram matrix.
-    beta = opts.accel_damping
-    cols = opts.accel_depth - 1
-    ring = _AndersonRing(phi.size, cols)
+    beta = ACCEL_DAMPING
+    ring = _AndersonRing(phi.size, ACCEL_DEPTH - 1)
     prev = None
     best_res, best_phi = res, phi.copy()
     n_accel = 0
@@ -486,7 +485,7 @@ def solve_profile(
             stall, mark = 0, best_res
             restarts += 1
             continue
-        if prev is not None and cols:
+        if prev is not None:
             ring.push(phi, prev[0], fx, prev[1])
         prev = (phi, fx)
         k = ring.filled
@@ -500,7 +499,7 @@ def solve_profile(
         phi = best_phi
 
     # final bookkeeping on the positively clipped iterate; the clamp counts
-    # are those of its raw image, which also gives the drift
+    # are those of its raw image, which also gives the drift and phi'
     phi = P.clip(phi)
     conv = P.raw(phi)
     res = float(np.max(np.abs(P.pin(conv) - phi)))
@@ -509,18 +508,14 @@ def solve_profile(
     clamp_high = int(np.count_nonzero(conv.values > P.ceil))
     drift = float(np.max(np.abs(conv.values - phi)))
 
-    tail = P.tail_of(phi)
-    src, _ = P.source_of(phi, tail)
-    dphi = _derivative(P.t, phi, src, c, m.lin.q)
-
     return ProfileSolution(
         model=m,
         c=c,
         t=P.t,
         phi=phi,
-        dphi=dphi,
-        source=src,
-        tail=tail,
+        dphi=conv.derivative(),
+        source=conv.src,
+        tail=P.tail_of(phi),
         lambda1=P.lam,
         lambda2=P.lam2,
         critical=P.critical,
@@ -532,31 +527,6 @@ def solve_profile(
         clamp_high=clamp_high,
         residual_history=history,
     )
-
-
-def _derivative(t, phi, src, c: float, q: float) -> np.ndarray:
-    """phi' by the forward exponential integral of the reaction values.
-
-    Multiplying phi'' - c*phi' + f = 0 by e^{-ct} and integrating from t
-    to +infinity (phi' bounded kills the boundary term) gives
-
-        phi'(t) = integral of e^{c(t-s)} f(phi_s) over s in [t, +inf).
-
-    The reaction samples are src - (1+q)*phi; beyond the grid the scheme
-    freezes the source, so the matching tail constant is the last sample
-    (which is ~0 once phi(T+) sits at the equilibrium).
-    """
-    fvals = np.asarray(src, dtype=float) - (1.0 + q) * np.asarray(phi, dtype=float)
-    return exp_integral_right(t, fvals, c, tail_const=float(fvals[-1]))
-
-
-def recover_derivative(sol: ProfileSolution) -> np.ndarray:
-    """Recompute phi' for a stored solution; see :func:`_derivative`.
-
-    Meaningful for converged solutions — the identity assumes phi solves
-    the profile equation.
-    """
-    return _derivative(sol.t, sol.phi, sol.source, sol.c, sol.model.lin.q)
 
 
 def fixed_point_residual(sol: ProfileSolution) -> float:

@@ -6,17 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semifront.model import (
-    HistorySegment,
     Measure,
     builtin_kpp,
     builtin_may,
     builtin_mackey_glass,
     builtin_nicholson,
     builtin_square,
-    eval_f,
-    eval_lin,
     model_from_config,
 )
+
+from oracles import HistorySegment, eval_f, eval_lin
 
 
 # ---------------------------------------------------------------- measures

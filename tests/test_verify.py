@@ -7,14 +7,11 @@ import numpy as np
 import pytest
 
 from semifront.model import (
-    HistorySegment,
     builtin_kpp,
     builtin_may,
     builtin_mackey_glass,
     builtin_nicholson,
     builtin_square,
-    eval_f,
-    eval_lin,
 )
 from semifront.profile import SolverOptions, solve_profile
 from semifront.verify import (
@@ -29,6 +26,8 @@ from semifront.verify import (
     uniqueness_harness,
     verify_model,
 )
+
+from oracles import HistorySegment, eval_f, eval_lin
 
 #: sample size for unit runs; the acceptance gate drives the full 10_000
 N = 2500
