@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .profile import ProfileSolution, sign_changes
+from .profile import ProfileSolution
 
 __all__ = ["DecayFit", "fit_decay", "detect_oscillation"]
 
@@ -47,8 +47,6 @@ class DecayFit:
     window: tuple
     fit_error: float
     amplitude: float
-    oscillatory: bool
-    crossing_count: int
 
 
 def _window_slice(sol: ProfileSolution, window: Optional[tuple]) -> np.ndarray:
@@ -115,15 +113,12 @@ def fit_decay(sol: ProfileSolution, window: Optional[tuple] = None) -> DecayFit:
             fit_error = float(np.sqrt(np.mean((logphi[neg] - B @ coef) ** 2)))
             t = tn
 
-    oscillatory, crossings = detect_oscillation(sol)
     return DecayFit(
         rate=float(rate),
         mode=mode,
         window=(float(t[0]), float(t[-1])),
         fit_error=fit_error,
         amplitude=float(math.exp(intercept)),
-        oscillatory=oscillatory,
-        crossing_count=crossings,
     )
 
 
@@ -149,6 +144,9 @@ def _shifted_log_slope(tn: np.ndarray, excess: np.ndarray) -> tuple[float, float
 
 
 def detect_oscillation(sol: ProfileSolution) -> tuple[bool, int]:
-    """Sign changes of phi - kappa on t >= 0; oscillatory iff at least 2."""
-    count = sign_changes(sol.phi[sol.t >= 0.0] - sol.model.kappa)
+    """Sign changes of phi - kappa on t >= 0, zeros skipped; oscillatory
+    iff at least 2."""
+    s = np.sign(sol.phi[sol.t >= 0.0] - sol.model.kappa)
+    s = s[s != 0.0]
+    count = int(np.sum(s[1:] * s[:-1] < 0.0))
     return count >= 2, count

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .model import Model
-from .profile import ProfileSolution, first_up_crossing, scan_shift
+from .profile import ProfileSolution, scan_shift, up_crossing
 
 __all__ = [
     "EvolutionState",
@@ -145,12 +145,7 @@ class EvolutionState:
 
     def front_position(self) -> Optional[float]:
         """Leftmost upward kappa/2 crossing of the current field, or None."""
-        half = 0.5 * self.m.kappa
-        u = self._ring[self._head]
-        i = first_up_crossing(u, half)
-        if i is None:
-            return None
-        return float(self.x[i] + self.dx * (half - u[i]) / (u[i + 1] - u[i]))
+        return up_crossing(self.x, self._ring[self._head], 0.5 * self.m.kappa)
 
 
 @dataclass(frozen=True)
@@ -245,10 +240,6 @@ def moving_frame_gap(run: FrontRun, sol: ProfileSolution) -> tuple[float, float]
         return float(np.max(np.abs(sol.evaluate(tq[inside]) - uw[inside])))
 
     # phase guess from the half-crossings (the profile's sits at 0)
-    half = 0.5 * sol.model.kappa
-    i = first_up_crossing(uw, half)
-    shift0 = 0.0
-    if i is not None:
-        frac = (half - uw[i]) / (uw[i + 1] - uw[i])
-        shift0 = -float(xi[i] + frac * (xi[i + 1] - xi[i]))
+    tc = up_crossing(xi, uw, 0.5 * sol.model.kappa)
+    shift0 = 0.0 if tc is None else -tc
     return scan_shift(gap, shift0, 0.25 * np.arange(-8, 9), 0.01 * np.arange(-30, 31))

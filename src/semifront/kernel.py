@@ -41,6 +41,7 @@ __all__ = [
     "Grid",
     "Convolution",
     "LeftTail",
+    "grid_step",
     "make_kernel",
     "tail_response",
     "convolve",
@@ -121,52 +122,51 @@ class LeftTail(NamedTuple):
     rate: float
     slope: float = 0.0
 
-
-def _as_tail(tail) -> LeftTail:
-    if isinstance(tail, LeftTail):
-        return tail
-    return LeftTail(*tail)
+    def at(self, u):
+        """The tail at offsets u = s - T- <= 0."""
+        return (self.value + self.slope * u) * np.exp(self.rate * u)
 
 
-def tail_response(k: GreenKernel, tail, t_minus: float, t):
-    """integral of K(t-s) * tail(s) over s in (-inf, T-], any evaluation t.
+def _tail_moment(k: GreenKernel, tail: LeftTail) -> float:
+    """integral of e^{mu_minus (T- - s)} tail(s) over s <= T-: the decaying
+    branch's accumulator at T-, (value/gamma - slope/gamma^2) with
+    gamma = rate - mu_minus > 0."""
+    if tail.rate < 0:
+        raise ValueError("left tail must not grow leftward: rate >= 0 required")
+    gamma = tail.rate - k.mu_minus_root
+    return tail.value / gamma - tail.slope / gamma**2
+
+
+def tail_response(k: GreenKernel, tail: LeftTail, t_minus: float, t: float) -> float:
+    """integral of K(t-s) * tail(s) over s in (-inf, T-], at one point t.
 
     For t >= T- only the decaying kernel branch e^{mu_minus(t-s)} is active
     and the answer is a single exponential in t.  For t < T- the kernel
     switches branch at s = t; the growing-branch piece degenerates when
     rate = mu_plus (resonance) into the (T- - t) e^{mu_plus(t-T-)} form.
     """
-    v, rate, slope = _as_tail(tail)
-    if rate < 0:
-        raise ValueError("left tail must not grow leftward: rate >= 0 required")
+    moment = _tail_moment(k, tail)
+    v, rate, slope = tail
     N, mu_m, mu_p = k.norm, k.mu_minus_root, k.mu_plus_root
-    gamma = rate - mu_m  # > 0 always
+    tau = t - t_minus
+    if tau >= 0:
+        return float(N * np.exp(mu_m * tau) * moment)
+    # s < t piece, antiderivatives of (v + slope*u) e^{gamma u} up to u = tau
+    gamma = rate - mu_m
+    p1 = N * np.exp(rate * tau) * (v / gamma + slope * (tau / gamma - 1.0 / gamma**2))
+    delta = rate - mu_p
+    if abs(delta) <= 1e-8 * max(1.0, mu_p):
+        return float(p1 + N * np.exp(mu_p * tau) * (-v * tau - 0.5 * slope * tau * tau))
+    x = delta * tau
+    i0 = -np.expm1(x) / delta
+    i1 = (np.expm1(x) - x * np.exp(x)) / delta**2
+    return float(p1 + N * np.exp(mu_p * tau) * (v * i0 + slope * i1))
 
-    def right(tau):
-        return N * np.exp(mu_m * tau) * (v / gamma - slope / gamma**2)
 
-    def left(tl):
-        # s < t piece, antiderivatives of (v + slope*u) e^{gamma u} up to u = tau
-        p1 = N * np.exp(rate * tl) * (v / gamma + slope * (tl / gamma - 1.0 / gamma**2))
-        delta = rate - mu_p
-        if abs(delta) <= 1e-8 * max(1.0, mu_p):
-            return p1 + N * np.exp(mu_p * tl) * (-v * tl - 0.5 * slope * tl * tl)
-        x = delta * tl
-        i0 = -np.expm1(x) / delta
-        i1 = (np.expm1(x) - x * np.exp(x)) / delta**2
-        return p1 + N * np.exp(mu_p * tl) * (v * i0 + slope * i1)
-
-    if np.ndim(t) == 0:  # one point: the same formulas, without masks
-        tau = float(t) - t_minus
-        return float(right(tau) if tau >= 0 else left(tau))
-    tau = np.asarray(t, dtype=float) - t_minus
-    out = np.empty_like(tau)
-    rgt = tau >= 0
-    out[rgt] = right(tau[rgt])
-    lft = ~rgt
-    if np.any(lft):
-        out[lft] = left(tau[lft])
-    return out
+def grid_step(t: np.ndarray) -> float:
+    """The step of uniform nodes ``t``, from the whole span: one node
+    difference is off by ~1e-12 at |t| ~ 80."""
+    return float((t[-1] - t[0]) / (t.size - 1))
 
 
 class Grid:
@@ -183,8 +183,7 @@ class Grid:
         t = np.asarray(t, dtype=float)
         if t.size < 2:
             raise ValueError("grid needs at least two nodes")
-        # the whole span: one node difference is off by ~1e-12 at |t| ~ 80
-        step = float((t[-1] - t[0]) / (t.size - 1))
+        step = grid_step(t)
         if step <= 0 or not np.allclose(np.diff(t), step, rtol=1e-9, atol=1e-12):
             raise ValueError("grid must be uniform and increasing")
         self.t, self.step = t, step
@@ -393,17 +392,12 @@ def convolve(k: GreenKernel, t, src, left_tail, right_const: float) -> Convoluti
     src = np.asarray(src, dtype=float)
     if src.shape != grid.t.shape:
         raise ValueError("source values must match the grid")
-    tail = _as_tail(left_tail)
-    v, rate, slope = tail
-    if rate < 0:
-        raise ValueError("left tail must not grow leftward: rate >= 0 required")
     rc = float(right_const)
     # decaying branch swept left to right from the whole left tail, growing
     # branch right to left from the constant right closure
-    gamma = rate - k.mu_minus_root  # > 0 always
-    fwd = _exp_scan(src, grid.step, -k.mu_minus_root, v / gamma - slope / gamma**2)
+    fwd = _exp_scan(src, grid.step, -k.mu_minus_root, _tail_moment(k, left_tail))
     bwd = _exp_scan(src[::-1], grid.step, k.mu_plus_root, rc / k.mu_plus_root)[::-1]
-    return Convolution(k, grid, src, tail, rc, fwd, bwd, k.norm * (fwd + bwd))
+    return Convolution(k, grid, src, left_tail, rc, fwd, bwd, k.norm * (fwd + bwd))
 
 
 def convolve_at_offset(k: GreenKernel, t, src, left_tail, right_const: float, delta: float):

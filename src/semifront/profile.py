@@ -26,7 +26,7 @@ made kpp fail or land on another fixed point.
 
 An iteration costs one kernel scan plus a few O(n) passes, with no search
 and no n-row factorisation: delayed reads are precomputed slices of the grid
-(:class:`_DelayRead`), the pin writes the accepted offset straight into its
+(:class:`ShiftedRead`), the pin writes the accepted offset straight into its
 output and clamps only what it reads, and Anderson's least squares solve the
 normal equations of a Gram matrix updated one row per step (:class:`_AndersonRing`).
 """
@@ -48,6 +48,7 @@ from .kernel import (
     convolve,
     convolve_at_offset,  # noqa: F401 - not called here; perfbench wraps this binding
     exp_integral_right,  # noqa: F401 - not called here; perfbench wraps this binding
+    grid_step,
     make_kernel,
 )
 from .model import Model
@@ -56,7 +57,6 @@ __all__ = [
     "SolverOptions",
     "ProfileSolution",
     "solve_profile",
-    "fixed_point_residual",
 ]
 
 DAMPING = 0.5  # relaxation of the damped stage
@@ -118,7 +118,6 @@ class ProfileSolution:
     t: np.ndarray
     phi: np.ndarray
     dphi: np.ndarray
-    source: np.ndarray
     tail: LeftTail
     lambda1: float
     lambda2: float
@@ -133,24 +132,11 @@ class ProfileSolution:
 
     @property
     def step(self) -> float:
-        # the whole span: one node difference is off by ~1e-12 at |t| ~ 80
-        return float((self.t[-1] - self.t[0]) / (self.t.size - 1))
-
-    @property
-    def sup_phi(self) -> float:
-        return float(np.max(self.phi))
-
-    @property
-    def bound_ok(self) -> bool:
-        return self.sup_phi <= self.model.bound
+        return grid_step(self.t)
 
     def evaluate(self, tq):
         """phi at arbitrary points: tail below t[0], frozen value above t[-1]."""
         return _extended(np.asarray(tq, dtype=float), self.t, self.phi, self.tail)
-
-    def crossing_count(self, level: Optional[float] = None) -> int:
-        """Number of sign changes of phi - level (default: the equilibrium)."""
-        return sign_changes(self.phi - (self.model.kappa if level is None else float(level)))
 
 
 def first_up_crossing(values: np.ndarray, level: float) -> Optional[int]:
@@ -162,11 +148,14 @@ def first_up_crossing(values: np.ndarray, level: float) -> Optional[int]:
     return int(idx[0]) if idx.size else None
 
 
-def sign_changes(values: np.ndarray) -> int:
-    """Number of sign changes along ``values``, zeros skipped."""
-    s = np.sign(values)
-    s = s[s != 0.0]
-    return int(np.sum(s[1:] * s[:-1] < 0.0))
+def up_crossing(x: np.ndarray, values: np.ndarray, level: float) -> Optional[float]:
+    """The point where ``values`` at nodes ``x``, linear between them, first
+    cross ``level`` upward (see :func:`first_up_crossing`), or None."""
+    i = first_up_crossing(values, level)
+    if i is None:
+        return None
+    frac = (level - values[i]) / (values[i + 1] - values[i])
+    return float(x[i] + frac * (x[i + 1] - x[i]))
 
 
 def scan_shift(distance, start: float, coarse: np.ndarray, fine: np.ndarray) -> tuple[float, float]:
@@ -180,60 +169,63 @@ def scan_shift(distance, start: float, coarse: np.ndarray, fine: np.ndarray) -> 
     return start, float(d[i])
 
 
-def _tail_at(tail: LeftTail, u: np.ndarray) -> np.ndarray:
-    """The left tail at offsets u = t - t[0] <= 0."""
-    return (tail.value + tail.slope * u) * np.exp(tail.rate * u)
-
-
 def _extended(tq: np.ndarray, t: np.ndarray, phi: np.ndarray, tail: LeftTail) -> np.ndarray:
     """Grid values ``phi`` at points ``tq``: linear interpolation, the
     ``tail`` below t[0] and the last value frozen above t[-1]."""
     out = np.interp(tq, t, phi)
     left = tq < t[0]
     if np.any(left):
-        out[left] = _tail_at(tail, tq[left] - t[0])
+        out[left] = tail.at(tq[left] - t[0])
     return out
 
 
-class _DelayRead:
-    """``_extended(t + d, t, phi, tail)`` for a fixed shift d, without search.
+class ShiftedRead:
+    """A grid function read at t_j + d for one fixed shift d, without search.
 
-    t_j + d lies k whole steps plus a fraction theta past t_j, so the read
-    is (1-theta) phi[j+k] + theta phi[j+k+1] inside the grid, the tail at
-    the precomputed offsets u below t[0] and phi[-1] above t[-1].  The
-    step comes from the whole span (one node difference is off by ~1e-12).
+    t_j + d lies k whole steps plus a fraction theta past t_j, so nodes
+    lo <= j < hi read (1-theta) v[j+k] + theta v[j+k+1] from values ``v``
+    on a grid of the same step and ``n_src`` nodes (default: those of
+    ``t``).  Called with a tail, it is ``_extended(t + d, t, phi, tail)``:
+    the tail at the precomputed offsets u below t[0] and phi[-1] above
+    t[-1].  The step comes from the whole span (one node difference is
+    off by ~1e-12).  With ``snap`` a read within 1e-9 of a node reads the
+    node itself, as a delay c*s of whole steps should; a shift searched
+    over a continuum (the pair alignment) turns it off, so that its
+    distance has no jump near the nodes.
     """
 
-    def __init__(self, t: np.ndarray, d: float):
+    def __init__(self, t: np.ndarray, d: float, n_src: Optional[int] = None, snap: bool = True):
         x = d * (t.size - 1) / (t[-1] - t[0])
-        whole = abs(x - round(x)) < 1e-9  # snap a near-node read onto the node
+        whole = snap and abs(x - round(x)) < 1e-9
         k = round(x) if whole else math.floor(x)
         n, theta = t.size, 0.0 if whole else x - k
         self.k, self.theta = k, theta
         self.lo = min(n, max(0, -k))
-        self.hi = max(self.lo, min(n, n - k - (theta > 0.0)))
+        self.hi = max(self.lo, min(n, (n if n_src is None else n_src) - k - (theta > 0.0)))
         self.u = t[: self.lo] + d - t[0]
 
-    def __call__(self, phi: np.ndarray, tail: LeftTail) -> np.ndarray:
+    def into(self, out: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Write the reads of nodes lo .. hi-1 from ``v`` into ``out`` and return it."""
         k, theta, lo, hi = self.k, self.theta, self.lo, self.hi
-        if k == 0 and theta == 0.0:
+        np.multiply(v[lo + k : hi + k], 1.0 - theta, out=out)
+        if theta:
+            out += theta * v[lo + k + 1 : hi + k + 1]
+        return out
+
+    def __call__(self, phi: np.ndarray, tail: LeftTail) -> np.ndarray:
+        if self.k == 0 and self.theta == 0.0:
             return phi
         out = np.empty(phi.size)
-        inner = phi[lo + k : hi + k]
-        if theta:
-            inner = (1.0 - theta) * inner + theta * phi[lo + k + 1 : hi + k + 1]
-        out[lo:hi] = inner
-        out[:lo] = _tail_at(tail, self.u)
-        out[hi:] = phi[-1]
+        self.into(out[self.lo : self.hi], phi)
+        out[: self.lo] = tail.at(self.u)
+        out[self.hi :] = phi[-1]
         return out
 
 
 class _PinnedMap:
     """The iteration map P = recenter∘clamp∘A on a fixed uniform grid."""
 
-    def __init__(self, m: Model, c: float, opts: SolverOptions, t=None):
-        # a stored grid ``t`` is adopted verbatim: re-deriving its edges from
-        # the stored floats can gain or lose a node to rounding
+    def __init__(self, m: Model, c: float, opts: SolverOptions):
         roots = real_roots(m, c)
         if roots is None:
             raise SubcriticalError(
@@ -244,22 +236,20 @@ class _PinnedMap:
         self.lam = roots.lambda1
         self.lam2 = roots.lambda2
         self.critical = roots.critical
-        if t is None:
-            step = opts.step
-            # snap to whole steps so 0 is a node; the 1e-9 slack keeps an
-            # already-aligned edge from spilling onto an extra node.  At the
-            # critical speed the edge stays shallow: the (A - t)e^{lam t} tail
-            # structure is only resolvable where phi is well above the solver
-            # tolerance, and the analytic tail carries the rest of the line.
-            if opts.t_minus is None:
-                depth = 20.0 if self.critical else 40.0
-                n_lo = math.ceil(depth / self.lam / step - 1e-9)
-            else:
-                n_lo = math.ceil(-opts.t_minus / step - 1e-9)
-            n_hi = math.ceil(opts.t_plus / step - 1e-9)
-            # integer-multiple grid so the pin node sits at exactly 0.0
-            t = step * np.arange(-n_lo, n_hi + 1)
-        self.grid = Grid(t)
+        step = opts.step
+        # snap to whole steps so 0 is a node; the 1e-9 slack keeps an
+        # already-aligned edge from spilling onto an extra node.  At the
+        # critical speed the edge stays shallow: the (A - t)e^{lam t} tail
+        # structure is only resolvable where phi is well above the solver
+        # tolerance, and the analytic tail carries the rest of the line.
+        if opts.t_minus is None:
+            depth = 20.0 if self.critical else 40.0
+            n_lo = math.ceil(depth / self.lam / step - 1e-9)
+        else:
+            n_lo = math.ceil(-opts.t_minus / step - 1e-9)
+        n_hi = math.ceil(opts.t_plus / step - 1e-9)
+        # integer-multiple grid so the pin node sits at exactly 0.0
+        self.grid = Grid(step * np.arange(-n_lo, n_hi + 1))
         self.t, self.step = self.grid.t, self.grid.step
         self.i_zero = int(round(-self.t[0] / self.step))
         self.kernel: GreenKernel = make_kernel(c, m.lin.q)
@@ -267,7 +257,7 @@ class _PinnedMap:
         # (1+q)*e + f'(0)[e] = D*e for e = e^{lam t}, D = 1 + q + c*lam - lam^2
         self.D = 1.0 + m.lin.q + c * self.lam - self.lam * self.lam
         self.chz = float(chi_dz(m, self.lam, c))
-        self.reads = [_DelayRead(self.t, c * s) for s in m.eval_points]
+        self.reads = [ShiftedRead(self.t, c * s) for s in m.eval_points]
         self.floor = CLAMP_FLOOR * m.kappa
         self.ceil = m.bound
         # the nodes tail_of reads: a multi-unit window at the critical speed
@@ -514,7 +504,6 @@ def solve_profile(
         t=P.t,
         phi=phi,
         dphi=conv.derivative(),
-        source=conv.src,
         tail=P.tail_of(phi),
         lambda1=P.lam,
         lambda2=P.lam2,
@@ -527,13 +516,3 @@ def solve_profile(
         clamp_high=clamp_high,
         residual_history=history,
     )
-
-
-def fixed_point_residual(sol: ProfileSolution) -> float:
-    """Recompute sup|P(phi) - phi| for a stored solution.
-
-    Rebuilds the pinned map on the solution's own grid, so the value is
-    reproducible from the stored arrays alone.
-    """
-    P = _PinnedMap(sol.model, sol.c, SolverOptions(step=sol.step), sol.t)
-    return float(np.max(np.abs(P(sol.phi) - sol.phi)))

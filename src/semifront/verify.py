@@ -30,7 +30,7 @@ import numpy as np
 from ._brentq import brentq
 from .kernel import pl_exp_integral
 from .model import Model
-from .profile import ProfileSolution, SolverOptions, first_up_crossing, scan_shift, solve_profile
+from .profile import ProfileSolution, ShiftedRead, SolverOptions, scan_shift, solve_profile, up_crossing
 
 __all__ = [
     "CheckResult",
@@ -401,11 +401,13 @@ def diagnostics_Q(sol: ProfileSolution) -> tuple[float, float]:
     m, c, lam = sol.model, sol.c, sol.lambda1
     t = sol.t
 
-    cols = [sol.phi if s == 0.0 else sol.evaluate(t + c * s) for s in m.eval_points]
-    f_vals = np.asarray(m.f_pointwise(*cols), dtype=float)
+    def history(s: float) -> np.ndarray:  # phi(t + c s) at every node
+        return ShiftedRead(t, c * s)(sol.phi, sol.tail)
+
+    f_vals = np.asarray(m.f_pointwise(*(history(s) for s in m.eval_points)), dtype=float)
     lin_vals = -m.lin.q * sol.phi
     for s, w in m.lin.atoms:
-        lin_vals = lin_vals + w * (sol.phi if s == 0.0 else sol.evaluate(t + c * s))
+        lin_vals = lin_vals + w * history(s)
     Q = lin_vals - f_vals
 
     core = pl_exp_integral(t, Q, -lam)
@@ -422,12 +424,9 @@ def diagnostics_Q(sol: ProfileSolution) -> tuple[float, float]:
 
 def _half_crossing(sol: ProfileSolution) -> float:
     """Location of the first upward crossing of kappa/2, linearly interpolated."""
-    half, ph = sol.model.kappa / 2.0, sol.phi
-    i = first_up_crossing(ph, half)
-    if i is None:
-        return float(sol.t[int(np.argmin(np.abs(ph - half)))])
-    frac = (half - ph[i]) / (ph[i + 1] - ph[i])
-    return float(sol.t[i] + frac * (sol.t[i + 1] - sol.t[i]))
+    half = sol.model.kappa / 2.0
+    tc = up_crossing(sol.t, sol.phi, half)
+    return float(sol.t[int(np.argmin(np.abs(sol.phi - half)))]) if tc is None else tc
 
 
 def _sup_distance(a: ProfileSolution, b: ProfileSolution, shift: float) -> float:
@@ -437,17 +436,11 @@ def _sup_distance(a: ProfileSolution, b: ProfileSolution, shift: float) -> float
     step = b.step
     if abs(a.step - step) > 1e-9 * step:
         raise ValueError(f"profiles must share one grid step, got {a.step:g} and {step:g}")
-    x = (b.t[0] + shift - a.t[0]) / step
-    k = math.floor(x)
-    theta = x - k
-    lo = max(0, -k)
-    hi = min(b.t.size, a.t.size - k - (theta > 0.0))
-    if hi - lo < 10:
+    read = ShiftedRead(b.t, b.t[0] + shift - a.t[0], a.t.size, snap=False)
+    if read.hi - read.lo < 10:
         return math.inf
-    va = (1.0 - theta) * a.phi[lo + k : hi + k]
-    if theta:
-        va += theta * a.phi[lo + k + 1 : hi + k + 1]
-    va -= b.phi[lo:hi]
+    va = read.into(np.empty(read.hi - read.lo), a.phi)
+    va -= b.phi[read.lo : read.hi]
     return float(np.max(np.abs(va, out=va)))
 
 
@@ -564,7 +557,13 @@ def verify_model(
     diagnostics and (for n_seeds >= 2) the uniqueness harness.
 
     ``solver_opts`` go to both the diagnostic solve and the harness;
-    None keeps each one's default."""
+    None keeps each one's default.  An ``n_seeds`` that would skip the
+    harness silently (1, negative, or >= 2 without a speed) raises
+    ValueError."""
+    if n_seeds == 1 or n_seeds < 0:
+        raise ValueError(f"n_seeds must be 0 (no uniqueness harness) or at least 2, got {n_seeds}")
+    if n_seeds >= 2 and c is None:
+        raise ValueError("the uniqueness harness needs a speed (c or critical)")
     hyp = dict(check_structure(m))
     hyp["S"] = check_S(m, n_samples, seed + 1)
     hyp["UB"] = check_UB(m, n_samples, seed + 2)

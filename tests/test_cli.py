@@ -321,6 +321,34 @@ def test_verify_kpp_passes(tmp_path, capsys):
     assert sorted(doc["hypotheses"]) == ["J", "LB", "M", "ND", "S", "UB"]
 
 
+def test_verify_one_seed_is_config_error(tmp_path, capsys):
+    # one seed compares no pair; it used to exit 0 with an empty harness
+    code, out, err = run(
+        capsys, "verify", "--model", "kpp", "--h", "1", "--c", "2.5", "--n-seeds", "1",
+        "--n-samples", "100", "--outdir", str(tmp_path),
+    )
+    assert code == EXIT_CONFIG and out == ""
+    assert "n_seeds" in err and not (tmp_path / "verify.json").exists()
+
+
+def test_verify_negative_seeds_is_config_error(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "verify", "--model", "kpp", "--h", "1", "--c", "2.5", "--n-seeds", "-3",
+        "--n-samples", "100", "--outdir", str(tmp_path),
+    )
+    assert code == EXIT_CONFIG and out == ""
+    assert "n_seeds" in err and not (tmp_path / "verify.json").exists()
+
+
+def test_verify_seeds_without_speed_is_config_error(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "verify", "--model", "kpp", "--h", "1", "--n-seeds", "3",
+        "--n-samples", "100", "--outdir", str(tmp_path),
+    )
+    assert code == EXIT_CONFIG and out == ""
+    assert "speed" in err and not (tmp_path / "verify.json").exists()
+
+
 # ------------------------------------------------------------- evolve
 
 

@@ -7,18 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semifront.profile as profile_mod
+from semifront.asymptotics import detect_oscillation
 from semifront.chareq import SubcriticalError, critical_speed
 from semifront.kernel import LeftTail, convolve, make_kernel
 from semifront.model import builtin_kpp, builtin_nicholson, model_from_config
 from semifront.profile import (
     _AndersonRing,
-    _DelayRead,
     _extended,
     _PinnedMap,
+    ShiftedRead,
     SolverOptions,
     first_up_crossing,
-    fixed_point_residual,
     solve_profile,
+    up_crossing,
 )
 
 from oracles import kpp_front_no_delay
@@ -76,17 +77,9 @@ def test_converged_runs(kpp_h0, kpp_h1, kpp_h2, nich):
         assert sol.converged
         assert sol.residual <= 2e-9
         assert sol.clamp_low == 0 and sol.clamp_high == 0
-        # stored arrays reproduce the reported residual
-        assert fixed_point_residual(sol) <= 2.0 * sol.residual + 1e-12
-
-
-@pytest.mark.parametrize("t_minus", [-30.0, -60.0])
-def test_fixed_point_residual_on_stored_grid(t_minus):
-    # the stored grid fixes the pin node; a map rebuilt on the default grid
-    # pinned one node off and reported ~10x the stored residual
-    sol = solve_profile(builtin_kpp(1.0), 2.5, SolverOptions(t_minus=t_minus))
-    assert sol.converged
-    assert fixed_point_residual(sol) == pytest.approx(sol.residual, rel=1e-6)
+        # stored arrays reproduce the reported residual on the default grid
+        P = _PinnedMap(sol.model, sol.c, SolverOptions())
+        assert np.max(np.abs(P(sol.phi) - sol.phi)) <= 2.0 * sol.residual + 1e-12
 
 
 def test_one_kernel_scan_per_map_application(kpp_h1, monkeypatch):
@@ -101,7 +94,7 @@ def test_one_kernel_scan_per_map_application(kpp_h1, monkeypatch):
         return scan(*args, **kwargs)
 
     monkeypatch.setattr(kernel, "_exp_scan", counted)
-    P = _PinnedMap(kpp_h1.model, kpp_h1.c, SolverOptions(), kpp_h1.t)
+    P = _PinnedMap(kpp_h1.model, kpp_h1.c, SolverOptions())
     out = P(kpp_h1.evaluate(kpp_h1.t + 1.3 * kpp_h1.step))
     assert len(sweeps) == 2  # the forward and the backward sweep of one scan
     i0 = int(np.argmin(np.abs(kpp_h1.t)))
@@ -128,6 +121,41 @@ def test_first_up_crossing_matches_pair_test():
         assert first_up_crossing(v, 0.5) == pair_test_crossing(v, 0.5)
 
 
+def _crossing_formulas(x, dx, v, level):
+    """The interpolated crossings up_crossing replaced: the uniqueness
+    alignment's and the moving frame's (one formula), and front tracking's
+    on nodes ``dx`` apart."""
+    i = first_up_crossing(v, level)
+    if i is None:
+        return None, None
+    frac = (level - v[i]) / (v[i + 1] - v[i])
+    return float(x[i] + frac * (x[i + 1] - x[i])), float(x[i] + dx * (level - v[i]) / (v[i + 1] - v[i]))
+
+
+@pytest.mark.parametrize(
+    "v, where",
+    [
+        (np.array([0.1, 0.2, 0.45, 0.7, 0.9, 0.4]), "interior"),
+        (np.array([0.1, 0.2, 0.3, 0.4, 0.6]), "last cell"),
+        (np.array([0.7, 0.2, 0.1, 0.3, 0.8]), "start above"),
+        (np.array([0.5, 0.1, 0.35, 0.9, 0.2]), "start on the level"),
+        (np.array([0.1, 0.2, 0.3, 0.4, 0.45]), "none from below"),
+        (np.array([0.9, 0.8, 0.7, 0.6, 0.55]), "none from above"),
+    ],
+)
+def test_up_crossing_matches_replaced_formulas(v, where):
+    for x0, dx in ((-3.7, 0.1), (80.0, 0.02)):
+        x = x0 + dx * np.arange(v.size)
+        got, (interp, tracked) = up_crossing(x, v, 0.5), _crossing_formulas(x, dx, v, 0.5)
+        if where.startswith("none"):
+            assert got is None and interp is None
+            continue
+        i = first_up_crossing(v, 0.5)
+        assert x[i] <= got <= x[i + 1]
+        for ref in (interp, tracked):
+            assert abs(got - ref) <= 1e-15 * abs(ref)
+
+
 @pytest.mark.parametrize("h, critical", [(2.0, False), (1.0, True)])
 def test_pin_clamps_like_clip_then_pin(h, critical, monkeypatch):
     # an image below the floor in the tail and above the ceiling behind the
@@ -136,9 +164,9 @@ def test_pin_clamps_like_clip_then_pin(h, critical, monkeypatch):
     m = builtin_kpp(h)
     c = critical_speed(m)[0] if critical else 2.5
     base = solve_profile(m, c, SolverOptions(tol=1e-6))
-    bounded = dataclasses.replace(m, bound=1.0 + 0.5 * (base.sup_phi - 1.0))
+    bounded = dataclasses.replace(m, bound=1.0 + 0.5 * (np.max(base.phi) - 1.0))
     monkeypatch.setattr(profile_mod, "CLAMP_FLOOR", 1e-3)
-    P = _PinnedMap(bounded, c, SolverOptions(), base.t)
+    P = _PinnedMap(bounded, c, SolverOptions())
     for shift in (1.3, -2.7, 0.4, 3.0, -3.0):
         conv = P.raw(base.evaluate(base.t + shift * base.step))
         assert np.any(conv.values < P.floor) and np.any(conv.values > P.ceil)
@@ -157,11 +185,11 @@ def test_pin_clamps_like_clip_then_pin(h, critical, monkeypatch):
 
 
 def test_clamp_counts_are_those_of_the_final_raw_image(kpp_h2, monkeypatch):
-    m = dataclasses.replace(kpp_h2.model, bound=1.0 + 0.5 * (kpp_h2.sup_phi - 1.0))
+    m = dataclasses.replace(kpp_h2.model, bound=1.0 + 0.5 * (np.max(kpp_h2.phi) - 1.0))
     monkeypatch.setattr(profile_mod, "CLAMP_FLOOR", 1e-3)
     opts = SolverOptions(max_iter=5, accel_iter=5, initial_phi=kpp_h2.phi)
     sol = solve_profile(m, kpp_h2.c, opts)
-    P = _PinnedMap(m, sol.c, SolverOptions(), sol.t)
+    P = _PinnedMap(m, sol.c, SolverOptions())
     img = P.raw(sol.phi).values
     assert sol.clamp_low == np.count_nonzero(img < P.floor) > 0
     assert sol.clamp_high == np.count_nonzero(img > P.ceil) > 0
@@ -201,17 +229,17 @@ def test_small_delay_monotone():
     sol = solve_profile(builtin_kpp(0.1), 2.5)
     assert sol.converged
     assert np.min(np.diff(sol.phi)) >= -1e-12
-    assert sol.crossing_count() <= 1
+    assert detect_oscillation(sol)[1] <= 1
 
 
 def test_large_delay_oscillates(kpp_h2):
-    assert kpp_h2.crossing_count() >= 2
-    assert kpp_h2.sup_phi > kpp_h2.model.kappa
+    assert detect_oscillation(kpp_h2)[1] >= 2
+    assert np.max(kpp_h2.phi) > kpp_h2.model.kappa
 
 
 def test_sup_below_model_bound(kpp_h0, kpp_h1, kpp_h2, nich):
     for sol in (kpp_h0, kpp_h1, kpp_h2, nich):
-        assert sol.bound_ok
+        assert np.max(sol.phi) <= sol.model.bound
 
 
 # ------------------------------------------------------- oracle comparison
@@ -371,7 +399,7 @@ def test_delay_read_any_shift(d):
     phi = 3.0 / (1.0 + np.exp(-t)) + 0.1 * np.sin(t)
     tail = LeftTail(float(phi[0]), 0.8, -0.2)
     ref = _extended(t + d, t, phi, tail)
-    assert np.max(np.abs(_DelayRead(t, d)(phi, tail) - ref)) <= 3e-14
+    assert np.max(np.abs(ShiftedRead(t, d)(phi, tail) - ref)) <= 3e-14
 
 
 def test_gram_step_matches_tall_least_squares():
@@ -442,5 +470,5 @@ def test_supercritical_solves_converge(h, dc):
     sol = solve_profile(m, c_star + dc, SolverOptions(tol=1e-8))
     assert sol.converged
     assert sol.residual <= 2e-8
-    assert sol.sup_phi <= m.bound
+    assert np.max(sol.phi) <= m.bound
     assert np.all(sol.phi >= 0.0)

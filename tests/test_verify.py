@@ -13,6 +13,8 @@ from semifront.model import (
     builtin_nicholson,
     builtin_square,
 )
+from semifront.chareq import critical_speed
+from semifront.kernel import pl_exp_integral
 from semifront.profile import SolverOptions, solve_profile
 from semifront.verify import (
     FALSIFICATION_NOTE,
@@ -159,6 +161,37 @@ def test_gap_exact_for_undelayed_logistic():
     q_min, pi = diagnostics_Q(sol)
     assert q_min >= -1e-12
     assert pi > 0.0
+
+
+def diagnostics_by_interp(sol):
+    """diagnostics_Q with its history read by searching interpolation,
+    sol.evaluate(t + c s), instead of a shifted grid read."""
+    m, t = sol.model, sol.t
+
+    def history(s):
+        return sol.phi if s == 0.0 else sol.evaluate(t + sol.c * s)
+
+    f_vals = np.asarray(m.f_pointwise(*(history(s) for s in m.eval_points)), dtype=float)
+    q = -m.lin.q * sol.phi + sum(w * history(s) for s, w in m.lin.atoms) - f_vals
+    lam = sol.lambda1
+    tails = (q[0] * math.exp(-lam * t[0]) + q[-1] * math.exp(-lam * t[-1])) / lam
+    return float(np.min(q)), float(pl_exp_integral(t, q, -lam) + tails)
+
+
+@pytest.mark.parametrize("case", ["kpp h=1", "nicholson", "kpp h=1 critical"])
+def test_diagnostics_match_interpolated_history(case, kpp1_sol):
+    if case == "kpp h=1":
+        sol = kpp1_sol
+    elif case == "nicholson":
+        m = builtin_nicholson(1.0, 2.0)
+        sol = solve_profile(m, critical_speed(m)[0] + 0.5)
+    else:
+        m = builtin_kpp(1.0)
+        sol = solve_profile(m, critical_speed(m)[0])
+    assert sol.converged
+    got, ref = diagnostics_Q(sol), diagnostics_by_interp(sol)
+    for g, r in zip(got, ref):
+        assert abs(g - r) <= 1e-14 * abs(r)
 
 
 def test_diagnostics_require_convergence(kpp1_sol):
