@@ -54,7 +54,7 @@ from .chareq import (
 from .evolution import front_speed, moving_frame_gap, step_init, tail_seed
 from .model import MODEL_NAMES, Model, model_from_config
 from .profile import ProfileSolution, SolverOptions, solve_profile
-from .verify import diagnostics_Q, verify_model
+from .verify import EPSILON, N_SAMPLES, diagnostics_Q, verify_model
 
 __all__ = ["main", "build_parser"]
 
@@ -158,17 +158,6 @@ def _model_config(args) -> dict:
     return cfg
 
 
-def _speed_request(args, default):
-    """The requested speed: a number, the string "critical", or None."""
-    if args.critical and args.c is not None:
-        raise _ConfigError("pass either --c or --critical, not both")
-    if args.critical:
-        return "critical"
-    if args.c is not None:
-        return args.c
-    return default
-
-
 @_config_errors()
 def _c_value(cfg) -> Optional[float]:
     """Numeric speed from the resolved config; None requests critical."""
@@ -179,10 +168,16 @@ def _c_value(cfg) -> Optional[float]:
 
 
 @_config_errors()
-def _resolve(args, **extra) -> dict:
-    """Defaults + flags, overridden by the --config file when given."""
+def _resolve(args, c_default) -> dict:
+    """Defaults + flags, overridden by the --config file when given: the
+    model, the speed (a number, "critical", or ``c_default`` without
+    --c/--critical) and every flag of the subcommand's own."""
+    if args.critical and args.c is not None:
+        raise _ConfigError("pass either --c or --critical, not both")
     cfg: dict = {"command": args.cmd, "model": _model_config(args), "outdir": args.outdir}
-    cfg.update(extra)
+    c = "critical" if args.critical else args.c
+    cfg["c"] = c_default if c is None else c
+    cfg.update((dest, getattr(args, dest)) for dest in args._own)
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             overrides = json.load(fh)
@@ -305,7 +300,7 @@ def _svg_profile(sol: ProfileSolution, fit: DecayFit) -> str:
 
 
 def _cmd_speed(args) -> int:
-    cfg = _resolve(args, c=_speed_request(args, "critical"))
+    cfg = _resolve(args, "critical")
     m = _require_model(cfg, args)
     report = analyze_speed(m, _c_value(cfg))
     payload = {
@@ -321,13 +316,7 @@ def _cmd_speed(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
-    cfg = _resolve(
-        args,
-        c=_speed_request(args, "critical"),
-        re_min=args.re_min,
-        re_max=args.re_max,
-        im_max=args.im_max,
-    )
+    cfg = _resolve(args, "critical")
     m = _require_model(cfg, args)
     sa = analyze_speed(m, _c_value(cfg), check_dominance=False)
     with _config_errors():
@@ -349,27 +338,14 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    cfg = _resolve(
-        args,
-        c=_speed_request(args, "critical"),
-        t_plus=args.t_plus,
-        t_minus=args.t_minus,
-        step=args.step,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        accel_iter=args.accel_iter,
-        svg=bool(args.svg),
-    )
+    cfg = _resolve(args, "critical")
     m = _require_model(cfg, args)
     sa = analyze_speed(m, _c_value(cfg), check_dominance=False)
     with _config_errors():
         opts = SolverOptions(
             t_minus=None if cfg.get("t_minus") is None else float(cfg["t_minus"]),
-            t_plus=float(cfg["t_plus"]),
-            step=float(cfg["step"]),
-            tol=float(cfg["tol"]),
-            max_iter=int(cfg["max_iter"]),
-            accel_iter=int(cfg["accel_iter"]),
+            **{key: float(cfg[key]) for key in ("t_plus", "step", "tol")},
+            **{key: int(cfg[key]) for key in ("max_iter", "accel_iter")},
         )
     sol = solve_profile(m, sa.c, opts)
     fit = fit_decay(sol)
@@ -414,21 +390,13 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _resolve(
-        args,
-        c=_speed_request(args, None),
-        n_samples=args.n_samples,
-        seed=args.seed,
-        epsilon=args.epsilon,
-        n_seeds=args.n_seeds,
-    )
+    cfg = _resolve(args, None)
     m = _require_model(cfg, args)
-    c_req = cfg.get("c")
+    c_val = _c_value(cfg)
     with _config_errors():
-        c_val = None if c_req in (None, "critical") else float(c_req)
         counts = {key: int(cfg[key]) for key in ("n_samples", "seed", "n_seeds")}
         epsilon = float(cfg["epsilon"])
-    if c_req == "critical":
+    if cfg.get("c") == "critical":
         c_val = critical_speed(m)[0]
     report = verify_model(m, epsilon=epsilon, c=c_val, **counts)
     _emit_json(cfg, report.to_dict(), "verify")
@@ -436,18 +404,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    cfg = _resolve(
-        args,
-        c=_speed_request(args, "critical"),
-        ic=args.ic,
-        x0=args.x0,
-        x_lo=args.x_lo,
-        x_hi=args.x_hi,
-        dx=args.dx,
-        dt=args.dt,
-        t_run=args.t_run,
-        compare=bool(args.compare),
-    )
+    cfg = _resolve(args, "critical")
     m = _require_model(cfg, args)
     sa = analyze_speed(m, _c_value(cfg), check_dominance=False)
     with _config_errors():
@@ -494,7 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", metavar="command")
 
-    def command(name: str, help_: str, func) -> argparse.ArgumentParser:
+    def command(name: str, help_: str, func):
+        """Add subcommand ``name`` with the common flags and --c/--critical;
+        the returned ``flag`` adds one of its own flags and records its dest."""
         sp = sub.add_parser(name, help=help_, description=help_)
         sp.add_argument("--model", choices=list(MODEL_NAMES), help="model name")
         sp.add_argument("--h", type=float, default=0.0, help="delay span (default 0)")
@@ -503,49 +462,48 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--k", type=float, help="shape parameter (may)")
         sp.add_argument("--config", help="JSON config file; its entries override flags")
         sp.add_argument("--outdir", help="output directory (default $SEMIFRONT_OUTDIR or '.')")
-        sp.set_defaults(func=func, cmd=name, _parser=sp)
-        return sp
-
-    def speed_flags(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--c", type=float, help="wave speed")
         sp.add_argument("--critical", action="store_true", help="use the critical speed")
+        own: list[str] = []
+        sp.set_defaults(func=func, cmd=name, _parser=sp, _own=own)
 
-    sp = command("speed", "critical speed and real decay rates", _cmd_speed)
-    speed_flags(sp)
+        def flag(*names, **kwargs) -> None:
+            own.append(sp.add_argument(*names, **kwargs).dest)
 
-    sp = command("zeros", "zero count of the characteristic function on a rectangle", _cmd_zeros)
-    speed_flags(sp)
-    sp.add_argument("--re-min", type=float, help="rectangle left edge (default lambda1 - 1e-3)")
-    sp.add_argument("--re-max", type=float, help="rectangle right edge (default lambda2 + 1e-3)")
-    sp.add_argument("--im-max", type=float, help="rectangle half-height (default 50)")
+        return flag
 
-    sp = command("profile", "solve the wavefront profile and report its shape", _cmd_profile)
-    speed_flags(sp)
-    sp.add_argument("--t-plus", type=float, default=40.0, help="right edge of the grid")
-    sp.add_argument("--t-minus", type=float, help="left edge of the grid (default auto)")
-    sp.add_argument("--step", type=float, default=0.02, help="grid step")
-    sp.add_argument("--tol", type=float, default=1e-9, help="absolute sup-norm residual tolerance")
-    sp.add_argument("--max-iter", type=int, default=600, help="damped iteration budget")
-    sp.add_argument("--accel-iter", type=int, default=400, help="accelerated iteration budget")
-    sp.add_argument("--svg", action="store_true", help="also write an SVG figure")
+    command("speed", "critical speed and real decay rates", _cmd_speed)
 
-    sp = command("verify", "check the existence/uniqueness hypotheses by sampling", _cmd_verify)
-    speed_flags(sp)
-    sp.add_argument("--n-samples", type=int, default=10_000, help="samples per hypothesis")
-    sp.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    sp.add_argument("--epsilon", type=float, default=0.1, help="lower-bound test level")
-    sp.add_argument("--n-seeds", type=int, default=0, help="uniqueness harness restarts (0 = skip)")
+    flag = command("zeros", "zero count of the characteristic function on a rectangle", _cmd_zeros)
+    flag("--re-min", type=float, help="rectangle left edge (default lambda1 - 1e-3)")
+    flag("--re-max", type=float, help="rectangle right edge (default lambda2 + 1e-3)")
+    flag("--im-max", type=float, help="rectangle half-height (default 50)")
 
-    sp = command("evolve", "integrate the equation and measure the front speed", _cmd_evolve)
-    speed_flags(sp)
-    sp.add_argument("--ic", choices=["tail", "step"], default="tail", help="initial data kind")
-    sp.add_argument("--x0", type=float, default=0.0, help="initial front location")
-    sp.add_argument("--x-lo", type=float, default=-80.0, help="left edge of the domain")
-    sp.add_argument("--x-hi", type=float, default=30.0, help="right edge of the domain")
-    sp.add_argument("--dx", type=float, default=0.1, help="spatial step")
-    sp.add_argument("--dt", type=float, help="time step (default 0.4*dx^2)")
-    sp.add_argument("--t-run", type=float, default=18.0, help="integration time")
-    sp.add_argument("--compare", action="store_true", help="also align against the profile solver")
+    solver = SolverOptions()
+    flag = command("profile", "solve the wavefront profile and report its shape", _cmd_profile)
+    flag("--t-plus", type=float, default=solver.t_plus, help="right edge of the grid")
+    flag("--t-minus", type=float, default=solver.t_minus, help="left edge of the grid (default auto)")
+    flag("--step", type=float, default=solver.step, help="grid step")
+    flag("--tol", type=float, default=solver.tol, help="absolute sup-norm residual tolerance")
+    flag("--max-iter", type=int, default=solver.max_iter, help="damped iteration budget")
+    flag("--accel-iter", type=int, default=solver.accel_iter, help="accelerated iteration budget")
+    flag("--svg", action="store_true", help="also write an SVG figure")
+
+    flag = command("verify", "check the existence/uniqueness hypotheses by sampling", _cmd_verify)
+    flag("--n-samples", type=int, default=N_SAMPLES, help="samples per hypothesis")
+    flag("--seed", type=int, default=0, help="base RNG seed")
+    flag("--epsilon", type=float, default=EPSILON, help="lower-bound test level")
+    flag("--n-seeds", type=int, default=0, help="uniqueness harness restarts (0 = skip)")
+
+    flag = command("evolve", "integrate the equation and measure the front speed", _cmd_evolve)
+    flag("--ic", choices=["tail", "step"], default="tail", help="initial data kind")
+    flag("--x0", type=float, default=0.0, help="initial front location")
+    flag("--x-lo", type=float, default=-80.0, help="left edge of the domain")
+    flag("--x-hi", type=float, default=30.0, help="right edge of the domain")
+    flag("--dx", type=float, default=0.1, help="spatial step")
+    flag("--dt", type=float, help="time step (default 0.4*dx^2)")
+    flag("--t-run", type=float, default=18.0, help="integration time")
+    flag("--compare", action="store_true", help="also align against the profile solver")
 
     return parser
 

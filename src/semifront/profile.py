@@ -321,8 +321,8 @@ class _PinnedMap:
         direction (its O(step^2) error varies with the crossing's sub-cell
         phase), and a cell-interpolated crossing kinks when the crossing
         passes a node; either splits the pinned fixed point into several
-        nearby ones.  Interpolation (with the tail closure) only fills the
-        few nodes the whole-step shift exposes at the edges.  Clamping keeps
+        nearby ones.  The few nodes the whole-step shift exposes at the
+        edges read the tail closure or the last node.  Clamping keeps
         every node on its side of kappa/2, so only the nodes the result
         reads are clamped.
         """
@@ -358,12 +358,13 @@ class _PinnedMap:
         else:  # whole-step translations need no re-evaluation
             out[lo:hi] = img[lo + n : hi + n]
         np.clip(out[lo:hi], self.floor, self.ceil, out=out[lo:hi])
-        # |accepted| < step: the fills read past the ends (tail, last node)
+        # |accepted| < step: every filled node reads past an end of the grid,
+        # so the head is the image's tail closure and the rest its last node
         if lo:
-            head = self.clip(img[: max(lo + 2, self.tail_nodes)])
-            out[:lo] = _extended(self.t[:lo] + tc, self.t[: head.size], head, self.tail_of(head))
+            tail = self.tail_of(self.clip(img[: self.tail_nodes]))
+            out[:lo] = tail.at(self.t[:lo] + tc - self.t[0])
         if hi < size:
-            out[hi:] = np.interp(self.t[hi:] + tc, self.t[hi - 2 :], self.clip(img[hi - 2 :]))
+            out[hi:] = self.clip(img[-1])
         return out
 
     def __call__(self, phi: np.ndarray) -> np.ndarray:

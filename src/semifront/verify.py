@@ -60,6 +60,11 @@ N_KNOTS = 8
 #: absolute slack applied to every sampled inequality.
 SLACK = 1e-12
 
+#: default samples per hypothesis and default (LB) test level epsilon,
+#: shared by the checks, :func:`verify_model` and the CLI.
+N_SAMPLES = 10_000
+EPSILON = 0.1
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -147,15 +152,11 @@ def _f_batch(m: Model, vals: np.ndarray) -> np.ndarray:
 
 
 def _lin_batch(m: Model, vals: np.ndarray) -> np.ndarray:
-    out = -m.lin.q * _values_at(m.h, vals, 0.0)
-    for s, w in m.lin.atoms:
-        out = out + w * _values_at(m.h, vals, s)
-    return out
+    return _delayed_mass_batch(m, vals, -m.lin.q * _values_at(m.h, vals, 0.0))
 
 
-def _delayed_mass_batch(m: Model, vals: np.ndarray) -> np.ndarray:
-    """The positive part of the linearization: sum_j w_j phi(s_j)."""
-    out = np.zeros(vals.shape[0])
+def _delayed_mass_batch(m: Model, vals: np.ndarray, out=0.0) -> np.ndarray:
+    """The positive part of the linearization, sum_j w_j phi(s_j), added to ``out``."""
     for s, w in m.lin.atoms:
         out = out + w * _values_at(m.h, vals, s)
     return out
@@ -176,54 +177,62 @@ def _counterexample(m: Model, i: int, seed: int, **arrays) -> dict:
     return out
 
 
+def _sampling(m: Model, n_samples: int, seed: int) -> tuple[np.random.Generator, int]:
+    """The RNG of ``seed`` and the knots per segment, for n_samples >= 1."""
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    return np.random.default_rng(seed), _knot_grid(m.h).size
+
+
+def _verdict(
+    m: Model, name: str, seed: int, viol: np.ndarray, passed: str,
+    failed: Callable[[int, int], str], **rows: np.ndarray,
+) -> CheckResult:
+    """A pass with detail ``passed`` when no sample violates; otherwise a
+    fail at the first violating sample i, with detail ``failed(i, count)``
+    and row i of every array in ``rows`` as its counterexample."""
+    bad = np.flatnonzero(viol)
+    if not bad.size:
+        return CheckResult(name=name, passed=True, n_samples=viol.size, seed=seed, detail=passed)
+    i = int(bad[0])
+    ce = _counterexample(m, i, seed, **{key: value[i] for key, value in rows.items()})
+    return CheckResult(
+        name=name, passed=False, n_samples=viol.size, seed=seed,
+        detail=f"violated at sample {i}: {failed(i, bad.size)}", counterexample=ce,
+    )
+
+
 # ---------------------------------------------------------------------------
 # sampled hypothesis checks
 
 
-def check_UB(m: Model, n_samples: int = 10_000, seed: int = 0) -> CheckResult:
+def check_UB(m: Model, n_samples: int = N_SAMPLES, seed: int = 0) -> CheckResult:
     """Upper bound of the functional by its linearization on ordered pairs.
 
     Draws 0 < phi <= psi (pointwise, enforced at the shared knots) with
     values log-uniform in (0, 2*kappa] and tests
     f(psi) - f(phi) <= f'(0)[psi - phi] with absolute slack.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    k = _knot_grid(m.h).size
+    rng, k = _sampling(m, n_samples, seed)
     hi = 2.0 * m.kappa
     psi = _log_uniform(rng, hi * 1e-6, hi, (n_samples, k))
     # shrink each knot by a log-uniform factor so phi <= psi everywhere
     phi = psi * _log_uniform(rng, 1e-4, 1.0, (n_samples, k))
     lhs = _f_batch(m, psi) - _f_batch(m, phi)
     rhs = _lin_batch(m, psi - phi)
-    bad = np.flatnonzero(lhs > rhs + SLACK)
-    if bad.size:
-        i = int(bad[0])
-        return CheckResult(
-            name="UB",
-            passed=False,
-            n_samples=n_samples,
-            seed=seed,
-            detail=(
-                f"violated at sample {i}: f(psi)-f(phi) = {lhs[i]:.6g} exceeds "
-                f"linearized bound {rhs[i]:.6g} ({bad.size} violations total)"
-            ),
-            counterexample=_counterexample(
-                m, i, seed, phi=phi[i], psi=psi[i], lhs=lhs[i], rhs=rhs[i]
-            ),
-        )
-    return CheckResult(
-        name="UB",
-        passed=True,
-        n_samples=n_samples,
-        seed=seed,
-        detail=f"no violation on {n_samples} ordered pairs with values in (0, {hi:.6g}]",
+    return _verdict(
+        m, "UB", seed, lhs > rhs + SLACK,
+        f"no violation on {n_samples} ordered pairs with values in (0, {hi:.6g}]",
+        lambda i, total: (
+            f"f(psi)-f(phi) = {lhs[i]:.6g} exceeds "
+            f"linearized bound {rhs[i]:.6g} ({total} violations total)"
+        ),
+        phi=phi, psi=psi, lhs=lhs, rhs=rhs,
     )
 
 
 def check_LB(
-    m: Model, epsilon: float = 0.1, n_samples: int = 10_000, seed: int = 0
+    m: Model, epsilon: float = EPSILON, n_samples: int = N_SAMPLES, seed: int = 0
 ) -> CheckResult:
     """Lower bound of the functional by the shaved delayed mass near 0.
 
@@ -233,10 +242,7 @@ def check_LB(
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    k = _knot_grid(m.h).size
+    rng, k = _sampling(m, n_samples, seed)
     vals = _log_uniform(rng, m.kappa * 1e-6, m.kappa, (n_samples, k))
     norms = _sup_norms(vals)
     lhs = m.lin.q * _values_at(m.h, vals, 0.0) + _f_batch(m, vals)
@@ -281,48 +287,31 @@ def check_LB(
     )
 
 
-def check_S(m: Model, n_samples: int = 10_000, seed: int = 0) -> CheckResult:
+def check_S(m: Model, n_samples: int = N_SAMPLES, seed: int = 0) -> CheckResult:
     """Smoothness modulus near 0 against the declared (K, alpha, delta).
 
     Tests |f(psi) - f(phi) - f'(0)[psi - phi]|
           <= K |psi - phi|_C (|phi|_C^alpha + |psi|_C^alpha)
     on independent pairs with norms below delta.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    rng, k = _sampling(m, n_samples, seed)
     K, alpha, delta = m.smoothness
-    rng = np.random.default_rng(seed)
-    k = _knot_grid(m.h).size
     hi = delta * (1.0 - 1e-9)
     phi = _log_uniform(rng, delta * 1e-6, hi, (n_samples, k))
     psi = _log_uniform(rng, delta * 1e-6, hi, (n_samples, k))
     rem = np.abs(_f_batch(m, psi) - _f_batch(m, phi) - _lin_batch(m, psi - phi))
     bound = K * _sup_norms(psi - phi) * (_sup_norms(phi) ** alpha + _sup_norms(psi) ** alpha)
-    bad = np.flatnonzero(rem > bound + SLACK)
-    if bad.size:
-        i = int(bad[0])
-        return CheckResult(
-            name="S",
-            passed=False,
-            n_samples=n_samples,
-            seed=seed,
-            detail=(
-                f"violated at sample {i}: remainder {rem[i]:.6g} exceeds modulus "
-                f"bound {bound[i]:.6g} with (K, alpha, delta) = ({K:g}, {alpha:g}, {delta:g})"
-            ),
-            counterexample=_counterexample(
-                m, i, seed, phi=phi[i], psi=psi[i], remainder=rem[i], bound=bound[i]
-            ),
-        )
-    return CheckResult(
-        name="S",
-        passed=True,
-        n_samples=n_samples,
-        seed=seed,
-        detail=(
+    return _verdict(
+        m, "S", seed, rem > bound + SLACK,
+        (
             f"remainder within K|psi-phi|(|phi|^a+|psi|^a) on {n_samples} pairs "
             f"below delta = {delta:g}"
         ),
+        lambda i, total: (
+            f"remainder {rem[i]:.6g} exceeds modulus "
+            f"bound {bound[i]:.6g} with (K, alpha, delta) = ({K:g}, {alpha:g}, {delta:g})"
+        ),
+        phi=phi, psi=psi, remainder=rem, bound=bound,
     )
 
 
@@ -546,18 +535,15 @@ def uniqueness_harness(
 
 def verify_model(
     m: Model,
-    n_samples: int = 10_000,
+    n_samples: int = N_SAMPLES,
     seed: int = 0,
-    epsilon: float = 0.1,
+    epsilon: float = EPSILON,
     c: float | None = None,
     n_seeds: int = 0,
-    solver_opts: SolverOptions | None = None,
 ) -> VerificationReport:
     """Run every hypothesis check and, when a speed is given, the profile
-    diagnostics and (for n_seeds >= 2) the uniqueness harness.
-
-    ``solver_opts`` go to both the diagnostic solve and the harness;
-    None keeps each one's default.  An ``n_seeds`` that would skip the
+    diagnostics and (for n_seeds >= 2) the uniqueness harness, each with
+    its default solver options.  An ``n_seeds`` that would skip the
     harness silently (1, negative, or >= 2 without a speed) raises
     ValueError."""
     if n_seeds == 1 or n_seeds < 0:
@@ -572,24 +558,18 @@ def verify_model(
 
     q_min = pi = None
     uniq: tuple[tuple[float, float], ...] = ()
-    excluded: tuple[int, ...] = ()
+    dropped: list[int] = []
     if c is not None:
-        sol = solve_profile(m, c, solver_opts or SolverOptions())
+        sol = solve_profile(m, c)
         if sol.converged:
             q_min, pi = diagnostics_Q(sol)
         if n_seeds >= 2:
-            dropped: list[int] = []
-            uniq = tuple(
-                uniqueness_harness(
-                    m, c, n_seeds, opts=solver_opts, seed=seed, on_exclude=dropped.append
-                )
-            )
-            excluded = tuple(dropped)
+            uniq = tuple(uniqueness_harness(m, c, n_seeds, seed=seed, on_exclude=dropped.append))
     return VerificationReport(
         model=m.name,
         hypotheses=hyp,
         q_min=q_min,
         pi_integral=pi,
         uniqueness=uniq,
-        excluded_seeds=excluded,
+        excluded_seeds=tuple(dropped),
     )

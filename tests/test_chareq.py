@@ -214,6 +214,29 @@ def test_dominance_nicholson_supercritical_and_critical():
     assert ce.dominance_check(NICH, NICH_C_STAR) is True
 
 
+# the (h, p, c - c*) points of nicholson, h in {0, 0.25, 0.5, 1, 1.5, 2},
+# p in {1.5, 2, 2.5, 3}, c - c* in {0, 1e-3, 1e-2}, where dominance fails
+# (may shares the linearization: q = 1 and weight p at -h).  The rectangle's
+# left edge passes 1e-3 from lambda1 while its boundary samples lie ~0.25
+# apart, so the phase turns by nearly 2*pi between two samples, the argument
+# walk accepts the aliased small increment, and the count is one zero where
+# there are two (ROADMAP item 2).
+UNCERTIFIED_DOMINANCE = [
+    (0.0, 1.5, 0.0), (0.0, 1.5, 1e-3), (0.0, 2.5, 0.0), (0.25, 2.5, 0.0),
+    (0.25, 2.5, 1e-3), (1.0, 1.5, 1e-3), (1.0, 3.0, 0.0), (1.0, 3.0, 1e-3),
+    (1.5, 2.0, 0.0), (1.5, 2.0, 1e-3), (1.5, 2.5, 0.0), (1.5, 2.5, 1e-3),
+    (1.5, 3.0, 0.0), (1.5, 3.0, 1e-3), (2.0, 2.0, 0.0), (2.0, 2.0, 1e-3),
+    (2.0, 2.5, 0.0), (2.0, 3.0, 1e-3),
+]
+
+
+@pytest.mark.xfail(strict=True, reason="aliased argument walk near c* (ROADMAP item 2)")
+@pytest.mark.parametrize("h, p, dc", UNCERTIFIED_DOMINANCE)
+def test_dominance_near_critical_speed(h, p, dc):
+    m = builtin_nicholson(h, p)
+    assert ce.dominance_check(m, ce.critical_speed(m)[0] + dc) is True
+
+
 def test_dominance_requires_real_roots():
     with pytest.raises(ce.SubcriticalError):
         ce.dominance_check(KPP, 1.5)

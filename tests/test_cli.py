@@ -4,6 +4,8 @@ Each test drives ``semifront.cli.main`` in-process with an explicit
 argv, captures the JSON it prints, and inspects the files it writes.
 """
 
+import dataclasses
+import inspect
 import json
 import math
 
@@ -16,9 +18,13 @@ from semifront.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_NUMERICS,
     EXIT_OK,
+    _resolve,
+    build_parser,
     main,
 )
 from semifront.model import builtin_nicholson
+from semifront.profile import SolverOptions
+from semifront.verify import EPSILON, N_SAMPLES, verify_model
 
 
 def run(capsys, *argv):
@@ -114,6 +120,38 @@ def test_unknown_flag_exits_2(capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "speed" in capsys.readouterr().out
+
+
+# ------------------------------------------------------------- config
+
+# every report's config holds command, model, outdir and c, plus exactly
+# the subcommand's own flags
+OWN_CONFIG_KEYS = {
+    "speed": set(),
+    "zeros": {"re_min", "re_max", "im_max"},
+    "profile": {"t_plus", "t_minus", "step", "tol", "max_iter", "accel_iter", "svg"},
+    "verify": {"n_samples", "seed", "epsilon", "n_seeds"},
+    "evolve": {"ic", "x0", "x_lo", "x_hi", "dx", "dt", "t_run", "compare"},
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(OWN_CONFIG_KEYS))
+def test_resolved_config_keys(cmd):
+    args = build_parser().parse_args([cmd, "--model", "kpp"])
+    assert set(_resolve(args, None)) == {"command", "model", "outdir", "c"} | OWN_CONFIG_KEYS[cmd]
+
+
+def test_flag_defaults_are_the_library_defaults():
+    parser = build_parser()
+    profile = vars(parser.parse_args(["profile"]))
+    solver = SolverOptions()
+    for f in dataclasses.fields(SolverOptions):
+        if f.name != "initial_phi":
+            assert profile[f.name] == getattr(solver, f.name), f.name
+    verify = vars(parser.parse_args(["verify"]))
+    params = inspect.signature(verify_model).parameters
+    assert verify["n_samples"] == params["n_samples"].default == N_SAMPLES
+    assert verify["epsilon"] == params["epsilon"].default == EPSILON
 
 
 # -------------------------------------------------------------- zeros

@@ -160,13 +160,18 @@ def test_up_crossing_matches_replaced_formulas(v, where):
 def test_pin_clamps_like_clip_then_pin(h, critical, monkeypatch):
     # an image below the floor in the tail and above the ceiling behind the
     # front: clamping only the nodes the pin reads gives what clamping the
-    # whole image first gives, on sub-step and whole-step translations
+    # whole image first gives, on sub-step and whole-step translations; the
+    # nodes a whole-step translation exposes read the clamped image's tail
+    # closure and last node exactly as its extension past the grid does,
+    # checked also with the default floor, which leaves the tail unclamped
     m = builtin_kpp(h)
     c = critical_speed(m)[0] if critical else 2.5
     base = solve_profile(m, c, SolverOptions(tol=1e-6))
     bounded = dataclasses.replace(m, bound=1.0 + 0.5 * (np.max(base.phi) - 1.0))
+    unclamped = _PinnedMap(m, c, SolverOptions())
     monkeypatch.setattr(profile_mod, "CLAMP_FLOOR", 1e-3)
     P = _PinnedMap(bounded, c, SolverOptions())
+    filled = set()
     for shift in (1.3, -2.7, 0.4, 3.0, -3.0):
         conv = P.raw(base.evaluate(base.t + shift * base.step))
         assert np.any(conv.values < P.floor) and np.any(conv.values > P.ceil)
@@ -180,8 +185,17 @@ def test_pin_clamps_like_clip_then_pin(h, critical, monkeypatch):
         out = P.pin(on_node)
         n, size = j - P.i_zero, v.size
         lo, hi = max(0, -n), min(size, size - n)
-        assert np.array_equal(out[lo:hi], np.clip(v, P.floor, P.ceil)[lo + n : hi + n])
-        assert np.array_equal(out, P.pin(dataclasses.replace(on_node, values=np.clip(v, P.floor, P.ceil))))
+        vc = np.clip(v, P.floor, P.ceil)
+        assert np.array_equal(out[lo:hi], vc[lo + n : hi + n])
+        assert np.array_equal(out, P.pin(dataclasses.replace(on_node, values=vc)))
+        # the pin's chord through nodes j-1 and j, which neither clamp moves
+        tc = float(P.t[j - 1]) + (0.5 - v[j - 1]) / ((0.5 - v[j - 1]) / P.step)
+        for Q in (P, unclamped):
+            out, vc = Q.pin(on_node), Q.clip(v)
+            extended = _extended(Q.t + tc, Q.t, vc, Q.tail_of(vc))
+            assert np.array_equal(out[:lo], extended[:lo]) and np.array_equal(out[hi:], extended[hi:])
+        filled.update({"head"} if lo else (), {"right"} if hi < size else ())
+    assert filled == {"head", "right"}
 
 
 def test_clamp_counts_are_those_of_the_final_raw_image(kpp_h2, monkeypatch):

@@ -83,9 +83,10 @@ def test_lower_bound_levels():
 def test_square_upper_bound_fails_with_counterexample():
     r = check_UB(builtin_square(), N)
     assert not r.passed
-    assert "violated" in r.detail
     ce = r.counterexample
     assert ce is not None
+    assert set(ce) == {"sample", "seed", "knots", "phi", "psi", "lhs", "rhs"}
+    assert r.detail.startswith(f"violated at sample {ce['sample']}: f(psi)-f(phi) = ")
     # replay the reported violation through the segment interface
     m = builtin_square()
     phi = HistorySegment(m.h, ce["phi"])
@@ -113,7 +114,9 @@ def test_understated_modulus_caught():
     )
     r = check_S(m, N)
     assert not r.passed
-    assert r.counterexample is not None
+    ce = r.counterexample
+    assert set(ce) == {"sample", "seed", "knots", "phi", "psi", "remainder", "bound"}
+    assert r.detail.startswith(f"violated at sample {ce['sample']}: remainder ")
 
 
 def test_wrong_equilibrium_caught():
@@ -306,8 +309,9 @@ def test_verify_model_with_profile_diagnostics():
     assert rep.uniqueness == ()
 
 
-@pytest.mark.parametrize("opts", [None, SolverOptions(tol=1e-8, t_plus=30.0)])
+@pytest.mark.parametrize("opts", [None])
 def test_verify_model_passes_solver_opts_to_harness(monkeypatch, opts):
+    # verify_model takes no solver options: the harness keeps its defaults
     import semifront.verify as verify_mod
 
     seen = []
@@ -317,5 +321,5 @@ def test_verify_model_passes_solver_opts_to_harness(monkeypatch, opts):
         return []
 
     monkeypatch.setattr(verify_mod, "uniqueness_harness", harness)
-    verify_model(builtin_kpp(1.0), n_samples=200, c=2.5, n_seeds=3, solver_opts=opts)
+    verify_model(builtin_kpp(1.0), n_samples=200, c=2.5, n_seeds=3)
     assert len(seen) == 1 and seen[0] is opts
