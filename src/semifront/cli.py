@@ -149,15 +149,6 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _model_config(args) -> dict:
-    cfg = {"name": args.model, "h": args.h}
-    for key in ("p", "z", "k"):
-        val = getattr(args, key)
-        if val is not None:
-            cfg[key] = val
-    return cfg
-
-
 @_config_errors()
 def _c_value(cfg) -> Optional[float]:
     """Numeric speed from the resolved config; None requests critical."""
@@ -168,16 +159,19 @@ def _c_value(cfg) -> Optional[float]:
 
 
 @_config_errors()
-def _resolve(args, c_default) -> dict:
+def _resolve(args) -> dict:
     """Defaults + flags, overridden by the --config file when given: the
-    model, the speed (a number, "critical", or ``c_default`` without
-    --c/--critical) and every flag of the subcommand's own."""
+    model, the speed (a number, "critical", or the subcommand's default
+    without --c/--critical) and every flag of the subcommand's own, each
+    converted with its flag's type (null only where the flag's default is)."""
     if args.critical and args.c is not None:
         raise _ConfigError("pass either --c or --critical, not both")
-    cfg: dict = {"command": args.cmd, "model": _model_config(args), "outdir": args.outdir}
+    shape = {key: getattr(args, key) for key in ("h", "p", "z", "k")}
+    model = {"name": args.model, **{key: val for key, val in shape.items() if val is not None}}
+    cfg: dict = {"command": args.cmd, "model": model, "outdir": args.outdir}
     c = "critical" if args.critical else args.c
-    cfg["c"] = c_default if c is None else c
-    cfg.update((dest, getattr(args, dest)) for dest in args._own)
+    cfg["c"] = args._c_default if c is None else c
+    cfg.update((flag.dest, getattr(args, flag.dest)) for flag in args._own)
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             overrides = json.load(fh)
@@ -185,6 +179,10 @@ def _resolve(args, c_default) -> dict:
             raise _ConfigError("config file must contain a JSON object")
         cfg = _merge(cfg, overrides)
         cfg["config_file"] = args.config
+        for flag in args._own:
+            val = cfg[flag.dest]
+            if flag.type is not None and (val is not None or flag.default is not None):
+                cfg[flag.dest] = flag.type(val)
     if not cfg.get("outdir"):
         cfg["outdir"] = os.environ.get("SEMIFRONT_OUTDIR") or "."
     cfg["outdir"] = os.fspath(cfg["outdir"])
@@ -299,30 +297,16 @@ def _svg_profile(sol: ProfileSolution, fit: DecayFit) -> str:
 # --------------------------------------------------------- subcommands
 
 
-def _cmd_speed(args) -> int:
-    cfg = _resolve(args, "critical")
-    m = _require_model(cfg, args)
-    report = analyze_speed(m, _c_value(cfg))
-    payload = {
-        "c": report.c,
-        "c_star": report.c_star,
-        "lambda1": report.lambda1,
-        "lambda2": report.lambda2,
-        "critical": report.critical,
-        "dominance_ok": report.dominance_ok,
-    }
-    _emit_json(cfg, payload, "speed")
+def _cmd_speed(cfg: dict, m: Model) -> int:
+    _emit_json(cfg, analyze_speed(m, _c_value(cfg))._asdict(), "speed")
     return EXIT_OK
 
 
-def _cmd_zeros(args) -> int:
-    cfg = _resolve(args, "critical")
-    m = _require_model(cfg, args)
+def _cmd_zeros(cfg: dict, m: Model) -> int:
     sa = analyze_speed(m, _c_value(cfg), check_dominance=False)
-    with _config_errors():
-        re_min = sa.lambda1 - DOMINANCE_EPS if cfg.get("re_min") is None else float(cfg["re_min"])
-        re_max = sa.lambda2 + 1e-3 if cfg.get("re_max") is None else float(cfg["re_max"])
-        im_max = 50.0 if cfg.get("im_max") is None else float(cfg["im_max"])
+    re_min = sa.lambda1 - DOMINANCE_EPS if cfg["re_min"] is None else cfg["re_min"]
+    re_max = sa.lambda2 + 1e-3 if cfg["re_max"] is None else cfg["re_max"]
+    im_max = 50.0 if cfg["im_max"] is None else cfg["im_max"]
     count = count_zeros_rect(m, sa.c, (re_min, re_max), im_max)
     payload = {
         "c": sa.c,
@@ -337,17 +321,10 @@ def _cmd_zeros(args) -> int:
     return EXIT_OK
 
 
-def _cmd_profile(args) -> int:
-    cfg = _resolve(args, "critical")
-    m = _require_model(cfg, args)
+def _cmd_profile(cfg: dict, m: Model) -> int:
     sa = analyze_speed(m, _c_value(cfg), check_dominance=False)
-    with _config_errors():
-        opts = SolverOptions(
-            t_minus=None if cfg.get("t_minus") is None else float(cfg["t_minus"]),
-            **{key: float(cfg[key]) for key in ("t_plus", "step", "tol")},
-            **{key: int(cfg[key]) for key in ("max_iter", "accel_iter")},
-        )
-    sol = solve_profile(m, sa.c, opts)
+    keys = ("t_minus", "t_plus", "step", "tol", "max_iter", "accel_iter")
+    sol = solve_profile(m, sa.c, SolverOptions(**{key: cfg[key] for key in keys}))
     fit = fit_decay(sol)
     oscillatory, crossings = detect_oscillation(sol)
     q_min = pi_integral = None
@@ -389,36 +366,25 @@ def _cmd_profile(args) -> int:
     return EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
 
 
-def _cmd_verify(args) -> int:
-    cfg = _resolve(args, None)
-    m = _require_model(cfg, args)
-    c_val = _c_value(cfg)
-    with _config_errors():
-        counts = {key: int(cfg[key]) for key in ("n_samples", "seed", "n_seeds")}
-        epsilon = float(cfg["epsilon"])
-    if cfg.get("c") == "critical":
-        c_val = critical_speed(m)[0]
-    report = verify_model(m, epsilon=epsilon, c=c_val, **counts)
+def _cmd_verify(cfg: dict, m: Model) -> int:
+    c_val = critical_speed(m)[0] if cfg["c"] == "critical" else _c_value(cfg)
+    opts = {key: cfg[key] for key in ("n_samples", "seed", "epsilon", "n_seeds")}
+    report = verify_model(m, c=c_val, **opts)
     _emit_json(cfg, report.to_dict(), "verify")
     return EXIT_OK if report.all_passed else EXIT_HYPOTHESIS
 
 
-def _cmd_evolve(args) -> int:
-    cfg = _resolve(args, "critical")
-    m = _require_model(cfg, args)
+def _cmd_evolve(cfg: dict, m: Model) -> int:
     sa = analyze_speed(m, _c_value(cfg), check_dominance=False)
-    with _config_errors():
-        x0 = float(cfg["x0"])
-        span = tuple(float(cfg[key]) for key in ("x_lo", "x_hi", "dx", "t_run"))
-        dt = None if cfg.get("dt") is None else float(cfg["dt"])
-    ic = cfg.get("ic")
+    ic = cfg["ic"]
     if ic == "tail":
-        u0 = tail_seed(m.kappa, sa.lambda1, x0)
+        u0 = tail_seed(m.kappa, sa.lambda1, cfg["x0"])
     elif ic == "step":
-        u0 = step_init(m.kappa, x0)
+        u0 = step_init(m.kappa, cfg["x0"])
     else:
         raise _ConfigError(f"unknown initial data kind {ic!r}; expected tail or step")
-    run = front_speed(m, u0, *span, dt=dt)
+    span = (cfg[key] for key in ("x_lo", "x_hi", "dx", "t_run"))
+    run = front_speed(m, u0, *span, dt=cfg["dt"])
 
     outdir = Path(cfg["outdir"])
     _write_csv(outdir / "track.csv", ("t", "x_half"), (run.times, run.positions))
@@ -451,9 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", metavar="command")
 
-    def command(name: str, help_: str, func):
-        """Add subcommand ``name`` with the common flags and --c/--critical;
-        the returned ``flag`` adds one of its own flags and records its dest."""
+    def command(name: str, help_: str, func, c_default: Optional[str] = "critical"):
+        """Add subcommand ``name`` with the common flags and --c/--critical
+        (``c_default`` without either); the returned ``flag`` adds one of
+        its own flags and records its action."""
         sp = sub.add_parser(name, help=help_, description=help_)
         sp.add_argument("--model", choices=list(MODEL_NAMES), help="model name")
         sp.add_argument("--h", type=float, default=0.0, help="delay span (default 0)")
@@ -464,11 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--outdir", help="output directory (default $SEMIFRONT_OUTDIR or '.')")
         sp.add_argument("--c", type=float, help="wave speed")
         sp.add_argument("--critical", action="store_true", help="use the critical speed")
-        own: list[str] = []
-        sp.set_defaults(func=func, cmd=name, _parser=sp, _own=own)
+        own: list[argparse.Action] = []
+        sp.set_defaults(func=func, cmd=name, _c_default=c_default, _parser=sp, _own=own)
 
         def flag(*names, **kwargs) -> None:
-            own.append(sp.add_argument(*names, **kwargs).dest)
+            own.append(sp.add_argument(*names, **kwargs))
 
         return flag
 
@@ -489,7 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
     flag("--accel-iter", type=int, default=solver.accel_iter, help="accelerated iteration budget")
     flag("--svg", action="store_true", help="also write an SVG figure")
 
-    flag = command("verify", "check the existence/uniqueness hypotheses by sampling", _cmd_verify)
+    flag = command(
+        "verify", "check the existence/uniqueness hypotheses by sampling", _cmd_verify, c_default=None
+    )
     flag("--n-samples", type=int, default=N_SAMPLES, help="samples per hypothesis")
     flag("--seed", type=int, default=0, help="base RNG seed")
     flag("--epsilon", type=float, default=EPSILON, help="lower-bound test level")
@@ -519,7 +488,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
     try:
-        return args.func(args)
+        cfg = _resolve(args)
+        return args.func(cfg, _require_model(cfg, args))
     except _ConfigError as exc:
         if exc.usage:
             sys.stderr.write(exc.usage)

@@ -15,7 +15,7 @@ nonlinearity handled here and keeps grid evaluation cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,23 +39,18 @@ __all__ = [
 class Measure:
     """Linearization data: the -q*phi(0) point mass plus delayed atoms.
 
-    ``atoms`` is a sequence of (location, weight) pairs with locations in
-    [-h, 0] and strictly positive weights.  The total delayed mass
-    p = sum of weights must exceed q (non-degeneracy).
+    ``atoms`` is a sequence of (location, weight) pairs with strictly
+    positive weights (the :class:`Model` holds the locations to [-h, 0]).
+    The total delayed mass p = sum of weights must exceed q (non-degeneracy).
     """
 
     q: float
     atoms: tuple[tuple[float, float], ...]
-    h: float
 
     def __post_init__(self):
         if self.q < 0:
             raise ValueError(f"q must be nonnegative, got {self.q}")
-        if self.h < 0:
-            raise ValueError(f"delay horizon must be nonnegative, got {self.h}")
-        for s, w in self.atoms:
-            if not (-self.h - 1e-12 <= s <= 1e-12):
-                raise ValueError(f"atom location {s} outside [-h, 0] = [{-self.h}, 0]")
+        for _, w in self.atoms:
             if w <= 0:
                 raise ValueError(f"atom weight must be positive, got {w}")
         if self.p <= self.q:
@@ -75,8 +70,9 @@ class Model:
     ``eval_points`` lists the history locations the functional reads and
     ``f_pointwise`` maps those point values (scalars or aligned numpy
     arrays) to the reaction value; both built-ins and config-defined
-    models are expressed this way.  ``bound`` is an a-priori sup bound
-    used by the profile solver's clamp.
+    models are expressed this way.  Read points and ``lin``'s atoms lie
+    in [-h, 0].  ``bound`` is an a-priori sup bound used by the profile
+    solver's clamp.
     """
 
     name: str
@@ -87,11 +83,13 @@ class Model:
     kappa: float
     smoothness: tuple[float, float, float]  # (K, alpha, delta)
     bound: float
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.h < 0:
-            raise ValueError("delay horizon must be nonnegative")
+            raise ValueError("delay must be nonnegative")
+        for s, _ in self.lin.atoms:
+            if not (-self.h - 1e-12 <= s <= 1e-12):
+                raise ValueError(f"atom location {s} outside [-h, 0] = [{-self.h}, 0]")
         for s in self.eval_points:
             if not (-self.h - 1e-12 <= s <= 1e-12):
                 raise ValueError(f"read point {s} outside [-h, 0]")
@@ -100,8 +98,6 @@ class Model:
         K, alpha, delta = self.smoothness
         if K <= 0 or alpha <= 0 or delta <= 0:
             raise ValueError("smoothness constants (K, alpha, delta) must be positive")
-        if abs(self.lin.h - self.h) > 1e-12:
-            raise ValueError("linearization horizon differs from model horizon")
 
     def f_const(self, x):
         """Reaction on the constant segment x (vectorized in x)."""
@@ -116,8 +112,6 @@ class Model:
 
 def builtin_kpp(h: float) -> Model:
     """Delayed logistic reaction f(phi) = phi(0)*(1 - phi(-h)), kappa = 1."""
-    if h < 0:
-        raise ValueError("delay must be nonnegative")
 
     def f(v0, vh):
         return v0 * (1.0 - vh)
@@ -131,11 +125,10 @@ def builtin_kpp(h: float) -> Model:
         h=h,
         eval_points=(0.0, -h),
         f_pointwise=f,
-        lin=Measure(q=0.0, atoms=((0.0, 1.0),), h=h),
+        lin=Measure(q=0.0, atoms=((0.0, 1.0),)),
         kappa=1.0,
         smoothness=(1.0, 1.0, 1.0),
         bound=2.0 * math.exp(h),
-        params={"h": h},
     )
 
 
@@ -144,32 +137,20 @@ def builtin_mackey_glass(
     g: Callable,
     g_prime_0: float,
     kappa: float,
+    smoothness: tuple[float, float, float],
+    bound: float,
     name: str = "mackey_glass",
-    smoothness: tuple[float, float, float] | None = None,
-    bound: float | None = None,
-    params: dict | None = None,
 ) -> Model:
     """Reaction f(phi) = -phi(0) + g(phi(-h)) for a birth function g.
 
     g must fix 0 and kappa and satisfy g'(0) > 1, which makes the
     linearization -phi(0) + g'(0) phi(-h) non-degenerate (p = g'(0) > q = 1).
+    ``smoothness`` and ``bound`` depend on g beyond g'(0); the caller states both.
     """
-    if h < 0:
-        raise ValueError("delay must be nonnegative")
     if g_prime_0 <= 1.0:
         raise ValueError(
             f"g'(0) = {g_prime_0} <= 1: delayed mass would not exceed the instantaneous loss"
         )
-    if smoothness is None:
-        # half the sup of |g''| near 0, probed by central differences
-        delta = min(0.5, kappa / 2.0)
-        xs = np.linspace(0.0, delta, 101)
-        eps = 1e-5
-        g2 = np.abs(
-            (np.asarray(g(xs + eps)) - 2.0 * np.asarray(g(xs)) + np.asarray(g(np.maximum(xs - eps, 0.0))))
-            / eps**2
-        )
-        smoothness = (max(float(np.max(g2)) / 2.0, 1e-6), 1.0, delta)
 
     def f(v0, vh):
         return -v0 + g(vh)
@@ -179,11 +160,10 @@ def builtin_mackey_glass(
         h=h,
         eval_points=(0.0, -h),
         f_pointwise=f,
-        lin=Measure(q=1.0, atoms=((-h, g_prime_0),), h=h),
+        lin=Measure(q=1.0, atoms=((-h, g_prime_0),)),
         kappa=kappa,
         smoothness=smoothness,
-        bound=bound if bound is not None else 4.0 * kappa,
-        params=params or {"h": h},
+        bound=bound,
     )
 
 
@@ -207,7 +187,6 @@ def builtin_nicholson(h: float, p: float) -> Model:
         name="nicholson",
         smoothness=(K, 1.0, delta),
         bound=max(kappa, p * math.exp(-1.0)) * 1.5,
-        params={"h": h, "p": p},
     )
 
 
@@ -235,7 +214,6 @@ def builtin_may(h: float, p: float, z: float, k: float) -> Model:
         name="may",
         smoothness=(max(K, 1e-6), 1.0, delta),
         bound=k,
-        params={"h": h, "p": p, "z": z, "k": k},
     )
 
 
@@ -256,11 +234,10 @@ def builtin_square(h: float = 0.0) -> Model:
         h=h,
         eval_points=(0.0,),
         f_pointwise=f,
-        lin=Measure(q=0.0, atoms=((0.0, 1.0),), h=h),
+        lin=Measure(q=0.0, atoms=((0.0, 1.0),)),
         kappa=1.0,
         smoothness=(1.0, 1.0, 1.0),
         bound=4.0,
-        params={"h": h},
     )
 
 
@@ -315,11 +292,10 @@ def _custom_model(cfg: dict) -> Model:
         h=h,
         eval_points=points,
         f_pointwise=f,
-        lin=Measure(q=float(cfg.get("q", 0.0)), atoms=atoms, h=h),
+        lin=Measure(q=float(cfg.get("q", 0.0)), atoms=atoms),
         kappa=kappa,
         smoothness=(float(K), float(alpha), float(delta)),
         bound=float(cfg.get("bound", 4.0 * kappa)),
-        params=dict(cfg),
     )
 
 

@@ -75,7 +75,8 @@ class SolverOptions:
     ``t_minus=None`` places the left edge at -40/lambda1 (rounded to the
     grid), deep enough that the exponential tail is below double noise.
     ``tol`` bounds the absolute sup-norm residual sup|P(phi) - phi| (not
-    scaled by kappa); a solve counts as converged at residual <= 2*tol.
+    scaled by kappa); a solve counts as converged at residual <= 2*tol
+    when its final raw image needed no clamp.
     ``max_iter`` and ``accel_iter`` budget the damped and the Anderson
     stage; each stage's own parameters are module constants (see the
     module docstring for why they have one value).
@@ -512,7 +513,8 @@ def solve_profile(
         residual=res,
         drift=drift,
         iterations=n_damped + n_accel,
-        converged=res <= 2.0 * opts.tol,
+        # a clamped image is not A(phi): the solve then rests on the clamp
+        converged=res <= 2.0 * opts.tol and clamp_low == clamp_high == 0,
         clamp_low=clamp_low,
         clamp_high=clamp_high,
         residual_history=history,

@@ -81,9 +81,6 @@ class CheckResult:
     detail: str
     counterexample: dict | None = None
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -109,18 +106,8 @@ class VerificationReport:
         return all(r.passed for r in self.hypotheses.values())
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "all_passed": self.all_passed,
-            "hypotheses": {k: r.to_dict() for k, r in self.hypotheses.items()},
-            "q_min": self.q_min,
-            "pi_integral": self.pi_integral,
-            "uniqueness": [
-                {"shift": s, "sup_distance": d} for s, d in self.uniqueness
-            ],
-            "excluded_seeds": list(self.excluded_seeds),
-            "note": self.note,
-        }
+        uniqueness = [{"shift": s, "sup_distance": d} for s, d in self.uniqueness]
+        return {**dataclasses.asdict(self), "all_passed": self.all_passed, "uniqueness": uniqueness}
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +437,9 @@ def _harness_seeds(
     n_seeds: int, grid: np.ndarray, lam: float, kappa: float, rng
 ) -> list[np.ndarray | None]:
     """Distinct initial guesses: scaled tails, shifted pins, bounded noise."""
-    base = np.minimum(kappa, 0.5 * kappa * np.exp(lam * grid))
+
+    def tail(scale: float, shift: float = 0.0) -> np.ndarray:
+        return np.minimum(kappa, scale * 0.5 * kappa * np.exp(lam * (grid - shift)))
 
     def wavy() -> np.ndarray:
         # bounded multiplicative noise built from a few long-wavelength
@@ -462,21 +451,17 @@ def _harness_seeds(
             pert += rng.uniform(-1.0, 1.0) * np.cos(
                 rng.uniform(0.1, 1.0) * grid + rng.uniform(0.0, 2.0 * np.pi)
             )
-        return base * (1.0 + 0.25 * pert / np.max(np.abs(pert)))
+        return tail(1.0) * (1.0 + 0.25 * pert / np.max(np.abs(pert)))
 
-    seeds: list[np.ndarray | None] = [None]  # the solver default
     makers: list[Callable[[], np.ndarray]] = [
-        lambda: np.minimum(kappa, 2.0 * 0.5 * kappa * np.exp(lam * grid)),
-        lambda: np.minimum(kappa, 0.25 * kappa * np.exp(lam * grid)),
-        lambda: np.minimum(kappa, 0.5 * kappa * np.exp(lam * (grid - 2.0))),
+        lambda: tail(2.0),
+        lambda: tail(0.5),
+        lambda: tail(1.0, 2.0),
         wavy,
-        lambda: np.minimum(
-            kappa, rng.uniform(0.25, 4.0) * 0.5 * kappa * np.exp(lam * (grid - rng.uniform(-3.0, 3.0)))
-        ),
+        lambda: tail(rng.uniform(0.25, 4.0), rng.uniform(-3.0, 3.0)),
     ]
-    for i in range(1, n_seeds):
-        seeds.append(makers[min(i - 1, 3)]() if i <= 4 else makers[4]())
-    return seeds
+    # the solver default first, then each maker once, the last one repeated
+    return [None] + [makers[min(i, len(makers) - 1)]() for i in range(n_seeds - 1)]
 
 
 def uniqueness_harness(

@@ -78,7 +78,9 @@ def test_kpp_subcritical_returns_none():
 
 def test_zero_delay_models_reduce_to_quadratic():
     # with every atom at s=0 chi is literally z^2 - cz + (p - q)
-    m = builtin_mackey_glass(0.0, lambda u: 2.0 * u - u * u, g_prime_0=2.0, kappa=1.0)
+    m = builtin_mackey_glass(
+        0.0, lambda u: 2.0 * u - u * u, g_prime_0=2.0, kappa=1.0, smoothness=(1.0, 1.0, 0.5), bound=4.0
+    )
     for c in (2.1, 3.0, 5.5):
         disc = math.sqrt(c * c - 4.0)
         rr = ce.real_roots(m, c)
@@ -102,7 +104,7 @@ def test_root_ordering_and_sign_change():
     dc=st.floats(0.01, 3.0),
 )
 def test_root_residual_invariant(q, w, s, dc):
-    mu = Measure(q=q, atoms=((s, q + w),), h=-s if s < 0 else 0.0)
+    mu = Measure(q=q, atoms=((s, q + w),))
     c_star, _ = ce.critical_speed_bisection(mu)
     rr = ce.real_roots(mu, c_star + dc)
     assert rr is not None
@@ -133,7 +135,9 @@ def test_kpp_critical_speed_all_delays(h):
 
 
 def test_mg_zero_delay_reduces_to_kpp_values():
-    m = builtin_mackey_glass(0.0, lambda u: 2.0 * u - u * u, g_prime_0=2.0, kappa=1.0)
+    m = builtin_mackey_glass(
+        0.0, lambda u: 2.0 * u - u * u, g_prime_0=2.0, kappa=1.0, smoothness=(1.0, 1.0, 0.5), bound=4.0
+    )
     c_star, lam_star = ce.critical_speed(m)
     assert c_star == pytest.approx(2.0, abs=1e-12)
     assert lam_star == pytest.approx(1.0, abs=1e-12)

@@ -138,7 +138,7 @@ OWN_CONFIG_KEYS = {
 @pytest.mark.parametrize("cmd", sorted(OWN_CONFIG_KEYS))
 def test_resolved_config_keys(cmd):
     args = build_parser().parse_args([cmd, "--model", "kpp"])
-    assert set(_resolve(args, None)) == {"command", "model", "outdir", "c"} | OWN_CONFIG_KEYS[cmd]
+    assert set(_resolve(args)) == {"command", "model", "outdir", "c"} | OWN_CONFIG_KEYS[cmd]
 
 
 def test_flag_defaults_are_the_library_defaults():
@@ -210,6 +210,18 @@ def test_profile_nonconvergence_still_writes(tmp_path, capsys):
     assert doc["q_min"] is None
     assert (tmp_path / "profile.csv").exists()
     assert (tmp_path / "profile.json").exists()
+
+
+def test_clamped_profile_is_not_converged(tmp_path, capsys):
+    # at h = 4 the default solve meets the residual tolerance only on nodes
+    # held at the clamp floor; such a profile does not solve phi = A(phi)
+    code, doc = run_json(
+        capsys, "profile", "--model", "kpp", "--h", "4", "--c", "2.5", "--outdir", str(tmp_path),
+    )
+    assert code == EXIT_NO_CONVERGENCE
+    assert doc["converged"] is False
+    assert doc["clamped_low"] > 0
+    assert doc["q_min"] is None and doc["pi_integral"] is None
 
 
 def test_profile_reruns_are_byte_identical(tmp_path, capsys):
@@ -308,6 +320,49 @@ def test_bad_config_values_exit_2(tmp_path, capsys, argv, override):
     code, _, err = run(capsys, *argv, "--config", str(cfg), "--outdir", str(tmp_path))
     assert code == EXIT_CONFIG
     assert err.startswith("error:")
+
+
+def test_config_values_take_their_flag_type(tmp_path, capsys):
+    # a config value is converted, and echoed, with its flag's type
+    argv = ("profile", "--model", "kpp", "--c", "2.5", "--step", "0.05")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"t_plus": 30}))
+    code, doc = run_json(capsys, *argv, "--config", str(cfg), "--outdir", str(tmp_path / "a"))
+    assert code == EXIT_OK
+    assert doc["config"]["t_plus"] == 30.0 and isinstance(doc["config"]["t_plus"], float)
+    code, ref = run_json(capsys, *argv, "--t-plus", "30", "--outdir", str(tmp_path / "b"))
+    assert code == EXIT_OK
+    for d in (doc, ref):
+        d.pop("config")
+    assert doc == ref
+    assert (tmp_path / "a" / "profile.csv").read_bytes() == (tmp_path / "b" / "profile.csv").read_bytes()
+
+
+def _error_of(convert, value) -> str:
+    try:
+        convert(value)
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    raise AssertionError(f"{convert.__name__}({value!r}) did not raise")
+
+
+@pytest.mark.parametrize(
+    "argv, override, message",
+    [
+        (("profile", "--model", "kpp", "--c", "2.5"), {"tol": None}, _error_of(float, None)),
+        (("profile", "--model", "kpp", "--c", "2.5"), {"t_plus": "abc"}, _error_of(float, "abc")),
+        (
+            ("evolve", "--model", "kpp", "--c", "2.5"), {"ic": "wave"},
+            "unknown initial data kind 'wave'; expected tail or step",
+        ),
+    ],
+)
+def test_bad_typed_config_values_exit_2(tmp_path, capsys, argv, override, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(override))
+    code, out, err = run(capsys, *argv, "--config", str(cfg), "--outdir", str(tmp_path))
+    assert code == EXIT_CONFIG and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_library_type_error_is_not_a_config_error(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,16 +23,16 @@ from oracles import HistorySegment, eval_f, eval_lin
 
 
 def test_measure_mass_and_validation():
-    mu = Measure(q=0.5, atoms=((0.0, 1.0), (-1.0, 1.0)), h=1.0)
+    mu = Measure(q=0.5, atoms=((0.0, 1.0), (-1.0, 1.0)))
     assert mu.p == 2.0
     with pytest.raises(ValueError):
-        Measure(q=-0.1, atoms=((0.0, 1.0),), h=0.0)
+        Measure(q=-0.1, atoms=((0.0, 1.0),))
     with pytest.raises(ValueError):
-        Measure(q=0.0, atoms=((0.0, -1.0),), h=0.0)
+        Measure(q=0.0, atoms=((0.0, -1.0),))
+    with pytest.raises(ValueError, match="atom location"):  # outside [-h, 0]: the model owns h
+        dataclasses.replace(builtin_kpp(1.0), lin=Measure(q=0.0, atoms=((-2.0, 1.0),)))
     with pytest.raises(ValueError):
-        Measure(q=0.0, atoms=((-2.0, 1.0),), h=1.0)  # atom outside [-h, 0]
-    with pytest.raises(ValueError):
-        Measure(q=2.0, atoms=((0.0, 1.0),), h=0.0)  # p <= q
+        Measure(q=2.0, atoms=((0.0, 1.0),))  # p <= q
 
 
 # ------------------------------------------------------- history segments
@@ -128,7 +129,9 @@ def test_may_equilibrium_closed_form():
 
 def test_mackey_glass_rejects_flat_birth():
     with pytest.raises(ValueError):
-        builtin_mackey_glass(1.0, lambda u: 0.5 * u, g_prime_0=0.5, kappa=1.0)
+        builtin_mackey_glass(
+            1.0, lambda u: 0.5 * u, g_prime_0=0.5, kappa=1.0, smoothness=(1.0, 1.0, 0.5), bound=4.0
+        )
 
 
 def test_square_model_has_overstated_linearization():

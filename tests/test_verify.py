@@ -18,6 +18,7 @@ from semifront.kernel import pl_exp_integral
 from semifront.profile import SolverOptions, solve_profile
 from semifront.verify import (
     FALSIFICATION_NOTE,
+    _harness_seeds,
     _sup_distance,
     align_profiles,
     check_LB,
@@ -110,7 +111,7 @@ def test_understated_modulus_caught():
     # the true curvature of the birth function
     m = builtin_mackey_glass(
         0.5, lambda u: 2.0 * u * (1.0 - u), g_prime_0=2.0, kappa=0.5,
-        smoothness=(1e-9, 1.0, 0.25),
+        smoothness=(1e-9, 1.0, 0.25), bound=2.0,
     )
     r = check_S(m, N)
     assert not r.passed
@@ -123,6 +124,7 @@ def test_wrong_equilibrium_caught():
     # the birth function fixes 1/2, the model declares 0.6
     m = builtin_mackey_glass(
         0.5, lambda u: 2.0 * u * (1.0 - u), g_prime_0=2.0, kappa=0.6,
+        smoothness=(2.0, 1.0, 0.3), bound=2.4,
     )
     structure = check_structure(m)
     assert not structure["M"].passed
@@ -280,6 +282,48 @@ def test_harness_reports_exclusions():
 def test_harness_needs_two_seeds():
     with pytest.raises(ValueError):
         uniqueness_harness(builtin_kpp(0.0), 2.5, 1)
+
+
+def _reference_seeds(n_seeds, grid, lam, kappa, rng):
+    """The harness starts written out one formula each, as they read before
+    the starts shared one tail formula."""
+    base = np.minimum(kappa, 0.5 * kappa * np.exp(lam * grid))
+
+    def wavy():
+        pert = np.zeros_like(grid)
+        for _ in range(4):
+            pert += rng.uniform(-1.0, 1.0) * np.cos(
+                rng.uniform(0.1, 1.0) * grid + rng.uniform(0.0, 2.0 * np.pi)
+            )
+        return base * (1.0 + 0.25 * pert / np.max(np.abs(pert)))
+
+    seeds = [None]
+    makers = [
+        lambda: np.minimum(kappa, 2.0 * 0.5 * kappa * np.exp(lam * grid)),
+        lambda: np.minimum(kappa, 0.25 * kappa * np.exp(lam * grid)),
+        lambda: np.minimum(kappa, 0.5 * kappa * np.exp(lam * (grid - 2.0))),
+        wavy,
+        lambda: np.minimum(
+            kappa, rng.uniform(0.25, 4.0) * 0.5 * kappa * np.exp(lam * (grid - rng.uniform(-3.0, 3.0)))
+        ),
+    ]
+    for i in range(1, n_seeds):
+        seeds.append(makers[min(i - 1, 3)]() if i <= 4 else makers[4]())
+    return seeds
+
+
+def test_harness_starts_match_reference_formulas():
+    # seven starts reach the random tail twice; the draws keep their order,
+    # so the generators end in the same state
+    grid = np.linspace(-60.0, 40.0, 5001)
+    rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+    got = _harness_seeds(7, grid, 0.4321, 1.37, rng_a)
+    want = _reference_seeds(7, grid, 0.4321, 1.37, rng_b)
+    assert got[0] is None and want[0] is None
+    assert len(got) == len(want) == 7
+    for a, b in zip(got[1:], want[1:]):
+        assert np.array_equal(a, b)
+    assert rng_a.random() == rng_b.random()
 
 
 # ------------------------------------------------------------- aggregator
