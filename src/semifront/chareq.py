@@ -5,6 +5,9 @@ e^{z t} leads to the exponential polynomial
 
     chi(z, c) = z^2 - c z - q + sum_j w_j e^{c z s_j},       s_j in [-h, 0].
 
+Every function takes a :class:`~semifront.model.Model` (chi reads its
+``lin``); :func:`eval_chi` is chi's one implementation.
+
 Restricted to real z, chi is strictly convex (chi_zz >= 2), so it has at
 most two real zeros 0 < lambda1 <= lambda2; they exist iff the speed c
 reaches the critical speed c*, at which the two collide into a double
@@ -29,7 +32,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._brentq import brentq
-from .model import Measure, Model
+from .model import Model
 
 __all__ = [
     "SpeedAnalysis",
@@ -66,61 +69,54 @@ class SubcriticalError(ValueError):
     """Operation requires real characteristic roots (c >= c*)."""
 
 
-def _mu(m) -> Measure:
-    return m.lin if isinstance(m, Model) else m
-
-
 # ------------------------------------------------------------ evaluation
 #
 # All partials below are plain calculus on chi; each accepts scalar or
 # ndarray z (complex allowed) with a fixed scalar c.
 
 
-def _atom_sum(m, z, c: float, base, factor):
+def _atom_sum(m: Model, z, c: float, base, factor):
     """base(z) + sum_j factor(s_j, w_j, z) e^{c s_j z} over the delayed atoms."""
     z = np.asarray(z)
     out = base(z)
-    for s, w in _mu(m).atoms:
+    for s, w in m.lin.atoms:
         out = out + factor(s, w, z) * np.exp(c * s * z)
     return out if out.ndim else out[()]
 
 
-def eval_chi(m, z, c: float):
-    q = _mu(m).q
-    return _atom_sum(m, z, c, lambda z: z * z - c * z - q, lambda s, w, z: w)
+def eval_chi(m: Model, z, c: float):
+    return _atom_sum(m, z, c, lambda z: z * z - c * z - m.lin.q, lambda s, w, z: w)
 
 
-def chi_dz(m, z, c: float):
+def chi_dz(m: Model, z, c: float):
     return _atom_sum(m, z, c, lambda z: 2.0 * z - c, lambda s, w, z: w * (c * s))
 
 
-def chi_dzz(m, z, c: float):
+def chi_dzz(m: Model, z, c: float):
     def base(z):
         return np.full_like(z, 2.0, dtype=np.result_type(z, float))
 
     return _atom_sum(m, z, c, base, lambda s, w, z: w * (c * s) ** 2)
 
 
-def chi_dc(m, z, c: float):
+def chi_dc(m: Model, z, c: float):
     return _atom_sum(m, z, c, lambda z: -z + 0.0, lambda s, w, z: w * (s * z))
 
 
-def chi_dzc(m, z, c: float):
+def chi_dzc(m: Model, z, c: float):
     def base(z):
         return np.full_like(z, -1.0, dtype=np.result_type(z, float))
 
     return _atom_sum(m, z, c, base, lambda s, w, z: w * s * (1.0 + c * s * z))
 
 
-def zero_modulus_bound(m, c: float) -> float:
+def zero_modulus_bound(m: Model, c: float) -> float:
     """|z| bound for zeros of chi(., c) in the closed right half plane.
 
     If chi(z,c)=0 and Re z >= 0 then |e^{czs_j}| <= 1, so
     |z^2 - cz| <= q + p and |z| <= (c + sqrt(c^2 + 4(q+p)))/2.
     """
-    mu = _mu(m)
-    s = mu.q + mu.p
-    return 0.5 * (c + math.sqrt(c * c + 4.0 * s))
+    return 0.5 * (c + math.sqrt(c * c + 4.0 * (m.lin.q + m.lin.p)))
 
 
 # ------------------------------------------------------------ real roots
@@ -132,7 +128,7 @@ class RealRoots(NamedTuple):
     critical: bool
 
 
-def char_min(m, c: float) -> tuple[float, float]:
+def char_min(m: Model, c: float) -> tuple[float, float]:
     """(argmin, min) of chi(., c) over real z.
 
     chi_z is strictly increasing with chi_z(0) = -c - c*sum w_j|s_j| < 0,
@@ -140,19 +136,18 @@ def char_min(m, c: float) -> tuple[float, float]:
     """
     if c <= 0:
         raise ValueError("speed must be positive")
-    mu = _mu(m)
-    b = max(1.0, 0.5 * (c + math.sqrt(c * c + 4.0 * mu.q)))
+    b = max(1.0, 0.5 * (c + math.sqrt(c * c + 4.0 * m.lin.q)))
     for _ in range(80):
-        if chi_dz(mu, b, c) > 0:
+        if chi_dz(m, b, c) > 0:
             break
         b *= 2.0
     else:  # chi_z(z) >= 2z - c - c p h eventually positive; unreachable
         raise RuntimeError("could not bracket the characteristic minimum")
-    z_min = brentq(lambda z: chi_dz(mu, z, c), 0.0, b, xtol=1e-14, rtol=4e-15)
-    return float(z_min), float(eval_chi(mu, z_min, c))
+    z_min = brentq(lambda z: chi_dz(m, z, c), 0.0, b, xtol=1e-14, rtol=4e-15)
+    return float(z_min), float(eval_chi(m, z_min, c))
 
 
-def real_roots(m, c: float) -> Optional[RealRoots]:
+def real_roots(m: Model, c: float) -> Optional[RealRoots]:
     """The two positive real zeros lambda1 <= lambda2 of chi(., c), or None.
 
     None means subcritical: the convex minimum of chi stays positive, so
@@ -160,19 +155,18 @@ def real_roots(m, c: float) -> Optional[RealRoots]:
     flagged critical.  Near-critical minima within the merge band of zero
     are treated as a double root at the minimizer (either sign).
     """
-    mu = _mu(m)
-    z_min, chi_min = char_min(mu, c)
+    z_min, chi_min = char_min(m, c)
     sep_tol = DOUBLE_ROOT_RTOL * max(1.0, z_min)
     # chi ~ chi_min + (z - z_min)^2 chi_zz/2 near the minimum, so a root
     # separation below sep_tol corresponds to |chi_min| below this band:
-    band = 0.5 * float(chi_dzz(mu, z_min, c)) * (0.5 * sep_tol) ** 2
+    band = 0.5 * float(chi_dzz(m, z_min, c)) * (0.5 * sep_tol) ** 2
     if chi_min > band:
         return None
     if chi_min >= -band:
         return RealRoots(z_min, z_min, True)
 
-    hi = 0.5 * (c + math.sqrt(c * c + 4.0 * mu.q))  # chi > z^2-cz-q ⇒ roots < hi
-    f = lambda z: float(eval_chi(mu, z, c))
+    hi = 0.5 * (c + math.sqrt(c * c + 4.0 * m.lin.q))  # chi > z^2-cz-q ⇒ roots < hi
+    f = lambda z: float(eval_chi(m, z, c))
     if f(hi) <= 0.0:  # exponential tail underflowed; nudge out
         hi = hi * (1.0 + 1e-12) + 1e-12
     l1 = brentq(f, 0.0, z_min, xtol=1e-14, rtol=4e-15)
@@ -186,7 +180,7 @@ def real_roots(m, c: float) -> Optional[RealRoots]:
 # ------------------------------------------------------- critical speed
 
 
-def critical_speed_bisection(m) -> tuple[float, float]:
+def critical_speed_bisection(m: Model) -> tuple[float, float]:
     """(c*, lambda*) by bisection on the sign of min_z chi(z, c).
 
     The minimum is strictly decreasing in c (chi_c < 0 at positive z), is
@@ -194,31 +188,31 @@ def critical_speed_bisection(m) -> tuple[float, float]:
     2*sqrt(p - q), so the sign change brackets c*, which is bisected to
     1e-12 relative.
     """
-    mu = _mu(m)
-    c_hi = 2.0 * math.sqrt(mu.p - mu.q)
-    z_hi, m_hi = char_min(mu, c_hi)
+    p, q = m.lin.p, m.lin.q
+    c_hi = 2.0 * math.sqrt(p - q)
+    z_hi, m_hi = char_min(m, c_hi)
     # min chi(., c_hi) <= 0 always, with equality iff all atoms sit at lag 0;
     # a tiny |min| is that equality up to roundoff, so c_hi IS the answer
-    if abs(m_hi) <= 1e-11 * (1.0 + mu.p + mu.q):
+    if abs(m_hi) <= 1e-11 * (1.0 + p + q):
         return c_hi, z_hi
     c_lo = 1e-8
-    _, m_lo = char_min(mu, c_lo)
+    _, m_lo = char_min(m, c_lo)
     if m_lo <= 0 or m_hi > 0:
         raise RuntimeError("critical-speed bracket failed; degenerate linearization?")
     while c_hi - c_lo > 1e-12 * max(1.0, c_hi):
         c_mid = 0.5 * (c_lo + c_hi)
-        _, m_mid = char_min(mu, c_mid)
+        _, m_mid = char_min(m, c_mid)
         if m_mid > 0:
             c_lo = c_mid
         else:
             c_hi = c_mid
     c_star = 0.5 * (c_lo + c_hi)
-    z_min, _ = char_min(mu, c_star)
+    z_min, _ = char_min(m, c_star)
     return float(c_star), float(z_min)
 
 
 def critical_speed_newton(
-    m, guess: tuple[float, float] | None = None
+    m: Model, guess: tuple[float, float] | None = None
 ) -> tuple[float, float, int, float]:
     """(c*, lambda*, iterations, residual) from damped Newton on the
     double-root system chi(lam, c) = 0, chi_z(lam, c) = 0.
@@ -228,24 +222,24 @@ def critical_speed_newton(
     default start is the zero-delay closed form lam = sqrt(p-q), c = 2 lam.
     Converged at |(chi, chi_z)| <= 1e-13 (1 + p + q), within 100 steps.
     """
-    mu = _mu(m)
+    p, q = m.lin.p, m.lin.q
     if guess is None:
-        lam0 = math.sqrt(mu.p - mu.q)
+        lam0 = math.sqrt(p - q)
         lam, c = lam0, 2.0 * lam0
     else:
         lam, c = guess
-    tol = 1e-13 * (1.0 + mu.p + mu.q)
+    tol = 1e-13 * (1.0 + p + q)
     fnorm = math.inf
     for it in range(100):
-        F0 = float(eval_chi(mu, lam, c))
-        F1 = float(chi_dz(mu, lam, c))
+        F0 = float(eval_chi(m, lam, c))
+        F1 = float(chi_dz(m, lam, c))
         fnorm = math.hypot(F0, F1)
         if fnorm <= tol:
             return float(c), float(lam), it, fnorm
-        J00 = float(chi_dz(mu, lam, c))
-        J01 = float(chi_dc(mu, lam, c))
-        J10 = float(chi_dzz(mu, lam, c))
-        J11 = float(chi_dzc(mu, lam, c))
+        J00 = float(chi_dz(m, lam, c))
+        J01 = float(chi_dc(m, lam, c))
+        J10 = float(chi_dzz(m, lam, c))
+        J11 = float(chi_dzc(m, lam, c))
         det = J00 * J11 - J01 * J10
         if det == 0.0:
             break
@@ -256,7 +250,7 @@ def critical_speed_newton(
             lam_n, c_n = lam + alpha * dlam, c + alpha * dc
             if lam_n > 0 and c_n > 0:
                 fn = math.hypot(
-                    float(eval_chi(mu, lam_n, c_n)), float(chi_dz(mu, lam_n, c_n))
+                    float(eval_chi(m, lam_n, c_n)), float(chi_dz(m, lam_n, c_n))
                 )
                 if fn < fnorm * (1.0 - 1e-4 * alpha) or fn <= tol:
                     lam, c = lam_n, c_n
@@ -267,7 +261,7 @@ def critical_speed_newton(
     raise RuntimeError(f"Newton failed to converge (residual {fnorm:.3e})")
 
 
-def critical_speed(m) -> tuple[float, float]:
+def critical_speed(m: Model) -> tuple[float, float]:
     """(c*, lambda*) with both routes cross-checked.
 
     Newton on the double-root system is the primary method; bisection on
@@ -275,13 +269,12 @@ def critical_speed(m) -> tuple[float, float]:
     and as the fallback (restarting Newton from the bisection point) when
     the default start does not converge.
     """
-    mu = _mu(m)
-    c_bis, lam_bis = critical_speed_bisection(mu)
+    c_bis, lam_bis = critical_speed_bisection(m)
     try:
-        c_n, lam_n, _, _ = critical_speed_newton(mu)
+        c_n, lam_n, _, _ = critical_speed_newton(m)
     except RuntimeError:
         try:
-            c_n, lam_n, _, _ = critical_speed_newton(mu, guess=(lam_bis, c_bis))
+            c_n, lam_n, _, _ = critical_speed_newton(m, guess=(lam_bis, c_bis))
         except RuntimeError:
             return c_bis, lam_bis  # bisection alone; already sign-certified
     if abs(c_n - c_bis) > 1e-6 * max(1.0, c_bis):
@@ -318,7 +311,7 @@ _GUARD = 1e-12  # |chi| below this, relative to 1 + |z|^2, is "on a zero"
 _ATTEMPTS = 3  # dilations of a rectangle whose contour touches a zero
 
 
-def count_zeros_rect(m, c: float, re_range: tuple[float, float], im_max: float) -> int:
+def count_zeros_rect(m: Model, c: float, re_range: tuple[float, float], im_max: float) -> int:
     """Number of zeros of chi(., c), with multiplicity, inside the
     rectangle [a, b] x [-im_max, im_max], by the argument principle.
 
@@ -327,17 +320,14 @@ def count_zeros_rect(m, c: float, re_range: tuple[float, float], im_max: float) 
     contour as too close to a zero; the rectangle is then dilated by a
     small relative amount, at most three times.
     """
-    mu = _mu(m)
     a, b = re_range
     if not (a < b) or im_max <= 0:
         raise ValueError("empty rectangle")
-    q, atoms = mu.q, mu.atoms
 
-    def chi_scalar(z: complex) -> complex:
-        out = z * z - c * z - q
-        for s, w in atoms:
-            out += w * cmath.exp(c * s * z)
-        if abs(out) < _GUARD * (1.0 + abs(z) ** 2):
+    def chi(z):  # eval_chi, raising _TooClose where |chi| < _GUARD (1 + |z|^2);
+        # called once per edge on an array, then on Python complex by the walk
+        out = eval_chi(m, z, c)
+        if np.any(np.abs(out) < _GUARD * (1.0 + np.abs(z) ** 2)):
             raise _TooClose
         return out
 
@@ -356,10 +346,10 @@ def count_zeros_rect(m, c: float, re_range: tuple[float, float], im_max: float) 
             for k in range(4):
                 za, zb = corners[k], corners[(k + 1) % 4]
                 n0 = max(16, int(4.0 * abs(zb - za)))
-                pts = [za + (zb - za) * j / n0 for j in range(n0 + 1)]
-                vals = [chi_scalar(z) for z in pts]
+                pts = np.linspace(za, zb, n0 + 1)
+                vals, pts = chi(pts).tolist(), pts.tolist()
                 for j in range(n0):
-                    total += _arg_walk(chi_scalar, pts[j], pts[j + 1], vals[j], vals[j + 1], 52)
+                    total += _arg_walk(chi, pts[j], pts[j + 1], vals[j], vals[j + 1], 52)
             winding = total / (2.0 * math.pi)
             n = round(winding)
             if abs(winding - n) > 0.05:
@@ -375,7 +365,7 @@ def count_zeros_rect(m, c: float, re_range: tuple[float, float], im_max: float) 
     )
 
 
-def dominance_check(m, c: float) -> bool:
+def dominance_check(m: Model, c: float) -> bool:
     """True iff lambda1 dominates: the only zeros of chi(., c) with
     Re z >= lambda1 - DOMINANCE_EPS are the real pair {lambda1, lambda2}.
 
@@ -387,9 +377,8 @@ def dominance_check(m, c: float) -> bool:
     rr = real_roots(m, c)
     if rr is None:
         raise SubcriticalError("dominance check requires c >= c* (no real roots)")
-    mu = _mu(m)
-    R = zero_modulus_bound(mu, c) + 1.0
-    Y = 10.0 * (c + mu.p + mu.q + 1.0)  # R <= c + sqrt(p + q) + 1 < Y
+    R = zero_modulus_bound(m, c) + 1.0
+    Y = 10.0 * (c + m.lin.p + m.lin.q + 1.0)  # R <= c + sqrt(p + q) + 1 < Y
     return count_zeros_rect(m, c, (rr.lambda1 - DOMINANCE_EPS, R), Y) == 2
 
 
@@ -405,7 +394,9 @@ class SpeedAnalysis(NamedTuple):
     dominance_ok: bool
 
 
-def analyze_speed(m, c: float | None = None, *, check_dominance: bool = True) -> SpeedAnalysis:
+def analyze_speed(
+    m: Model, c: float | None = None, *, check_dominance: bool = True
+) -> SpeedAnalysis:
     """Full root/speed report at speed c (or at c* when c is None).
 
     Raises SubcriticalError when c < c* (no real decay rates exist).

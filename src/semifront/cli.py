@@ -149,13 +149,10 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-@_config_errors()
 def _c_value(cfg) -> Optional[float]:
     """Numeric speed from the resolved config; None requests critical."""
-    c = cfg.get("c")
-    if c is None or c == "critical":
-        return None
-    return float(c)
+    c = cfg["c"]
+    return None if c == "critical" else c
 
 
 @_config_errors()
@@ -163,7 +160,8 @@ def _resolve(args) -> dict:
     """Defaults + flags, overridden by the --config file when given: the
     model, the speed (a number, "critical", or the subcommand's default
     without --c/--critical) and every flag of the subcommand's own, each
-    converted with its flag's type (null only where the flag's default is)."""
+    converted with its flag's type (null only where the flag's default is;
+    the speed may also be null or "critical")."""
     if args.critical and args.c is not None:
         raise _ConfigError("pass either --c or --critical, not both")
     shape = {key: getattr(args, key) for key in ("h", "p", "z", "k")}
@@ -179,6 +177,8 @@ def _resolve(args) -> dict:
             raise _ConfigError("config file must contain a JSON object")
         cfg = _merge(cfg, overrides)
         cfg["config_file"] = args.config
+        if cfg["c"] not in (None, "critical"):
+            cfg["c"] = float(cfg["c"])
         for flag in args._own:
             val = cfg[flag.dest]
             if flag.type is not None and (val is not None or flag.default is not None):

@@ -16,7 +16,7 @@ performance target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -133,8 +133,7 @@ class EvolutionState:
         lap[0] = u[1] - 2.0 * u[0] + self.bc[0]
         lap[-1] = self.bc[1] - 2.0 * u[-1] + u[-2]
         lap /= self.dx * self.dx
-        vals = [self.history(s) for s in self.m.eval_points]
-        new = u + self.dt * (lap + np.asarray(self.m.f_pointwise(*vals), dtype=float))
+        new = u + self.dt * (lap + self.m.react(self.history))
         neg = new < 0.0
         if np.any(neg):
             self.clamped += int(np.count_nonzero(neg))
@@ -185,6 +184,8 @@ def front_speed(
     aborts with partial data when the front comes within :data:`MARGIN`
     of either boundary.
     """
+    if not t_run > 0:
+        raise ValueError("t_run must be positive")
     state = EvolutionState(m, x_lo, x_hi, dx, u0, dt)
     every = max(1, int(round(SAMPLE_DT / state.dt)))
     times, positions = [], []

@@ -10,6 +10,9 @@ delta) controlling the quadratic remainder of f near 0.  Functionals are
 declared through a finite list of read points s_j in [-h, 0] and a
 vectorized map of the point values; this covers every discrete-delay
 nonlinearity handled here and keeps grid evaluation cheap.
+
+Only :meth:`Model.react` (f) and :meth:`Measure.apply` (f'(0)) evaluate
+them, on a reader read(s) = phi(s) of lags s (scalars or aligned arrays).
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ __all__ = [
 class Measure:
     """Linearization data: the -q*phi(0) point mass plus delayed atoms.
 
-    ``atoms`` is a sequence of (location, weight) pairs with strictly
-    positive weights (the :class:`Model` holds the locations to [-h, 0]).
-    The total delayed mass p = sum of weights must exceed q (non-degeneracy).
+    ``atoms`` is a sequence of (location, weight) pairs with locations at
+    lags s <= 0 (the :class:`Model` bounds them below by -h) and strictly
+    positive weights.  The total delayed mass p = sum of weights must
+    exceed q (non-degeneracy).
     """
 
     q: float
@@ -50,7 +54,9 @@ class Measure:
     def __post_init__(self):
         if self.q < 0:
             raise ValueError(f"q must be nonnegative, got {self.q}")
-        for _, w in self.atoms:
+        for s, w in self.atoms:
+            if s > 1e-12:
+                raise ValueError(f"atom ({s}, {w}) sits at a positive lag; locations must be <= 0")
             if w <= 0:
                 raise ValueError(f"atom weight must be positive, got {w}")
         if self.p <= self.q:
@@ -62,6 +68,16 @@ class Measure:
     def p(self) -> float:
         return float(sum(w for _, w in self.atoms))
 
+    def mass(self, read: Callable, out=0.0):
+        """The delayed part sum_j w_j read(s_j), added to ``out``."""
+        for s, w in self.atoms:
+            out = out + w * read(s)
+        return out
+
+    def apply(self, read: Callable):
+        """The linearization -q*read(0) + sum_j w_j read(s_j)."""
+        return self.mass(read, -self.q * read(0.0))
+
 
 @dataclass(frozen=True)
 class Model:
@@ -69,10 +85,10 @@ class Model:
 
     ``eval_points`` lists the history locations the functional reads and
     ``f_pointwise`` maps those point values (scalars or aligned numpy
-    arrays) to the reaction value; both built-ins and config-defined
-    models are expressed this way.  Read points and ``lin``'s atoms lie
-    in [-h, 0].  ``bound`` is an a-priori sup bound used by the profile
-    solver's clamp.
+    arrays) to the reaction value, called only through :meth:`react`;
+    both built-ins and config-defined models are expressed this way.
+    Read points and ``lin``'s atoms lie in [-h, 0].  ``bound`` is an
+    a-priori sup bound used by the profile solver's clamp.
     """
 
     name: str
@@ -88,7 +104,7 @@ class Model:
         if self.h < 0:
             raise ValueError("delay must be nonnegative")
         for s, _ in self.lin.atoms:
-            if not (-self.h - 1e-12 <= s <= 1e-12):
+            if s < -self.h - 1e-12:
                 raise ValueError(f"atom location {s} outside [-h, 0] = [{-self.h}, 0]")
         for s in self.eval_points:
             if not (-self.h - 1e-12 <= s <= 1e-12):
@@ -99,11 +115,9 @@ class Model:
         if K <= 0 or alpha <= 0 or delta <= 0:
             raise ValueError("smoothness constants (K, alpha, delta) must be positive")
 
-    def f_const(self, x):
-        """Reaction on the constant segment x (vectorized in x)."""
-        x = np.asarray(x, dtype=float)
-        vals = [x for _ in self.eval_points]
-        return self.f_pointwise(*vals)
+    def react(self, read: Callable) -> np.ndarray:
+        """The reaction f on the history whose value at lag s is read(s)."""
+        return np.asarray(self.f_pointwise(*(read(s) for s in self.eval_points)), dtype=float)
 
 
 # ---------------------------------------------------------------------------

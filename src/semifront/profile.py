@@ -258,7 +258,7 @@ class _PinnedMap:
         # (1+q)*e + f'(0)[e] = D*e for e = e^{lam t}, D = 1 + q + c*lam - lam^2
         self.D = 1.0 + m.lin.q + c * self.lam - self.lam * self.lam
         self.chz = float(chi_dz(m, self.lam, c))
-        self.reads = [ShiftedRead(self.t, c * s) for s in m.eval_points]
+        self.reads = {s: ShiftedRead(self.t, c * s) for s in m.eval_points}
         self.floor = CLAMP_FLOOR * m.kappa
         self.ceil = m.bound
         # the nodes tail_of reads: a multi-unit window at the critical speed
@@ -301,7 +301,7 @@ class _PinnedMap:
     def raw(self, phi: np.ndarray) -> Convolution:
         """A(phi), one kernel scan kept whole for the pin's sub-step reads."""
         m, tail = self.m, self.tail_of(phi)
-        src = (1.0 + m.lin.q) * phi + m.f_pointwise(*(read(phi, tail) for read in self.reads))
+        src = (1.0 + m.lin.q) * phi + m.react(lambda s: self.reads[s](phi, tail))
         sv = tail.value * self.D + tail.slope * (self.c - 2.0 * self.lam + self.chz)
         stail = LeftTail(sv, self.lam, tail.slope * self.D)
         return convolve(self.kernel, self.grid, src, stail, float(src[-1]))

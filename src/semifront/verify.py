@@ -23,7 +23,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -122,31 +122,25 @@ def _log_uniform(rng, lo: float, hi: float, size) -> np.ndarray:
     return np.exp(rng.uniform(math.log(lo), math.log(hi), size=size))
 
 
-def _values_at(h: float, vals: np.ndarray, s: float) -> np.ndarray:
-    """Point value of each row of a (n, k) knot batch at s in [-h, 0]."""
+def _reader(h: float, vals: np.ndarray) -> Callable[[float], np.ndarray]:
+    """read(s): the point value of each row of a (n, k) knot batch at s in [-h, 0]."""
     k = vals.shape[1]
     if h == 0 or k == 1:
-        return vals[:, 0]
-    pos = (s + h) / h * (k - 1)
-    j = min(max(int(pos), 0), k - 2)
-    w = pos - j
-    return (1.0 - w) * vals[:, j] + w * vals[:, j + 1]
+        return lambda s: vals[:, 0]
+
+    def read(s: float) -> np.ndarray:
+        pos = (s + h) / h * (k - 1)
+        j = min(max(int(pos), 0), k - 2)
+        w = pos - j
+        return (1.0 - w) * vals[:, j] + w * vals[:, j + 1]
+
+    return read
 
 
-def _f_batch(m: Model, vals: np.ndarray) -> np.ndarray:
-    cols = [_values_at(m.h, vals, s) for s in m.eval_points]
-    return np.asarray(m.f_pointwise(*cols), dtype=float)
-
-
-def _lin_batch(m: Model, vals: np.ndarray) -> np.ndarray:
-    return _delayed_mass_batch(m, vals, -m.lin.q * _values_at(m.h, vals, 0.0))
-
-
-def _delayed_mass_batch(m: Model, vals: np.ndarray, out=0.0) -> np.ndarray:
-    """The positive part of the linearization, sum_j w_j phi(s_j), added to ``out``."""
-    for s, w in m.lin.atoms:
-        out = out + w * _values_at(m.h, vals, s)
-    return out
+def _increments(m: Model, phi: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f(psi) - f(phi) and f'(0)[psi - phi] for each row of two knot batches."""
+    df = m.react(_reader(m.h, psi)) - m.react(_reader(m.h, phi))
+    return df, m.lin.apply(_reader(m.h, psi - phi))
 
 
 def _sup_norms(vals: np.ndarray) -> np.ndarray:
@@ -205,8 +199,7 @@ def check_UB(m: Model, n_samples: int = N_SAMPLES, seed: int = 0) -> CheckResult
     psi = _log_uniform(rng, hi * 1e-6, hi, (n_samples, k))
     # shrink each knot by a log-uniform factor so phi <= psi everywhere
     phi = psi * _log_uniform(rng, 1e-4, 1.0, (n_samples, k))
-    lhs = _f_batch(m, psi) - _f_batch(m, phi)
-    rhs = _lin_batch(m, psi - phi)
+    lhs, rhs = _increments(m, phi, psi)
     return _verdict(
         m, "UB", seed, lhs > rhs + SLACK,
         f"no violation on {n_samples} ordered pairs with values in (0, {hi:.6g}]",
@@ -232,8 +225,9 @@ def check_LB(
     rng, k = _sampling(m, n_samples, seed)
     vals = _log_uniform(rng, m.kappa * 1e-6, m.kappa, (n_samples, k))
     norms = _sup_norms(vals)
-    lhs = m.lin.q * _values_at(m.h, vals, 0.0) + _f_batch(m, vals)
-    rhs = (1.0 - epsilon) * _delayed_mass_batch(m, vals)
+    read = _reader(m.h, vals)
+    lhs = m.lin.q * read(0.0) + m.react(read)
+    rhs = (1.0 - epsilon) * m.lin.mass(read)
     viol = lhs < rhs - SLACK
 
     min_support = 30
@@ -286,7 +280,8 @@ def check_S(m: Model, n_samples: int = N_SAMPLES, seed: int = 0) -> CheckResult:
     hi = delta * (1.0 - 1e-9)
     phi = _log_uniform(rng, delta * 1e-6, hi, (n_samples, k))
     psi = _log_uniform(rng, delta * 1e-6, hi, (n_samples, k))
-    rem = np.abs(_f_batch(m, psi) - _f_batch(m, phi) - _lin_batch(m, psi - phi))
+    df, dlin = _increments(m, phi, psi)
+    rem = np.abs(df - dlin)
     bound = K * _sup_norms(psi - phi) * (_sup_norms(phi) ** alpha + _sup_norms(psi) ** alpha)
     return _verdict(
         m, "S", seed, rem > bound + SLACK,
@@ -328,13 +323,14 @@ def check_structure(m: Model) -> dict[str, CheckResult]:
         detail=f"loss term is -q*phi(0) with q = {q:g} >= 0 (structural)",
     )
 
+    def on_constant(x: float) -> float:  # f on the constant segment x
+        return float(m.react(lambda s: np.float64(x)))
+
     xs = np.linspace(m.kappa * 1e-4, 2.0 * m.kappa, 4001)
-    ys = np.asarray(m.f_const(xs), dtype=float)
-    f0 = float(m.f_const(0.0))
+    ys = m.react(lambda s: xs)
+    f0 = on_constant(0.0)
     flips = np.flatnonzero(np.sign(ys[:-1]) * np.sign(ys[1:]) < 0)
-    zeros = [
-        float(brentq(lambda x: float(m.f_const(x)), xs[i], xs[i + 1])) for i in flips
-    ]
+    zeros = [float(brentq(on_constant, xs[i], xs[i + 1])) for i in flips]
     ok = (
         abs(f0) <= 1e-12 * max(1.0, abs(p - q) * m.kappa)
         and len(zeros) == 1
@@ -380,11 +376,7 @@ def diagnostics_Q(sol: ProfileSolution) -> tuple[float, float]:
     def history(s: float) -> np.ndarray:  # phi(t + c s) at every node
         return ShiftedRead(t, c * s)(sol.phi, sol.tail)
 
-    f_vals = np.asarray(m.f_pointwise(*(history(s) for s in m.eval_points)), dtype=float)
-    lin_vals = -m.lin.q * sol.phi
-    for s, w in m.lin.atoms:
-        lin_vals = lin_vals + w * history(s)
-    Q = lin_vals - f_vals
+    Q = m.lin.apply(history) - m.react(history)
 
     core = pl_exp_integral(t, Q, -lam)
     # left: integral over (-inf, T-] of e^{-lam s} * Q(T-) e^{2 lam (s - T-)}

@@ -4,7 +4,7 @@ import pytest
 from scipy.optimize import brentq as scipy_brentq
 
 from semifront._brentq import brentq
-from semifront.chareq import _mu, eval_chi
+from semifront.chareq import eval_chi
 from semifront.model import builtin_nicholson
 
 
@@ -16,10 +16,10 @@ def traced(f, calls):
     return g
 
 
-mu = _mu(builtin_nicholson(1.0, 2.0))
+nich = builtin_nicholson(1.0, 2.0)
 CASES = [
     (lambda x: 2.0 * x * math.exp(-x) - x, 1e-12, 10.0, {}),  # nicholson kappa
-    (lambda x: float(eval_chi(mu, x, 1.2)), 0.0, 0.5, dict(xtol=1e-14, rtol=4e-15)),
+    (lambda x: float(eval_chi(nich, x, 1.2)), 0.0, 0.5, dict(xtol=1e-14, rtol=4e-15)),
     (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, {}),
     (lambda x: math.exp(x) - 2.0, 0.0, 3.0, dict(xtol=5e-324)),
     (lambda x: (x - 0.3) ** 5, -1.0, 2.0, {}),  # flat at the zero: many bisections

@@ -1,4 +1,4 @@
-import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -104,12 +104,12 @@ def test_root_ordering_and_sign_change():
     dc=st.floats(0.01, 3.0),
 )
 def test_root_residual_invariant(q, w, s, dc):
-    mu = Measure(q=q, atoms=((s, q + w),))
-    c_star, _ = ce.critical_speed_bisection(mu)
-    rr = ce.real_roots(mu, c_star + dc)
+    m = dataclasses.replace(builtin_kpp(-s), lin=Measure(q=q, atoms=((s, q + w),)))
+    c_star, _ = ce.critical_speed_bisection(m)
+    rr = ce.real_roots(m, c_star + dc)
     assert rr is not None
     for lam in (rr.lambda1, rr.lambda2):
-        assert abs(ce.eval_chi(mu, lam, c_star + dc)) <= 1e-9 * (1 + lam * lam)
+        assert abs(ce.eval_chi(m, lam, c_star + dc)) <= 1e-9 * (1 + lam * lam)
         # roots live strictly inside the a-priori interval (0, z2)
         z2 = 0.5 * (c_star + dc + math.sqrt((c_star + dc) ** 2 + 4 * q))
         assert 0 < lam < z2 + 1e-12

@@ -336,6 +336,13 @@ def test_config_values_take_their_flag_type(tmp_path, capsys):
         d.pop("config")
     assert doc == ref
     assert (tmp_path / "a" / "profile.csv").read_bytes() == (tmp_path / "b" / "profile.csv").read_bytes()
+    # the speed takes the --c flag's type too
+    cfg.write_text(json.dumps({"c": "3"}))
+    code, doc = run_json(
+        capsys, "speed", "--model", "kpp", "--config", str(cfg), "--outdir", str(tmp_path / "c")
+    )
+    assert code == EXIT_OK
+    assert doc["c"] == 3.0 and doc["config"]["c"] == 3.0 and isinstance(doc["config"]["c"], float)
 
 
 def _error_of(convert, value) -> str:
@@ -355,6 +362,8 @@ def _error_of(convert, value) -> str:
             ("evolve", "--model", "kpp", "--c", "2.5"), {"ic": "wave"},
             "unknown initial data kind 'wave'; expected tail or step",
         ),
+        (("speed", "--model", "kpp"), {"c": "abc"}, _error_of(float, "abc")),
+        (("speed", "--model", "kpp"), {"c": [3]}, _error_of(float, [3])),
     ],
 )
 def test_bad_typed_config_values_exit_2(tmp_path, capsys, argv, override, message):
@@ -472,6 +481,15 @@ def test_evolve_too_short_to_measure(tmp_path, capsys):
     assert code == EXIT_NUMERICS
     assert doc["speed"] is None
     assert doc["rel_error"] is None
+
+
+@pytest.mark.parametrize("t_run", ["0", "-1"])
+def test_evolve_nonpositive_run_time_exit_2(tmp_path, capsys, t_run):
+    code, out, err = run(
+        capsys, "evolve", "--model", "kpp", "--c", "2.5", "--t-run", t_run, "--outdir", str(tmp_path),
+    )
+    assert code == EXIT_CONFIG and out == ""
+    assert err == "error: t_run must be positive\n"
 
 
 # --------------------------------------------------------------- import

@@ -29,8 +29,10 @@ def test_measure_mass_and_validation():
         Measure(q=-0.1, atoms=((0.0, 1.0),))
     with pytest.raises(ValueError):
         Measure(q=0.0, atoms=((0.0, -1.0),))
-    with pytest.raises(ValueError, match="atom location"):  # outside [-h, 0]: the model owns h
+    with pytest.raises(ValueError, match="atom location"):  # below -h: the model owns h
         dataclasses.replace(builtin_kpp(1.0), lin=Measure(q=0.0, atoms=((-2.0, 1.0),)))
+    with pytest.raises(ValueError, match=r"atom \(0.5, 2.0\) sits at a positive lag"):
+        Measure(q=0.0, atoms=((0.5, 2.0),))  # the lag sign is the measure's own
     with pytest.raises(ValueError):
         Measure(q=2.0, atoms=((0.0, 1.0),))  # p <= q
 
@@ -86,6 +88,28 @@ def test_horizon_mismatch_rejected():
         eval_f(m, HistorySegment.constant(2.0, 0.5))
 
 
+CUSTOM = {
+    "name": "custom",
+    "h": 1.0,
+    "eval_points": [0.0, -0.5, -1.0],
+    "expr": "u0 * (1.0 - 0.5 * u1 - 0.5 * u2)",
+    "q": 0.0,
+    "atoms": [[0.0, 1.0]],
+    "kappa": 1.0,
+}
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        builtin_kpp(1.0),
+        builtin_nicholson(1.0, 2.0),
+        builtin_may(1.0, 2.0, 2.0, 1.0),
+        builtin_square(1.0),
+        model_from_config(CUSTOM),
+    ],
+    ids=lambda m: m.name,
+)
 @settings(max_examples=60, deadline=None)
 @given(
     a=st.floats(-5, 5, allow_nan=False),
@@ -93,11 +117,14 @@ def test_horizon_mismatch_rejected():
     v=st.lists(st.floats(-3, 3, allow_nan=False), min_size=3, max_size=3),
     w=st.lists(st.floats(-3, 3, allow_nan=False), min_size=3, max_size=3),
 )
-def test_eval_lin_is_linear(a, b, v, w):
-    m = builtin_nicholson(1.0, 2.0)
+def test_react_and_apply_match_oracles(m, a, b, v, w):
     s1 = HistorySegment(1.0, v)
     s2 = HistorySegment(1.0, w)
     combo = HistorySegment(1.0, a * np.asarray(v) + b * np.asarray(w))
+    for seg in (s1, s2, combo):
+        assert float(m.react(seg)) == pytest.approx(eval_f(m, seg), rel=1e-12, abs=1e-300)
+        assert float(m.lin.apply(seg)) == pytest.approx(eval_lin(m, seg), rel=1e-12, abs=1e-300)
+    # the oracle linearization is linear
     assert eval_lin(m, combo) == pytest.approx(
         a * eval_lin(m, s1) + b * eval_lin(m, s2), abs=1e-9
     )
@@ -111,7 +138,7 @@ def test_nicholson_equilibrium_is_log_p():
     assert m.kappa == pytest.approx(math.log(2.0), abs=1e-12)
     assert m.lin.q == 1.0 and m.lin.p == 2.0
     # equilibrium really is a fixed point of the birth function
-    assert m.f_const(m.kappa) == pytest.approx(0.0, abs=1e-12)
+    assert m.react(lambda s: m.kappa) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nicholson_rejects_subcritical_p():
@@ -122,9 +149,9 @@ def test_nicholson_rejects_subcritical_p():
 def test_may_equilibrium_closed_form():
     m = builtin_may(1.0, 2.0, 2.0, 1.0)
     assert m.kappa == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
-    assert m.f_const(m.kappa) == pytest.approx(0.0, abs=1e-12)
+    assert m.react(lambda s: m.kappa) == pytest.approx(0.0, abs=1e-12)
     # birth is clipped at zero for large arguments
-    assert m.f_const(5.0) == pytest.approx(-5.0)
+    assert m.react(lambda s: 5.0) == pytest.approx(-5.0)
 
 
 def test_mackey_glass_rejects_flat_birth():

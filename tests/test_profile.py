@@ -388,10 +388,10 @@ def test_delay_reads_match_interpolation(m, c):
     P = _PinnedMap(m, c, SolverOptions())
     phi = P.seed()
     tail = P.tail_of(phi)
-    for s, read in zip(m.eval_points, P.reads):
+    for s, read in P.reads.items():
         ref = _extended(P.t + c * s, P.t, phi, tail)
         assert np.max(np.abs(read(phi, tail) - ref)) <= 1e-14 * max(1.0, m.kappa)
-    assert P.reads[0](phi, tail) is phi  # s = 0 reads phi itself
+    assert P.reads[0.0](phi, tail) is phi  # s = 0 reads phi itself
 
 
 def test_delay_read_critical_tail():
@@ -402,7 +402,7 @@ def test_delay_read_critical_tail():
     tail = P.tail_of(phi)
     assert P.critical and tail.slope < 0.0
     ref = _extended(P.t - c_star, P.t, phi, tail)
-    assert np.max(np.abs(P.reads[1](phi, tail) - ref)) <= 1e-14
+    assert np.max(np.abs(P.reads[-1.0](phi, tail) - ref)) <= 1e-14
 
 
 @pytest.mark.parametrize("d", [0.37, 0.04, -0.013, -7.0, 95.0, -95.0])
