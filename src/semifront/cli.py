@@ -52,7 +52,7 @@ from .chareq import (
     critical_speed,
 )
 from .evolution import front_speed, moving_frame_gap, step_init, tail_seed
-from .model import MODEL_NAMES, Model, model_from_config
+from .model import MODEL_NAMES, Model, config_number, model_from_config
 from .profile import ProfileSolution, SolverOptions, solve_profile
 from .verify import EPSILON, N_SAMPLES, diagnostics_Q, verify_model
 
@@ -178,11 +178,11 @@ def _resolve(args) -> dict:
         cfg = _merge(cfg, overrides)
         cfg["config_file"] = args.config
         if cfg["c"] not in (None, "critical"):
-            cfg["c"] = float(cfg["c"])
+            cfg["c"] = config_number("c", cfg["c"])
         for flag in args._own:
             val = cfg[flag.dest]
             if flag.type is not None and (val is not None or flag.default is not None):
-                cfg[flag.dest] = flag.type(val)
+                cfg[flag.dest] = config_number(flag.dest, val, flag.type)
     if not cfg.get("outdir"):
         cfg["outdir"] = os.environ.get("SEMIFRONT_OUTDIR") or "."
     cfg["outdir"] = os.fspath(cfg["outdir"])

@@ -18,7 +18,13 @@ piecewise-linear representation itself, O(step^2).
 Each scan is the first-order recurrence y_j = a y_{j-1} + u_j, run as a
 blocked matrix product in numpy alone: blocks of 32 nodes are scanned by
 one product with a cached 32x32 matrix of powers of a, and the carries
-between blocks are the same recurrence over the block ends.
+between blocks are the same recurrence over the block ends.  A scan runs
+in a workspace (:class:`ScanPlan`) that holds the cell weights, the block
+matrices of every carry level and every buffer both sweeps write, so a
+caller that passes one plan to each convolution on its grid allocates
+only the arrays the convolution returns.  The growing branch scans a
+reversed copy of the source, so no elementwise pass reads a reversed
+stride.
 
 The scan keeps its two branch accumulators (:class:`Convolution`), left
 tail and right closure included.  The convolution at a sub-step offset
@@ -41,6 +47,7 @@ __all__ = [
     "Grid",
     "Convolution",
     "LeftTail",
+    "ScanPlan",
     "grid_step",
     "make_kernel",
     "tail_response",
@@ -66,13 +73,13 @@ def _phi2(x: float) -> float:
     """integral of u e^{xu} over [0,1] = (e^x(x-1)+1)/x^2.
 
     The closed form cancels catastrophically near 0; there the series
-    sum x^k/((k+2) k!), cut after x^10, is evaluated by Horner's rule.
+    sum x^k/((k+2) k!), cut after x^10, is evaluated by Horner's rule,
+    written out because the pin's chord calls it several times a map.
     """
     if abs(x) < 0.15:
-        acc = 0.0
-        for coef in _PHI2_SERIES:
-            acc = acc * x + coef
-        return acc
+        c = _PHI2_SERIES
+        acc = (((c[0] * x + c[1]) * x + c[2]) * x + c[3]) * x + c[4]
+        return (((((acc * x + c[5]) * x + c[6]) * x + c[7]) * x + c[8]) * x + c[9]) * x + c[10]
     return (math.exp(x) * (x - 1.0) + 1.0) / (x * x)
 
 
@@ -217,61 +224,113 @@ def _block_powers(a: float, span: int) -> tuple[np.ndarray, np.ndarray]:
     return lower, p[1:]
 
 
-@functools.lru_cache(maxsize=64)
-def _scan_plan(step: float, rate: float) -> tuple[float, float, float]:
+def _cell_weights(step: float, rate: float) -> tuple[float, float, float]:
     """(far, near, a): the weights of a cell's far and near node in the
-    scan's input, and the multiplier a = e^{-rate step}.  A map fixes
-    step and kernel rates, so each is computed once per map."""
+    scan's input, and the multiplier a = e^{-rate step}."""
     x = -rate * step
     far = step * _phi2(x)
     return far, step * _phi1(x) - far, math.exp(x)
 
 
-def _linear_scan(u: np.ndarray, a: float, span: int = 1) -> np.ndarray:
-    """y_j = b y_{j-1} + u_j from y_{-1} = 0, b = a^span, as a blocked
-    matrix product; ``u`` is overwritten when its length is whole blocks.
+class _Sweep:
+    """The workspace of one exponential scan over ``n`` nodes: the cell
+    weights, the block matrices of every level of the carry recursion, and
+    each level's input, block-end and product buffers.
 
-    The end of each block of 32, scanned from zero, is one dot product
-    with the block matrix's last column.  The carry into block b, the
-    full y at the end of block b-1, is the same recurrence over these
-    ends with multiplier b^32 (Blelloch, CMU-CS-90-190, sec. 1.4); it
-    enters the block as one more input b * carry at its first node, and
-    one product with the block matrix then scans every block.
+    A level scans its input y_j = b y_{j-1} + u_j as a blocked matrix
+    product.  The end of each block of 32, scanned from zero, is one dot
+    product with the block matrix's last column.  The carry into block B,
+    the full y at the end of block B-1, is the same recurrence over these
+    ends with multiplier b^32 (Blelloch, CMU-CS-90-190, sec. 1.4): the next
+    level, whose input buffer the ends are written into, or a plain loop
+    once they fit in one block.  The carry enters block B as one more input
+    b * carry at its first node, and one product with the block matrix then
+    scans every block.  Each input buffer holds whole blocks; its padding
+    stays zero, since only the first n entries and block starts are written.
     """
-    n = u.size
-    pad = -n % _BLOCK
-    if pad:
-        u = np.concatenate((u, np.zeros(pad)))
-    lower, lift = _block_powers(a, span)
-    blocks = u.reshape(-1, _BLOCK)
-    ends = blocks[:-1] @ lower[:, -1]
-    if ends.size > _BLOCK:
-        carry = _linear_scan(ends, a, _BLOCK * span)
-    else:
-        b, acc, carry = float(lift[-1]), 0.0, np.empty(ends.size)
-        for j, e in enumerate(ends.tolist()):
-            acc = b * acc + e
-            carry[j] = acc
-    blocks[1:, 0] += lift[0] * carry
-    return (blocks @ lower).ravel()[:n]
+
+    def __init__(self, n: int, step: float, rate: float):
+        self.far, self.near, a = _cell_weights(step, rate)
+        self.n = n
+        self.u = np.zeros(n + -n % _BLOCK)  # the input of level 0
+        self.body = self.u[1:n]
+        # down, from level 0: (all blocks but the last, the block matrix's
+        # last column, the ends); up, from the top level: (the blocks, the
+        # first node of each block but the first, the block matrix, b, the
+        # product buffer, which at level 0 is the caller's ``out``)
+        self.down, self.up = [], []
+        blocks, span = self.u.reshape(-1, _BLOCK), 1
+        while True:
+            lower, lift = _block_powers(a, span)
+            m = blocks.shape[0] - 1  # block ends, whose scan is the carry
+            nxt = np.zeros(m + -m % _BLOCK)
+            product = np.empty(blocks.shape) if self.up else None
+            self.down.append((blocks[:-1], lower[:, -1], nxt[:m]))
+            self.up.insert(0, (blocks, blocks[1:, 0], lower, float(lift[0]), product))
+            if m <= _BLOCK:
+                self.carry_b = float(lift[-1])  # the loop's multiplier b^32
+                break
+            blocks, span = nxt.reshape(-1, _BLOCK), span * _BLOCK
+
+    def __call__(self, src: np.ndarray, start: float, out: np.ndarray | None = None) -> np.ndarray:
+        """y_0 = start, y_j = a y_{j-1} + the integral of e^{-rate u} src over
+        the cell that ends at node j, u the distance to it; ``src`` has the
+        sweep's n nodes.  The blocks of y are written into ``out`` (a fresh
+        array if None, else ``n`` rounded up to whole blocks long); the
+        first n entries are returned.
+        """
+        n, body = self.n, self.body
+        if out is None:
+            out = np.empty(self.u.size)
+        self.u[0] = start
+        np.multiply(src[:-1], self.far, out=body)
+        body += np.multiply(src[1:], self.near, out=out[: n - 1])
+        for heads, last, ends in self.down:
+            np.matmul(heads, last, out=ends)
+        # the top level's ends fit in one block: scan them one by one
+        carry, acc = [], 0.0
+        for e in ends.tolist():
+            acc = self.carry_b * acc + e
+            carry.append(acc)
+        for blocks, starts, lower, b, product in self.up:
+            starts += b * np.asarray(carry[: starts.size])
+            carry = np.matmul(blocks, lower, out=out.reshape(blocks.shape) if product is None else product).ravel()
+        return carry[:n]
 
 
 def _exp_scan(src: np.ndarray, step: float, rate: float, start: float) -> np.ndarray:
     """y_0 = start, y_j = e^{-rate step} y_{j-1} + the integral of
     e^{-rate u} src over the cell that ends at node j, u the distance to it.
 
-    The module's one exponential scan: the decaying kernel branch sweeps
-    the source left to right, the growing branch sweeps it reversed.
-    rate > 0, so the scan is stable and every power it uses is <= 1.
+    The module's one exponential scan, run in a workspace of its own: the
+    decaying kernel branch sweeps the source left to right, the growing
+    branch sweeps it reversed.  rate > 0, so the scan is stable and every
+    power it uses is <= 1.
     """
-    far, near, a = _scan_plan(step, rate)
-    n = src.size
-    u = np.zeros(n + -n % _BLOCK)  # whole blocks, so the scan pads nothing
-    u[0] = start
-    body = u[1:n]
-    np.multiply(src[:-1], far, out=body)
-    body += near * src[1:]
-    return _linear_scan(u, a)[:n]
+    return _Sweep(src.size, step, rate)(src, start)
+
+
+class ScanPlan:
+    """The workspace of :func:`convolve` on one kernel and grid: both
+    branches' sweeps, the reversed source the backward sweep reads, its
+    reversed output, and the scratch of :meth:`Convolution.shifted_into`.
+
+    A caller that convolves on one grid many times (the profile solver)
+    builds one plan and passes it to every call; the arrays a convolution
+    returns are its own, never the plan's buffers.  A plan serves one
+    convolution or shifted read at a time.
+    """
+
+    __slots__ = ("kernel", "grid", "fwd", "bwd", "rev", "bwd_out", "work")
+
+    def __init__(self, k: GreenKernel, grid: Grid):
+        n, step = len(grid), grid.step
+        self.kernel, self.grid = k, grid
+        self.fwd = _Sweep(n, step, -k.mu_minus_root)
+        self.bwd = _Sweep(n, step, k.mu_plus_root)
+        self.rev = np.empty(n)
+        self.bwd_out = np.empty(self.bwd.u.size)
+        self.work = np.empty(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,16 +352,25 @@ class Convolution:
     the integrals being partial-cell integrals of the linear source
     (constant ``right_const`` past the last node).  The value at any
     sub-step offset is therefore O(1) per node and needs no further scan.
+    ``plan`` is the workspace the scan ran in, which gives the kernel, the
+    grid and the scratch of :meth:`shifted_into`.
     """
 
-    kernel: GreenKernel
-    grid: Grid
+    plan: ScanPlan
     src: np.ndarray
     left_tail: LeftTail
     right_const: float
     fwd: np.ndarray
     bwd: np.ndarray
     values: np.ndarray
+
+    @property
+    def kernel(self) -> GreenKernel:
+        return self.plan.kernel
+
+    @property
+    def grid(self) -> Grid:
+        return self.plan.grid
 
     def _weights(self, d: float) -> tuple[float, float, float, float]:
         """Coefficients of (fwd_i, bwd_{i+1}, src_i, src_{i+1}) in the
@@ -311,12 +379,13 @@ class Convolution:
         mu_m, mu_p, norm = k.mu_minus_root, k.mu_plus_root, k.norm
         step = self.grid.step
         lead = step - d
-        f1, f2 = d * _phi1(mu_m * d), d * d * _phi2(mu_m * d) / step
-        b1, b2 = lead * _phi1(-mu_p * lead), lead * lead * _phi2(-mu_p * lead) / step
+        x, y = mu_m * d, -mu_p * lead
+        f1, f2 = d * _phi1(x), d * d * _phi2(x) / step
+        b1, b2 = lead * _phi1(y), lead * lead * _phi2(y) / step
         theta = d / step
         w_lo = (1.0 - theta) * (f1 + b1) + f2 - b2
         w_hi = theta * (f1 + b1) - f2 + b2
-        return norm * math.exp(mu_m * d), norm * math.exp(-mu_p * lead), norm * w_lo, norm * w_hi
+        return norm * math.exp(x), norm * math.exp(y), norm * w_lo, norm * w_hi
 
     def _below_first(self, ell: float) -> float:
         """The value at t_0 - ell, 0 < ell < step: the tail's own response
@@ -333,37 +402,44 @@ class Convolution:
             i, delta = i - 1, delta + self.grid.step  # t_i - ell = t_{i-1} + (step - ell)
         elif delta == 0.0:
             return float(self.values[i])
-        cf, cb, w_lo, w_hi = self._weights(delta)
+        return self._in_cell(i, self._weights(delta))
+
+    def _in_cell(self, i: int, weights: tuple[float, float, float, float]) -> float:
+        """The value inside cell [t_i, t_{i+1}] (past the last node for
+        i = n - 1) whose :meth:`_weights` are given, in float arithmetic."""
+        cf, cb, w_lo, w_hi = weights
         if i < self.src.size - 1:
-            b_next, lo, hi = self.bwd[i + 1], self.src[i], self.src[i + 1]
+            b_next, lo, hi = self.bwd.item(i + 1), self.src.item(i), self.src.item(i + 1)
         else:  # past the last node the source is the constant closure
             rc = self.right_const
             b_next, lo, hi = rc / self.kernel.mu_plus_root, rc, rc
-        return float(cf * self.fwd[i] + cb * b_next + w_lo * lo + w_hi * hi)
+        return cf * self.fwd.item(i) + cb * b_next + w_lo * lo + w_hi * hi
 
     def shifted_into(self, out: np.ndarray, first: int, delta: float) -> np.ndarray:
         """Write the values at t_j + delta, j = first .. first + out.size - 1,
         into ``out`` and return it; |delta| < step.
 
         Elementwise the same arithmetic as :meth:`at`, so a node read
-        with either gives the same number.
+        with either gives the same number.  The products go through the
+        plan's scratch, so the only array written is ``out``.
         """
         n, stop = self.src.size, first + out.size
         if delta == 0.0:
             out[:] = self.values[first:stop]
             return out
         lag = int(delta < 0.0)  # t_j - ell = t_{j-1} + (step - ell): node j reads cell j-1
-        cf, cb, w_lo, w_hi = self._weights(delta + self.grid.step if lag else delta)
+        weights = self._weights(delta + self.grid.step if lag else delta)
+        cf, cb, w_lo, w_hi = weights
         a, b = max(first - lag, 0), min(stop - lag, n - 1)  # cells [t_c, t_{c+1}] read
         body = out[a + lag - first : b + lag - first]
         np.multiply(self.fwd[a:b], cf, out=body)
-        part = np.multiply(self.bwd[a + 1 : b + 1], cb)
+        part = np.multiply(self.bwd[a + 1 : b + 1], cb, out=self.plan.work[: b - a])
         body += part
         body += np.multiply(self.src[a:b], w_lo, out=part)
         body += np.multiply(self.src[a + 1 : b + 1], w_hi, out=part)
         edge = 0 if lag else n - 1  # the one node whose read leaves the cells
         if first <= edge < stop:
-            out[edge - first] = self.at(edge, delta)
+            out[edge - first] = self._below_first(-delta) if lag else self._in_cell(edge, weights)
         return out
 
     def shifted(self, delta: float) -> np.ndarray:
@@ -378,7 +454,7 @@ class Convolution:
         return k.norm * (k.mu_minus_root * self.fwd + k.mu_plus_root * self.bwd)
 
 
-def convolve(k: GreenKernel, t, src, left_tail, right_const: float) -> Convolution:
+def convolve(k: GreenKernel, t, src, left_tail, right_const: float, plan: ScanPlan | None = None) -> Convolution:
     """integral of K(t_i - s) * source(s) over all of R, at every grid node.
 
     source = piecewise-linear interpolant of ``src`` on the uniform grid
@@ -386,18 +462,28 @@ def convolve(k: GreenKernel, t, src, left_tail, right_const: float) -> Convoluti
     t[0] and by the constant ``right_const`` above t[-1].  The node values
     are ``.values`` of the result, which also reads the convolution
     between nodes without another scan (:meth:`Convolution.at`,
-    :meth:`Convolution.shifted`).
+    :meth:`Convolution.shifted`).  The scan runs in ``plan``, which must
+    have been built for ``k`` and the Grid ``t``; without one it runs in a
+    fresh plan.
     """
     grid = _grid(t)
     src = np.asarray(src, dtype=float)
     if src.shape != grid.t.shape:
         raise ValueError("source values must match the grid")
+    if plan is None:
+        plan = ScanPlan(k, grid)
+    elif plan.kernel is not k or plan.grid is not grid:
+        raise ValueError("the scan plan was built for another kernel or grid")
     rc = float(right_const)
     # decaying branch swept left to right from the whole left tail, growing
-    # branch right to left from the constant right closure
-    fwd = _exp_scan(src, grid.step, -k.mu_minus_root, _tail_moment(k, left_tail))
-    bwd = _exp_scan(src[::-1], grid.step, k.mu_plus_root, rc / k.mu_plus_root)[::-1]
-    return Convolution(k, grid, src, left_tail, rc, fwd, bwd, k.norm * (fwd + bwd))
+    # branch right to left from the constant right closure; the growing
+    # branch scans a reversed copy, so no pass reads a reversed stride
+    fwd = plan.fwd(src, _tail_moment(k, left_tail))
+    np.copyto(plan.rev, src[::-1])
+    bwd = plan.bwd(plan.rev, rc / k.mu_plus_root, plan.bwd_out)[::-1].copy()
+    values = np.add(fwd, bwd)
+    values *= k.norm
+    return Convolution(plan, src, left_tail, rc, fwd, bwd, values)
 
 
 def convolve_at_offset(k: GreenKernel, t, src, left_tail, right_const: float, delta: float):
@@ -443,6 +529,6 @@ def pl_exp_integral(t, src, rate: float) -> float:
     src = np.asarray(src, dtype=float)
     if src.shape != t.shape:
         raise ValueError("source values must match the grid")
-    w_hi, w_lo, _ = _scan_plan(step, -rate)  # a cell's far node is its right one
+    w_hi, w_lo, _ = _cell_weights(step, -rate)  # a cell's far node is its right one
     cell = w_lo * src[:-1] + w_hi * src[1:]
     return float(np.dot(np.exp(rate * t[:-1]), cell))

@@ -34,6 +34,7 @@ __all__ = [
     "builtin_may",
     "builtin_square",
     "model_from_config",
+    "config_number",
     "MODEL_NAMES",
 ]
 
@@ -294,22 +295,30 @@ def _compile_expr(expr: str, n_points: int) -> Callable:
     return f
 
 
+def config_number(key: str, value, kind: Callable = float):
+    """The config entry ``key`` = ``value`` converted with ``kind``.  A JSON
+    boolean is rejected, though float() and int() would take it as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{key} must be a number, got {str(value).lower()}")
+    return kind(value)
+
+
 def _custom_model(cfg: dict) -> Model:
-    h = float(cfg["h"])
-    points = tuple(float(s) for s in cfg["eval_points"])
+    h = config_number("h", cfg["h"])
+    points = tuple(config_number("eval_points", s) for s in cfg["eval_points"])
     f = _compile_expr(cfg["expr"], len(points))
-    atoms = tuple((float(s), float(w)) for s, w in cfg["atoms"])
-    K, alpha, delta = cfg.get("smoothness", (1.0, 1.0, 1.0))
-    kappa = float(cfg["kappa"])
+    atoms = tuple((config_number("atoms", s), config_number("atoms", w)) for s, w in cfg["atoms"])
+    K, alpha, delta = (config_number("smoothness", v) for v in cfg.get("smoothness", (1.0, 1.0, 1.0)))
+    kappa = config_number("kappa", cfg["kappa"])
     return Model(
         name=cfg.get("name", "custom"),
         h=h,
         eval_points=points,
         f_pointwise=f,
-        lin=Measure(q=float(cfg.get("q", 0.0)), atoms=atoms),
+        lin=Measure(q=config_number("q", cfg.get("q", 0.0)), atoms=atoms),
         kappa=kappa,
-        smoothness=(float(K), float(alpha), float(delta)),
-        bound=float(cfg.get("bound", 4.0 * kappa)),
+        smoothness=(K, alpha, delta),
+        bound=config_number("bound", cfg.get("bound", 4.0 * kappa)),
     )
 
 
@@ -321,13 +330,14 @@ MODEL_NAMES = ("kpp", "nicholson", "may", "square", "custom")
 def model_from_config(cfg: dict) -> Model:
     """Build a model from a config mapping; see README for the schema."""
     name = cfg.get("name")
-    h = float(cfg.get("h", 0.0))
+    h = config_number("h", cfg.get("h", 0.0))
     if name == "kpp":
         return builtin_kpp(h)
     if name == "nicholson":
-        return builtin_nicholson(h, float(cfg["p"]))
+        return builtin_nicholson(h, config_number("p", cfg["p"]))
     if name == "may":
-        return builtin_may(h, float(cfg["p"]), float(cfg["z"]), float(cfg["k"]))
+        p, z, k = (config_number(key, cfg[key]) for key in ("p", "z", "k"))
+        return builtin_may(h, p, z, k)
     if name == "square":
         return builtin_square(h)
     if name == "custom":

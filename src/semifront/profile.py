@@ -25,10 +25,16 @@ values tried instead (damping 0.7-0.9, an earlier hand-over to Anderson)
 made kpp fail or land on another fixed point.
 
 An iteration costs one kernel scan plus a few O(n) passes, with no search
-and no n-row factorisation: delayed reads are precomputed slices of the grid
-(:class:`ShiftedRead`), the pin writes the accepted offset straight into its
-output and clamps only what it reads, and Anderson's least squares solve the
-normal equations of a Gram matrix updated one row per step (:class:`_AndersonRing`).
+and no n-row factorisation, and it allocates only the arrays it returns.
+The map owns a workspace built once per solve: delayed reads are
+precomputed slices of the grid (:class:`ShiftedRead`) written into the
+map's buffers, and the scan runs in the map's :class:`~.kernel.ScanPlan`.
+The pin writes the accepted offset straight into its output and clamps only
+what it reads; the damped step updates the pinned image in place; Anderson's
+least squares solve the normal equations of a Gram matrix updated one row
+per step (:class:`_AndersonRing`), its products written into the solve's
+scratch.  Each iterate is a new array, never a map buffer: Anderson keeps
+the last one (and its residual) for the next step's differences.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from .kernel import (
     GreenKernel,
     Grid,
     LeftTail,
+    ScanPlan,
     convolve,
     convolve_at_offset,  # noqa: F401 - not called here; perfbench wraps this binding
     exp_integral_right,  # noqa: F401 - not called here; perfbench wraps this binding
@@ -213,10 +220,13 @@ class ShiftedRead:
             out += theta * v[lo + k + 1 : hi + k + 1]
         return out
 
-    def __call__(self, phi: np.ndarray, tail: LeftTail) -> np.ndarray:
+    def __call__(self, phi: np.ndarray, tail: LeftTail, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The reads of every node, written into ``out`` (a fresh array if
+        None); a zero shift returns ``phi`` itself."""
         if self.k == 0 and self.theta == 0.0:
             return phi
-        out = np.empty(phi.size)
+        if out is None:
+            out = np.empty(phi.size)
         self.into(out[self.lo : self.hi], phi)
         out[: self.lo] = tail.at(self.u)
         out[self.hi :] = phi[-1]
@@ -259,6 +269,10 @@ class _PinnedMap:
         self.D = 1.0 + m.lin.q + c * self.lam - self.lam * self.lam
         self.chz = float(chi_dz(m, self.lam, c))
         self.reads = {s: ShiftedRead(self.t, c * s) for s in m.eval_points}
+        # the map's workspace: the scan's, and one output buffer per read;
+        # every array the map returns is its own
+        self.plan = ScanPlan(self.kernel, self.grid)
+        self.read_out = {s: np.empty(self.t.size) for s in m.eval_points}
         self.floor = CLAMP_FLOOR * m.kappa
         self.ceil = m.bound
         # the nodes tail_of reads: a multi-unit window at the critical speed
@@ -301,13 +315,18 @@ class _PinnedMap:
     def raw(self, phi: np.ndarray) -> Convolution:
         """A(phi), one kernel scan kept whole for the pin's sub-step reads."""
         m, tail = self.m, self.tail_of(phi)
-        src = (1.0 + m.lin.q) * phi + m.react(lambda s: self.reads[s](phi, tail))
+        src = np.multiply(phi, 1.0 + m.lin.q)
+        src += m.react(lambda s: self.reads[s](phi, tail, self.read_out[s]))
         sv = tail.value * self.D + tail.slope * (self.c - 2.0 * self.lam + self.chz)
         stail = LeftTail(sv, self.lam, tail.slope * self.D)
-        return convolve(self.kernel, self.grid, src, stail, float(src[-1]))
+        return convolve(self.kernel, self.grid, src, stail, float(src[-1]), self.plan)
 
     def clip(self, values: np.ndarray) -> np.ndarray:
         return np.clip(values, self.floor, self.ceil)
+
+    def clamp(self, v: float) -> float:
+        """One value clipped like :meth:`clip`, in float arithmetic."""
+        return min(max(v, self.floor), self.ceil)
 
     def pin(self, conv: Convolution) -> np.ndarray:
         """Clamp the image ``conv.values`` to [floor, ceil] and translate it
@@ -331,7 +350,7 @@ class _PinnedMap:
         i = first_up_crossing(img, half)
         if i is None:
             return self.clip(img)
-        lo_v, hi_v = self.clip(img[i : i + 2])
+        lo_v, hi_v = self.clamp(float(img[i])), self.clamp(float(img[i + 1]))
         slope = (hi_v - lo_v) / self.step
         tc = float(self.t[i]) + (half - lo_v) / slope
         size = self.t.size
@@ -358,14 +377,16 @@ class _PinnedMap:
             conv.shifted_into(out[lo:hi], lo + n, accepted)
         else:  # whole-step translations need no re-evaluation
             out[lo:hi] = img[lo + n : hi + n]
-        np.clip(out[lo:hi], self.floor, self.ceil, out=out[lo:hi])
+        body = out[lo:hi]
+        if body.min() < self.floor or body.max() > self.ceil:  # two reductions cost less than a clip
+            np.clip(body, self.floor, self.ceil, out=body)
         # |accepted| < step: every filled node reads past an end of the grid,
         # so the head is the image's tail closure and the rest its last node
         if lo:
             tail = self.tail_of(self.clip(img[: self.tail_nodes]))
             out[:lo] = tail.at(self.t[:lo] + tc - self.t[0])
         if hi < size:
-            out[hi:] = self.clip(img[-1])
+            out[hi:] = self.clamp(float(img[-1]))
         return out
 
     def __call__(self, phi: np.ndarray) -> np.ndarray:
@@ -403,6 +424,28 @@ class _AndersonRing:
         k = self.filled
         return np.linalg.lstsq(self.G[:k, :k], self.dF[:, :k].T @ f, rcond=_GRAM_RCOND)[0]
 
+    def mix(self, x: np.ndarray, f: np.ndarray, beta: float, work: np.ndarray) -> np.ndarray:
+        """The Anderson iterate x + beta f - dX gamma - beta dF gamma, gamma =
+        :meth:`gamma` of f, as a new array; ``work`` takes both products."""
+        k, gamma = self.filled, self.gamma(f)
+        out = np.multiply(f, beta)
+        out += x
+        out -= np.matmul(self.dX[:, :k], gamma, out=work)
+        np.matmul(self.dF[:, :k], gamma, out=work)
+        work *= beta
+        out -= work
+        return out
+
+
+def _sup(x: np.ndarray) -> float:
+    """sup|x|, from two reductions rather than an abs pass."""
+    return float(max(abs(x.min()), abs(x.max())))
+
+
+def _sup_gap(a: np.ndarray, b: np.ndarray, work: np.ndarray) -> float:
+    """sup|a - b|, computed in ``work``."""
+    return _sup(np.subtract(a, b, out=work))
+
 
 def solve_profile(
     m: Model, c: float, options: Optional[SolverOptions] = None
@@ -434,14 +477,19 @@ def solve_profile(
     goal = opts.tol * (1e-2 if P.critical else 1.0)
     res = math.inf
     n_damped = 0
+    # the solve's scratch; each iterate is a new array (the pinned image, or
+    # Anderson's mix), since the ring and ``prev`` keep the last one
+    work = np.empty(phi.size)
     for _ in range(opts.max_iter):
         img = P(phi)
-        res = float(np.max(np.abs(img - phi)))
+        res = _sup_gap(img, phi, work)
         history.append(res)
         n_damped += 1
         if res <= max(goal, switch):
             break
-        phi = (1.0 - DAMPING) * phi + DAMPING * img
+        img *= DAMPING
+        img += np.multiply(phi, 1.0 - DAMPING, out=work)
+        phi = img
 
     # Anderson mixing on P: combine the differences between the last
     # ACCEL_DEPTH iterates by least squares, damped by ACCEL_DAMPING.  The
@@ -459,8 +507,9 @@ def solve_profile(
     for _ in range(opts.accel_iter):
         if res <= goal:
             break
-        fx = P(phi) - phi
-        res = float(np.max(np.abs(fx)))
+        fx = P(phi)
+        fx -= phi
+        res = _sup(fx)
         history.append(res)
         n_accel += 1
         if res < best_res:
@@ -480,12 +529,12 @@ def solve_profile(
         if prev is not None:
             ring.push(phi, prev[0], fx, prev[1])
         prev = (phi, fx)
-        k = ring.filled
-        if k == 0:
-            phi = phi + beta * fx / (1.0 + restarts)
+        if ring.filled == 0:
+            nudge = np.multiply(fx, beta)
+            nudge /= 1.0 + restarts
+            phi = np.add(phi, nudge, out=nudge)
         else:
-            gamma = ring.gamma(fx)
-            phi = phi + beta * fx - ring.dX[:, :k] @ gamma - beta * (ring.dF[:, :k] @ gamma)
+            phi = ring.mix(phi, fx, beta, work)
 
     if res > best_res:
         phi = best_phi
@@ -494,11 +543,11 @@ def solve_profile(
     # are those of its raw image, which also gives the drift and phi'
     phi = P.clip(phi)
     conv = P.raw(phi)
-    res = float(np.max(np.abs(P.pin(conv) - phi)))
+    res = _sup_gap(P.pin(conv), phi, work)
     history.append(res)
     clamp_low = int(np.count_nonzero(conv.values < P.floor))
     clamp_high = int(np.count_nonzero(conv.values > P.ceil))
-    drift = float(np.max(np.abs(conv.values - phi)))
+    drift = _sup_gap(conv.values, phi, work)
 
     return ProfileSolution(
         model=m,

@@ -364,6 +364,19 @@ def _error_of(convert, value) -> str:
         ),
         (("speed", "--model", "kpp"), {"c": "abc"}, _error_of(float, "abc")),
         (("speed", "--model", "kpp"), {"c": [3]}, _error_of(float, [3])),
+        # a JSON boolean is no number, though float(true) would read it as 1.0
+        (("profile", "--c", "2.5"), {"model": {"name": "kpp", "h": 0.1}, "t_plus": True},
+         "t_plus must be a number, got true"),
+        (("profile", "--model", "kpp", "--c", "2.5"), {"max_iter": False},
+         "max_iter must be a number, got false"),
+        (("speed",), {"model": {"name": "kpp", "h": True}}, "h must be a number, got true"),
+        (("speed", "--model", "kpp"), {"c": True}, "c must be a number, got true"),
+        (
+            ("speed",),
+            {"model": {"name": "custom", "h": 1, "eval_points": [0, -1], "expr": "u0*(1-u1)",
+                       "atoms": [[0, True]], "kappa": 1}},
+            "atoms must be a number, got true",
+        ),
     ],
 )
 def test_bad_typed_config_values_exit_2(tmp_path, capsys, argv, override, message):

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from semifront.kernel import (
     Grid,
     LeftTail,
+    ScanPlan,
     _exp_scan,
     _phi1,
     _phi2,
@@ -273,6 +274,48 @@ def test_exp_scan_matches_recurrence(n, step, rate):
         ref = scan_reference(s, step, rate, 0.3)
         out = _exp_scan(s, step, rate, 0.3)
         assert np.max(np.abs(out - ref) / ref) <= 1e-14
+
+
+@pytest.mark.parametrize("n, levels", [(31, 1), (33, 1), (1057, 2), (40000, 3)])
+def test_scan_plan_reuse_matches_fresh_scan(n, levels):
+    # one plan's sweeps, each run twice on different sources (the second a
+    # reversed view): every run equals a fresh _exp_scan bit for bit and the
+    # one-node recurrence within the scan's bound, whatever the last run left
+    # in the buffers; n spans one block, a carry loop, and two and three levels
+    step = 0.01
+    k = make_kernel(2.5, 0.5)
+    plan = ScanPlan(k, Grid(step * np.arange(n)))
+    for sweep, rate in ((plan.fwd, -k.mu_minus_root), (plan.bwd, k.mu_plus_root)):
+        assert len(sweep.down) == len(sweep.up) == levels
+        for src in (RNG.uniform(0.1, 1.0, n), RNG.uniform(0.1, 1.0, n)[::-1]):
+            out = sweep(src, 0.3)
+            assert np.array_equal(out, _exp_scan(src, step, rate, 0.3))
+            ref = scan_reference(src, step, rate, 0.3)
+            assert np.max(np.abs(out - ref) / ref) <= 1e-14
+
+
+def test_convolutions_keep_their_arrays():
+    # a convolution in a shared plan equals one in a fresh plan bit for bit,
+    # and neither is overwritten by a later convolution; a plan built for
+    # another grid or kernel is refused
+    k, grid = make_kernel(2.5, 0.0), Grid(0.02 * np.arange(-1500, 1501))
+    plan = ScanPlan(k, grid)
+    tail = LeftTail(0.01, 0.4)
+    first_src, later_src = RNG.uniform(0.1, 1.0, (2, len(grid)))
+    fresh = convolve(k, grid, first_src, tail, 0.7)
+    shared = convolve(k, grid, first_src, tail, 0.7, plan)
+    assert fresh.plan is not plan and shared.plan is plan
+    kept = [x.copy() for x in (first_src, fresh.fwd, fresh.bwd, fresh.values)]
+    for _ in range(2):
+        for conv in (fresh, shared):
+            arrays = (conv.src, conv.fwd, conv.bwd, conv.values)
+            assert all(np.array_equal(x, y) for x, y in zip(arrays, kept))
+        convolve(k, grid, later_src, tail, 0.2, plan)
+        convolve(k, grid, later_src, tail, 0.2)
+    with pytest.raises(ValueError, match="another kernel or grid"):
+        convolve(make_kernel(2.4, 0.0), grid, first_src, tail, 0.7, plan)
+    with pytest.raises(ValueError, match="another kernel or grid"):
+        convolve(k, grid.t, first_src, tail, 0.7, plan)
 
 
 # ------------------------------------------------------------- tail pieces

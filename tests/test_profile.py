@@ -21,6 +21,7 @@ from semifront.profile import (
     solve_profile,
     up_crossing,
 )
+from semifront.verify import _harness_seeds
 
 from oracles import kpp_front_no_delay
 
@@ -87,18 +88,71 @@ def test_one_kernel_scan_per_map_application(kpp_h1, monkeypatch):
     # the chord probes and the accepted read come from the one scan
     from semifront import kernel
 
-    scan, sweeps = kernel._exp_scan, []
+    scan, sweeps = kernel._Sweep.__call__, []
 
     def counted(*args, **kwargs):
         sweeps.append(args[2])
         return scan(*args, **kwargs)
 
-    monkeypatch.setattr(kernel, "_exp_scan", counted)
+    monkeypatch.setattr(kernel._Sweep, "__call__", counted)
     P = _PinnedMap(kpp_h1.model, kpp_h1.c, SolverOptions())
     out = P(kpp_h1.evaluate(kpp_h1.t + 1.3 * kpp_h1.step))
     assert len(sweeps) == 2  # the forward and the backward sweep of one scan
     i0 = int(np.argmin(np.abs(kpp_h1.t)))
     assert abs(out[i0] - 0.5 * kpp_h1.model.kappa) <= 1e-12
+
+
+def test_one_convolve_call_per_map_application(kpp_h1, monkeypatch):
+    # the benchmark's trace wraps profile.convolve and reads the grid size
+    # from its second argument: kernel.convolve.calls must stay
+    # profile.iterations + profile.solves (one call per map application,
+    # one for the final bookkeeping)
+    conv, grids = profile_mod.convolve, []
+
+    def counted(*args, **kwargs):
+        grids.append(args[1])
+        return conv(*args, **kwargs)
+
+    monkeypatch.setattr(profile_mod, "convolve", counted)
+    sol = solve_profile(kpp_h1.model, kpp_h1.c)
+    assert len(grids) == sol.iterations + 1
+    assert all(len(g) == sol.t.size for g in grids)
+
+
+def test_map_outputs_are_not_overwritten_by_later_calls(kpp_h1):
+    # the map's buffers are scratch only: a convolution A(phi) and a pinned
+    # image keep their values through later applications of the map
+    P = _PinnedMap(kpp_h1.model, kpp_h1.c, SolverOptions())
+    a, b = (kpp_h1.evaluate(kpp_h1.t + s * kpp_h1.step) for s in (1.3, -0.6))
+    conv = P.raw(a)
+    pinned = P.pin(conv)
+    arrays = (conv.src, conv.fwd, conv.bwd, conv.values, pinned)
+    kept = [x.copy() for x in arrays]
+    P.pin(P.raw(b))
+    P(b)
+    assert all(np.array_equal(x, y) for x, y in zip(arrays, kept))
+    assert not np.array_equal(P(b), pinned)
+
+
+def test_iterates_are_the_same_when_the_map_returns_copies(monkeypatch):
+    # a map that hands back copies cannot alias anything the solver keeps
+    # (Anderson's previous iterate and residual, the best iterate): the
+    # solve from a harness start whose Anderson stage outlasts the ring's
+    # depth takes the same iterates bit for bit
+    m, c = builtin_kpp(2.0), 2.5
+    opts = SolverOptions(tol=1e-9, accel_iter=3000, t_plus=120.0)
+    P = _PinnedMap(m, c, opts)
+    guess = _harness_seeds(5, P.t, P.lam, m.kappa, np.random.default_rng(0))[4]
+    run = dataclasses.replace(opts, initial_phi=guess)
+    sol = solve_profile(m, c, run)
+    damped = next(j for j, r in enumerate(sol.residual_history) if r <= profile_mod.SWITCH_RES) + 1
+    assert sol.converged and sol.iterations - damped > profile_mod.ACCEL_DEPTH
+    mapped = _PinnedMap.__call__
+    monkeypatch.setattr(_PinnedMap, "__call__", lambda self, phi: mapped(self, phi).copy())
+    ref = solve_profile(m, c, run)
+    assert np.array_equal(sol.phi, ref.phi) and sol.iterations == ref.iterations
+    assert sol.residual == ref.residual and sol.drift == ref.drift
+    assert sol.residual_history == ref.residual_history
 
 
 def pair_test_crossing(v, level):
