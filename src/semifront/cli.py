@@ -32,6 +32,7 @@ non-convergence (reports are still written); 5 hypothesis failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -161,7 +162,8 @@ def _resolve(args) -> dict:
     model, the speed (a number, "critical", or the subcommand's default
     without --c/--critical) and every flag of the subcommand's own, each
     converted with its flag's type (null only where the flag's default is;
-    the speed may also be null or "critical")."""
+    the speed may also be null or "critical"), a switch only from a JSON
+    boolean.  A value from a flag takes the same conversion."""
     if args.critical and args.c is not None:
         raise _ConfigError("pass either --c or --critical, not both")
     shape = {key: getattr(args, key) for key in ("h", "p", "z", "k")}
@@ -177,12 +179,14 @@ def _resolve(args) -> dict:
             raise _ConfigError("config file must contain a JSON object")
         cfg = _merge(cfg, overrides)
         cfg["config_file"] = args.config
-        if cfg["c"] not in (None, "critical"):
-            cfg["c"] = config_number("c", cfg["c"])
-        for flag in args._own:
-            val = cfg[flag.dest]
-            if flag.type is not None and (val is not None or flag.default is not None):
-                cfg[flag.dest] = config_number(flag.dest, val, flag.type)
+    if cfg["c"] not in (None, "critical"):
+        cfg["c"] = config_number("c", cfg["c"])
+    for flag in args._own:
+        val = cfg[flag.dest]
+        if flag.type is not None and (val is not None or flag.default is not None):
+            cfg[flag.dest] = config_number(flag.dest, val, flag.type)
+        elif flag.const is True and not isinstance(val, bool):  # --svg, --compare
+            raise TypeError(f"{flag.dest} must be true or false, got {json.dumps(val)}")
     if not cfg.get("outdir"):
         cfg["outdir"] = os.environ.get("SEMIFRONT_OUTDIR") or "."
     cfg["outdir"] = os.fspath(cfg["outdir"])
@@ -349,13 +353,7 @@ def _cmd_profile(cfg: dict, m: Model) -> int:
         "converged": sol.converged,
         "clamped_low": sol.clamp_low,
         "clamped_high": sol.clamp_high,
-        "decay": {
-            "rate": fit.rate,
-            "mode": fit.mode,
-            "window": list(fit.window),
-            "fit_error": fit.fit_error,
-            "amplitude": fit.amplitude,
-        },
+        "decay": dataclasses.asdict(fit),
         "oscillatory": oscillatory,
         "kappa_crossings": crossings,
         "q_min": q_min,

@@ -17,14 +17,14 @@ piecewise-linear representation itself, O(step^2).
 
 Each scan is the first-order recurrence y_j = a y_{j-1} + u_j, run as a
 blocked matrix product in numpy alone: blocks of 32 nodes are scanned by
-one product with a cached 32x32 matrix of powers of a, and the carries
-between blocks are the same recurrence over the block ends.  A scan runs
-in a workspace (:class:`ScanPlan`) that holds the cell weights, the block
-matrices of every carry level and every buffer both sweeps write, so a
-caller that passes one plan to each convolution on its grid allocates
-only the arrays the convolution returns.  The growing branch scans a
-reversed copy of the source, so no elementwise pass reads a reversed
-stride.
+one product with a 32x32 matrix of powers of a, built once per plan, and
+the carries between blocks are the same recurrence over the block ends.
+A scan runs in a workspace (:class:`ScanPlan`) that holds the cell
+weights, the block matrices of every carry level and every buffer both
+sweeps write, so a caller that passes one plan to each convolution on its
+grid allocates only the arrays the convolution returns.  The growing
+branch scans a reversed copy of the source, so no elementwise pass reads
+a reversed stride.
 
 The scan keeps its two branch accumulators (:class:`Convolution`), left
 tail and right closure included.  The convolution at a sub-step offset
@@ -35,7 +35,6 @@ O(1) and a whole shifted grid one elementwise pass, with no second scan.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -203,10 +202,18 @@ def _grid(t) -> Grid:
     return t if isinstance(t, Grid) else Grid(t)
 
 
+def _on_grid(t, src) -> tuple[Grid, np.ndarray]:
+    """The Grid of ``t`` and ``src`` as float values on its nodes."""
+    grid = _grid(t)
+    src = np.asarray(src, dtype=float)
+    if src.shape != grid.t.shape:
+        raise ValueError("source values must match the grid")
+    return grid, src
+
+
 _BLOCK = 32  # nodes per block of the blocked scan
 
 
-@functools.lru_cache(maxsize=64)
 def _block_powers(a: float, span: int) -> tuple[np.ndarray, np.ndarray]:
     """For the multiplier b = a^span (0 < a < 1): the block matrix
     ``lower[k, m] = b^{m-k}`` (m >= k, else 0) and ``lift[m] = b^{m+1}``.
@@ -219,8 +226,6 @@ def _block_powers(a: float, span: int) -> tuple[np.ndarray, np.ndarray]:
     p[p < np.finfo(float).tiny] = 0.0
     gap = np.arange(_BLOCK) - np.arange(_BLOCK)[:, None]  # m - k
     lower = np.where(gap >= 0, p[np.abs(gap)], 0.0)
-    for arr in (lower, p):
-        arr.setflags(write=False)
     return lower, p[1:]
 
 
@@ -272,16 +277,14 @@ class _Sweep:
                 break
             blocks, span = nxt.reshape(-1, _BLOCK), span * _BLOCK
 
-    def __call__(self, src: np.ndarray, start: float, out: np.ndarray | None = None) -> np.ndarray:
+    def __call__(self, src: np.ndarray, start: float, out: np.ndarray) -> np.ndarray:
         """y_0 = start, y_j = a y_{j-1} + the integral of e^{-rate u} src over
         the cell that ends at node j, u the distance to it; ``src`` has the
-        sweep's n nodes.  The blocks of y are written into ``out`` (a fresh
-        array if None, else ``n`` rounded up to whole blocks long); the
-        first n entries are returned.
+        sweep's n nodes.  The blocks of y are written into ``out``, ``n``
+        rounded up to whole blocks long; its first n entries are returned.
+        rate > 0, so the scan is stable and every power it uses is <= 1.
         """
         n, body = self.n, self.body
-        if out is None:
-            out = np.empty(self.u.size)
         self.u[0] = start
         np.multiply(src[:-1], self.far, out=body)
         body += np.multiply(src[1:], self.near, out=out[: n - 1])
@@ -296,18 +299,6 @@ class _Sweep:
             starts += b * np.asarray(carry[: starts.size])
             carry = np.matmul(blocks, lower, out=out.reshape(blocks.shape) if product is None else product).ravel()
         return carry[:n]
-
-
-def _exp_scan(src: np.ndarray, step: float, rate: float, start: float) -> np.ndarray:
-    """y_0 = start, y_j = e^{-rate step} y_{j-1} + the integral of
-    e^{-rate u} src over the cell that ends at node j, u the distance to it.
-
-    The module's one exponential scan, run in a workspace of its own: the
-    decaying kernel branch sweeps the source left to right, the growing
-    branch sweeps it reversed.  rate > 0, so the scan is stable and every
-    power it uses is <= 1.
-    """
-    return _Sweep(src.size, step, rate)(src, start)
 
 
 class ScanPlan:
@@ -364,20 +355,12 @@ class Convolution:
     bwd: np.ndarray
     values: np.ndarray
 
-    @property
-    def kernel(self) -> GreenKernel:
-        return self.plan.kernel
-
-    @property
-    def grid(self) -> Grid:
-        return self.plan.grid
-
     def _weights(self, d: float) -> tuple[float, float, float, float]:
         """Coefficients of (fwd_i, bwd_{i+1}, src_i, src_{i+1}) in the
         value at t_i + d, 0 < d < step, the common factor norm folded in."""
-        k = self.kernel
+        k = self.plan.kernel
         mu_m, mu_p, norm = k.mu_minus_root, k.mu_plus_root, k.norm
-        step = self.grid.step
+        step = self.plan.grid.step
         lead = step - d
         x, y = mu_m * d, -mu_p * lead
         f1, f2 = d * _phi1(x), d * d * _phi2(x) / step
@@ -390,7 +373,7 @@ class Convolution:
     def _below_first(self, ell: float) -> float:
         """The value at t_0 - ell, 0 < ell < step: the tail's own response
         there plus bwd_0 discounted over ell."""
-        k = self.kernel
+        k = self.plan.kernel
         tail = tail_response(k, self.left_tail, 0.0, -ell)
         return tail + k.norm * math.exp(-k.mu_plus_root * ell) * float(self.bwd[0])
 
@@ -399,7 +382,7 @@ class Convolution:
         if delta < 0.0:
             if i == 0:
                 return self._below_first(-delta)
-            i, delta = i - 1, delta + self.grid.step  # t_i - ell = t_{i-1} + (step - ell)
+            i, delta = i - 1, delta + self.plan.grid.step  # t_i - ell = t_{i-1} + (step - ell)
         elif delta == 0.0:
             return float(self.values[i])
         return self._in_cell(i, self._weights(delta))
@@ -412,7 +395,7 @@ class Convolution:
             b_next, lo, hi = self.bwd.item(i + 1), self.src.item(i), self.src.item(i + 1)
         else:  # past the last node the source is the constant closure
             rc = self.right_const
-            b_next, lo, hi = rc / self.kernel.mu_plus_root, rc, rc
+            b_next, lo, hi = rc / self.plan.kernel.mu_plus_root, rc, rc
         return cf * self.fwd.item(i) + cb * b_next + w_lo * lo + w_hi * hi
 
     def shifted_into(self, out: np.ndarray, first: int, delta: float) -> np.ndarray:
@@ -428,7 +411,7 @@ class Convolution:
             out[:] = self.values[first:stop]
             return out
         lag = int(delta < 0.0)  # t_j - ell = t_{j-1} + (step - ell): node j reads cell j-1
-        weights = self._weights(delta + self.grid.step if lag else delta)
+        weights = self._weights(delta + self.plan.grid.step if lag else delta)
         cf, cb, w_lo, w_hi = weights
         a, b = max(first - lag, 0), min(stop - lag, n - 1)  # cells [t_c, t_{c+1}] read
         body = out[a + lag - first : b + lag - first]
@@ -442,15 +425,11 @@ class Convolution:
             out[edge - first] = self._below_first(-delta) if lag else self._in_cell(edge, weights)
         return out
 
-    def shifted(self, delta: float) -> np.ndarray:
-        """The values at every t_i + delta, |delta| < step."""
-        return self.shifted_into(np.empty(self.src.size), 0, delta)
-
     def derivative(self) -> np.ndarray:
         """The derivative at every node, exact like the values: fwd' =
         mu_minus fwd + source and bwd' = mu_plus bwd - source, and K is
         continuous at 0, so the source terms cancel."""
-        k = self.kernel
+        k = self.plan.kernel
         return k.norm * (k.mu_minus_root * self.fwd + k.mu_plus_root * self.bwd)
 
 
@@ -462,14 +441,11 @@ def convolve(k: GreenKernel, t, src, left_tail, right_const: float, plan: ScanPl
     t[0] and by the constant ``right_const`` above t[-1].  The node values
     are ``.values`` of the result, which also reads the convolution
     between nodes without another scan (:meth:`Convolution.at`,
-    :meth:`Convolution.shifted`).  The scan runs in ``plan``, which must
-    have been built for ``k`` and the Grid ``t``; without one it runs in a
-    fresh plan.
+    :meth:`Convolution.shifted_into`).  The scan runs in ``plan``, which
+    must have been built for ``k`` and the Grid ``t``; without one it runs
+    in a fresh plan.
     """
-    grid = _grid(t)
-    src = np.asarray(src, dtype=float)
-    if src.shape != grid.t.shape:
-        raise ValueError("source values must match the grid")
+    grid, src = _on_grid(t, src)
     if plan is None:
         plan = ScanPlan(k, grid)
     elif plan.kernel is not k or plan.grid is not grid:
@@ -478,7 +454,7 @@ def convolve(k: GreenKernel, t, src, left_tail, right_const: float, plan: ScanPl
     # decaying branch swept left to right from the whole left tail, growing
     # branch right to left from the constant right closure; the growing
     # branch scans a reversed copy, so no pass reads a reversed stride
-    fwd = plan.fwd(src, _tail_moment(k, left_tail))
+    fwd = plan.fwd(src, _tail_moment(k, left_tail), np.empty(plan.fwd.u.size))
     np.copyto(plan.rev, src[::-1])
     bwd = plan.bwd(plan.rev, rc / k.mu_plus_root, plan.bwd_out)[::-1].copy()
     values = np.add(fwd, bwd)
@@ -504,7 +480,8 @@ def convolve_at_offset(k: GreenKernel, t, src, left_tail, right_const: float, de
         raise ValueError("offset evaluation needs at least three nodes")
     if not abs(delta) < grid.step:
         raise ValueError(f"|delta| must be below one step, got {delta:g}")
-    return convolve(k, grid, src, left_tail, right_const).shifted(delta)
+    conv = convolve(k, grid, src, left_tail, right_const)
+    return conv.shifted_into(np.empty(len(grid)), 0, delta)
 
 
 def exp_integral_right(t, src, rate: float, tail_const: float = 0.0):
@@ -515,20 +492,15 @@ def exp_integral_right(t, src, rate: float, tail_const: float = 0.0):
     """
     if rate <= 0:
         raise ValueError("rate must be positive")
-    grid = _grid(t)
-    src = np.asarray(src, dtype=float)
-    if src.shape != grid.t.shape:
-        raise ValueError("source values must match the grid")
-    return _exp_scan(src[::-1], grid.step, rate, tail_const / rate)[::-1]
+    grid, src = _on_grid(t, src)
+    sweep = _Sweep(len(grid), grid.step, rate)
+    return sweep(src[::-1], tail_const / rate, np.empty(sweep.u.size))[::-1]
 
 
 def pl_exp_integral(t, src, rate: float) -> float:
     """Exact integral of e^{rate s} * (piecewise-linear src) over [t[0], t[-1]]."""
-    grid = _grid(t)
+    grid, src = _on_grid(t, src)
     t, step = grid.t, grid.step
-    src = np.asarray(src, dtype=float)
-    if src.shape != t.shape:
-        raise ValueError("source values must match the grid")
     w_hi, w_lo, _ = _cell_weights(step, -rate)  # a cell's far node is its right one
     cell = w_lo * src[:-1] + w_hi * src[1:]
     return float(np.dot(np.exp(rate * t[:-1]), cell))

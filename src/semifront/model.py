@@ -297,9 +297,14 @@ def _compile_expr(expr: str, n_points: int) -> Callable:
 
 def config_number(key: str, value, kind: Callable = float):
     """The config entry ``key`` = ``value`` converted with ``kind``.  A JSON
-    boolean is rejected, though float() and int() would take it as 0 or 1."""
+    boolean is rejected, though float() and int() would take it as 0 or 1,
+    and so is NaN or +-inf (JSON's NaN and Infinity, or "nan" and "inf"):
+    no parameter, speed or option takes one."""
     if isinstance(value, bool):
         raise TypeError(f"{key} must be a number, got {str(value).lower()}")
+    # a float is checked unconverted: int() of Infinity raises OverflowError
+    if not math.isfinite(value if isinstance(value, float) else kind(value)):
+        raise ValueError(f"{key} must be finite, got {value}")
     return kind(value)
 
 

@@ -27,8 +27,8 @@ made kpp fail or land on another fixed point.
 An iteration costs one kernel scan plus a few O(n) passes, with no search
 and no n-row factorisation, and it allocates only the arrays it returns.
 The map owns a workspace built once per solve: delayed reads are
-precomputed slices of the grid (:class:`ShiftedRead`) written into the
-map's buffers, and the scan runs in the map's :class:`~.kernel.ScanPlan`.
+precomputed slices of the grid (:class:`ShiftedRead`), each written into
+its own buffer, and the scan runs in the map's :class:`~.kernel.ScanPlan`.
 The pin writes the accepted offset straight into its output and clamps only
 what it reads; the damped step updates the pinned image in place; Anderson's
 least squares solve the normal equations of a Gram matrix updated one row
@@ -106,6 +106,8 @@ class SolverOptions:
             raise ValueError("t_minus must be below -step")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.max_iter < 0 or self.accel_iter < 0:  # zero skips a stage
+            raise ValueError("max_iter and accel_iter must be nonnegative")
 
 
 @dataclass
@@ -199,7 +201,8 @@ class ShiftedRead:
     off by ~1e-12).  With ``snap`` a read within 1e-9 of a node reads the
     node itself, as a delay c*s of whole steps should; a shift searched
     over a continuum (the pair alignment) turns it off, so that its
-    distance has no jump near the nodes.
+    distance has no jump near the nodes.  The read owns its output buffer
+    ``out``, which each call overwrites.
     """
 
     def __init__(self, t: np.ndarray, d: float, n_src: Optional[int] = None, snap: bool = True):
@@ -211,6 +214,7 @@ class ShiftedRead:
         self.lo = min(n, max(0, -k))
         self.hi = max(self.lo, min(n, (n if n_src is None else n_src) - k - (theta > 0.0)))
         self.u = t[: self.lo] + d - t[0]
+        self.out = np.empty(n)
 
     def into(self, out: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Write the reads of nodes lo .. hi-1 from ``v`` into ``out`` and return it."""
@@ -220,13 +224,12 @@ class ShiftedRead:
             out += theta * v[lo + k + 1 : hi + k + 1]
         return out
 
-    def __call__(self, phi: np.ndarray, tail: LeftTail, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """The reads of every node, written into ``out`` (a fresh array if
-        None); a zero shift returns ``phi`` itself."""
+    def __call__(self, phi: np.ndarray, tail: LeftTail) -> np.ndarray:
+        """The reads of every node, written into ``out``; a zero shift
+        returns ``phi`` itself."""
         if self.k == 0 and self.theta == 0.0:
             return phi
-        if out is None:
-            out = np.empty(phi.size)
+        out = self.out
         self.into(out[self.lo : self.hi], phi)
         out[: self.lo] = tail.at(self.u)
         out[self.hi :] = phi[-1]
@@ -268,11 +271,10 @@ class _PinnedMap:
         # (1+q)*e + f'(0)[e] = D*e for e = e^{lam t}, D = 1 + q + c*lam - lam^2
         self.D = 1.0 + m.lin.q + c * self.lam - self.lam * self.lam
         self.chz = float(chi_dz(m, self.lam, c))
+        # the map's workspace: each read's buffer and the scan's plan; every
+        # array the map returns is its own
         self.reads = {s: ShiftedRead(self.t, c * s) for s in m.eval_points}
-        # the map's workspace: the scan's, and one output buffer per read;
-        # every array the map returns is its own
         self.plan = ScanPlan(self.kernel, self.grid)
-        self.read_out = {s: np.empty(self.t.size) for s in m.eval_points}
         self.floor = CLAMP_FLOOR * m.kappa
         self.ceil = m.bound
         # the nodes tail_of reads: a multi-unit window at the critical speed
@@ -316,7 +318,7 @@ class _PinnedMap:
         """A(phi), one kernel scan kept whole for the pin's sub-step reads."""
         m, tail = self.m, self.tail_of(phi)
         src = np.multiply(phi, 1.0 + m.lin.q)
-        src += m.react(lambda s: self.reads[s](phi, tail, self.read_out[s]))
+        src += m.react(lambda s: self.reads[s](phi, tail))
         sv = tail.value * self.D + tail.slope * (self.c - 2.0 * self.lam + self.chz)
         stail = LeftTail(sv, self.lam, tail.slope * self.D)
         return convolve(self.kernel, self.grid, src, stail, float(src[-1]), self.plan)

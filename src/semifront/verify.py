@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import logging
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -45,8 +45,6 @@ __all__ = [
     "uniqueness_harness",
     "verify_model",
 ]
-
-_log = logging.getLogger(__name__)
 
 FALSIFICATION_NOTE = (
     "sampled checks falsify, they do not prove: a pass means no counterexample "
@@ -407,7 +405,7 @@ def _sup_distance(a: ProfileSolution, b: ProfileSolution, shift: float) -> float
     read = ShiftedRead(b.t, b.t[0] + shift - a.t[0], a.t.size, snap=False)
     if read.hi - read.lo < 10:
         return math.inf
-    va = read.into(np.empty(read.hi - read.lo), a.phi)
+    va = read.into(read.out[read.lo : read.hi], a.phi)
     va -= b.phi[read.lo : read.hi]
     return float(np.max(np.abs(va, out=va)))
 
@@ -468,7 +466,7 @@ def uniqueness_harness(
 
     Solves n_seeds times (default guess, scaled tails, a shifted pin,
     bounded multiplicative noise), drops runs that fail to converge
-    (reported through ``on_exclude`` or the module logger), and returns
+    (reported through ``on_exclude``, else as a warning), and returns
     (shift, sup_distance) for every converged pair.  Tighter tolerances
     than the plain solver default are used so that the reported distances
     measure profile disagreement rather than leftover iteration error,
@@ -497,11 +495,8 @@ def uniqueness_harness(
         elif on_exclude is not None:
             on_exclude(i)
         else:
-            _log.warning(
-                "seed %d did not converge (residual %.3g after %d iterations); excluded",
-                i,
-                s.residual,
-                s.iterations,
+            warnings.warn(
+                f"seed {i} did not converge (residual {s.residual:.3g} after {s.iterations} iterations); excluded"
             )
     return [align_profiles(a, b) for a, b in itertools.combinations(kept, 2)]
 

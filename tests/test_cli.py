@@ -377,6 +377,18 @@ def _error_of(convert, value) -> str:
                        "atoms": [[0, True]], "kappa": 1}},
             "atoms must be a number, got true",
         ),
+        # a switch takes only a JSON boolean, not any truthy value
+        (("profile", "--model", "kpp", "--c", "2.5"), {"svg": "no"},
+         'svg must be true or false, got "no"'),
+        (("evolve", "--model", "kpp", "--c", "2.5"), {"compare": 1},
+         "compare must be true or false, got 1"),
+        # NaN and +-inf are no configuration: an own flag, the speed, a model parameter
+        (("profile", "--model", "kpp", "--c", "2.5"), {"tol": math.nan}, "tol must be finite, got nan"),
+        (("profile", "--model", "kpp", "--c", "2.5"), {"max_iter": math.inf},
+         "max_iter must be finite, got inf"),
+        (("speed", "--model", "kpp"), {"c": "-inf"}, "c must be finite, got -inf"),
+        (("speed", "--c", "3"), {"model": {"name": "nicholson", "h": 1, "p": math.inf}},
+         "p must be finite, got inf"),
     ],
 )
 def test_bad_typed_config_values_exit_2(tmp_path, capsys, argv, override, message):
@@ -505,12 +517,33 @@ def test_evolve_nonpositive_run_time_exit_2(tmp_path, capsys, t_run):
     assert err == "error: t_run must be positive\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("speed", "--model", "kpp", "--h", "inf", "--c", "2.5"), "h must be finite, got inf"),
+        (("speed", "--model", "kpp", "--c", "nan"), "c must be finite, got nan"),
+        (("profile", "--model", "kpp", "--c", "2.5", "--tol", "nan"), "tol must be finite, got nan"),
+        # zero skips a stage; a negative budget is no budget
+        (
+            ("profile", "--model", "kpp", "--c", "2.5", "--max-iter", "-5", "--accel-iter", "-1"),
+            "max_iter and accel_iter must be nonnegative",
+        ),
+    ],
+)
+def test_bad_flag_values_exit_2(tmp_path, capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--outdir", str(tmp_path))
+    assert code == EXIT_CONFIG and out == ""
+    assert err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
 # --------------------------------------------------------------- import
 
 
 def test_import_leaves_scipy_signal_unloaded():
     # importing scipy costs more than most CLI runs compute, and the
-    # runtime needs only numpy: neither the import nor a solve loads it
+    # runtime needs only numpy: neither the import nor a solve loads it;
+    # nor logging (~4 ms an import), which no report path uses
     import os
     import subprocess
     import sys
@@ -523,11 +556,11 @@ def test_import_leaves_scipy_signal_unloaded():
         "import sys, semifront.cli\n"
         "from semifront.model import builtin_kpp\n"
         "from semifront.profile import SolverOptions, solve_profile\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(scipy_modules())\n"
+        "def unwanted():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'logging'))\n"
+        "print(unwanted())\n"
         "solve_profile(builtin_kpp(1.0), 2.5, SolverOptions(step=0.05, t_plus=20.0))\n"
-        "print(scipy_modules())\n"
+        "print(unwanted())\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120

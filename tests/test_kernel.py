@@ -9,7 +9,7 @@ from semifront.kernel import (
     Grid,
     LeftTail,
     ScanPlan,
-    _exp_scan,
+    _Sweep,
     _phi1,
     _phi2,
     convolve,
@@ -247,7 +247,7 @@ def test_phi2_continuous_at_series_edge(edge):
 
 
 def scan_reference(src, step, rate, start):
-    """The recurrence of ``_exp_scan``, one node at a time."""
+    """The recurrence of a ``_Sweep``, one node at a time."""
     x = -rate * step
     far = step * _phi2(x)
     near = step * _phi1(x) - far
@@ -255,6 +255,12 @@ def scan_reference(src, step, rate, start):
     for lo, hi in zip(src[:-1].tolist(), src[1:].tolist()):
         out.append(a * out[-1] + (far * lo + near * hi))
     return np.array(out)
+
+
+def fresh_scan(src, step, rate, start):
+    """The scan of ``src`` in a sweep of its own."""
+    sweep = _Sweep(src.size, step, rate)
+    return sweep(src, start, np.empty(sweep.u.size))
 
 
 @pytest.mark.parametrize(
@@ -272,24 +278,27 @@ def test_exp_scan_matches_recurrence(n, step, rate):
     src = RNG.uniform(0.1, 1.0, n)
     for s in (src, src[::-1]):  # the backward branch scans a reversed view
         ref = scan_reference(s, step, rate, 0.3)
-        out = _exp_scan(s, step, rate, 0.3)
+        out = fresh_scan(s, step, rate, 0.3)
         assert np.max(np.abs(out - ref) / ref) <= 1e-14
 
 
 @pytest.mark.parametrize("n, levels", [(31, 1), (33, 1), (1057, 2), (40000, 3)])
 def test_scan_plan_reuse_matches_fresh_scan(n, levels):
     # one plan's sweeps, each run twice on different sources (the second a
-    # reversed view): every run equals a fresh _exp_scan bit for bit and the
-    # one-node recurrence within the scan's bound, whatever the last run left
-    # in the buffers; n spans one block, a carry loop, and two and three levels
+    # reversed view) into one output buffer: every run equals a fresh sweep
+    # bit for bit and the one-node recurrence within the scan's bound,
+    # whatever the last run left in the buffers; n spans one block, a carry
+    # loop, and two and three levels
     step = 0.01
     k = make_kernel(2.5, 0.5)
     plan = ScanPlan(k, Grid(step * np.arange(n)))
     for sweep, rate in ((plan.fwd, -k.mu_minus_root), (plan.bwd, k.mu_plus_root)):
         assert len(sweep.down) == len(sweep.up) == levels
+        buf = np.full(sweep.u.size, np.nan)
         for src in (RNG.uniform(0.1, 1.0, n), RNG.uniform(0.1, 1.0, n)[::-1]):
-            out = sweep(src, 0.3)
-            assert np.array_equal(out, _exp_scan(src, step, rate, 0.3))
+            out = sweep(src, 0.3, buf)
+            assert np.shares_memory(out, buf)
+            assert np.array_equal(out, fresh_scan(src, step, rate, 0.3))
             ref = scan_reference(src, step, rate, 0.3)
             assert np.max(np.abs(out - ref) / ref) <= 1e-14
 
@@ -489,7 +498,7 @@ def test_offset_node_probe_equals_vector_read():
     vals = RNG.uniform(0.1, 1.1, t.size)
     conv = convolve(k, t, vals, LeftTail(vals[0], 0.7, -0.02), 0.8)
     for delta in (-0.93 * step, -0.3 * step, 0.0, 0.41 * step, 0.99 * step):
-        row = conv.shifted(delta)
+        row = conv.shifted_into(np.empty(t.size), 0, delta)
         for idx in (0, 1, t.size // 2, t.size - 2, t.size - 1):
             assert conv.at(idx, delta) == row[idx]
 

@@ -134,6 +134,20 @@ def test_map_outputs_are_not_overwritten_by_later_calls(kpp_h1):
     assert not np.array_equal(P(b), pinned)
 
 
+def test_delayed_reads_keep_their_own_buffers():
+    # a reaction takes all its reads before it combines them: with two
+    # delayed lags, neither read may overwrite the other's values
+    m = model_from_config({
+        "name": "custom", "h": 1.0, "eval_points": [0.0, -0.5, -1.0],
+        "expr": "u0 * (1.0 - 0.5 * u1 - 0.5 * u2)", "atoms": [[0.0, 1.0]], "kappa": 1.0,
+    })
+    P = _PinnedMap(m, 2.5, SolverOptions(step=0.05, t_plus=20.0))
+    phi = P.seed()
+    tail = P.tail_of(phi)
+    ref = m.react(lambda s: P.reads[s](phi, tail).copy())
+    assert np.array_equal(m.react(lambda s: P.reads[s](phi, tail)), ref)
+
+
 def test_iterates_are_the_same_when_the_map_returns_copies(monkeypatch):
     # a map that hands back copies cannot alias anything the solver keeps
     # (Anderson's previous iterate and residual, the best iterate): the
@@ -404,11 +418,20 @@ def test_seed_shape_checked():
         {"tol": 0.0},
         {"t_plus": 0.0},
         {"t_minus": 3.0},
+        {"max_iter": -1},
+        {"accel_iter": -1},
     ],
 )
 def test_options_validated(kwargs):
     with pytest.raises(ValueError):
         SolverOptions(**kwargs)
+
+
+def test_zero_budgets_are_valid():
+    # a zero budget skips its stage: only the final bookkeeping maps phi
+    opts = SolverOptions(step=0.05, t_plus=20.0, max_iter=0, accel_iter=0)
+    sol = solve_profile(builtin_kpp(0.0), 2.5, opts)
+    assert sol.iterations == 0 and len(sol.residual_history) == 1
 
 
 # ------------------------------------------------------ iteration pieces

@@ -277,6 +277,12 @@ def test_harness_reports_exclusions():
     pairs = uniqueness_harness(builtin_kpp(0.0), 2.5, 3, opts, on_exclude=dropped.append)
     assert pairs == []
     assert dropped == [0, 1, 2]
+    # without a callback each exclusion is a warning
+    with pytest.warns(UserWarning) as record:
+        assert uniqueness_harness(builtin_kpp(0.0), 2.5, 2, opts) == []
+    pattern = r"seed {} did not converge \(residual \S+ after 3 iterations\); excluded"
+    assert len(record) == 2
+    assert all(re.fullmatch(pattern.format(i), str(w.message)) for i, w in enumerate(record))
 
 
 def test_harness_needs_two_seeds():
