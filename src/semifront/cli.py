@@ -211,12 +211,12 @@ _SVG_H = 432.0
 _SVG_PAD = 52.0
 
 
-def _svg_profile(sol: ProfileSolution, fit: DecayFit) -> str:
+def _svg_profile(sol: ProfileSolution, fit: Optional[DecayFit]) -> str:
     """Static single-file profile figure.
 
     Axes with ticks, the profile polyline, a dashed guide at the
     positive equilibrium, and the exponential factor of the fitted tail
-    law overlaid on the left.  All coordinates use fixed two-decimal
+    law, if any, overlaid on the left.  All coordinates use fixed two-decimal
     formatting so reruns are byte-identical.
     """
     t, phi, kap = sol.t, sol.phi, sol.model.kappa
@@ -279,20 +279,21 @@ def _svg_profile(sol: ProfileSolution, fit: DecayFit) -> str:
     )
 
     # exponential factor of the fitted tail law, clipped to the frame
-    y_tail = fit.amplitude * np.exp(fit.rate * t)
-    show = y_tail <= y_hi
-    if np.any(show):
-        el.append(
-            f'<polyline points="{pts(t[show], y_tail[show])}" fill="none" '
-            f'stroke="#d62728" stroke-width="1.5" stroke-dasharray="2,3"/>'
-        )
+    if fit is not None:
+        y_tail = fit.amplitude * np.exp(fit.rate * t)
+        show = y_tail <= y_hi
+        if np.any(show):
+            el.append(
+                f'<polyline points="{pts(t[show], y_tail[show])}" fill="none" '
+                f'stroke="#d62728" stroke-width="1.5" stroke-dasharray="2,3"/>'
+            )
     el.append(
         f'<polyline points="{pts(t, phi)}" fill="none" stroke="#1f77b4" stroke-width="1.8"/>'
     )
+    law = f"; tail fit: rate = {fit.rate:.6g} ({fit.mode})" if fit else ""
     el.append(
         f'<text x="{_SVG_PAD + 8:.2f}" y="{_SVG_PAD - 8:.2f}" font-size="12" '
-        f'font-family="sans-serif">{sol.model.name}, c = {sol.c:.6g}; '
-        f'tail fit: rate = {fit.rate:.6g} ({fit.mode})</text>'
+        f'font-family="sans-serif">{sol.model.name}, c = {sol.c:.6g}{law}</text>'
     )
     el.append("</svg>")
     return "\n".join(el) + "\n"
@@ -329,7 +330,10 @@ def _cmd_profile(cfg: dict, m: Model) -> int:
     sa = analyze_speed(m, _c_value(cfg), check_dominance=False)
     keys = ("t_minus", "t_plus", "step", "tol", "max_iter", "accel_iter")
     sol = solve_profile(m, sa.c, SolverOptions(**{key: cfg[key] for key in keys}))
-    fit = fit_decay(sol)
+    try:
+        fit = fit_decay(sol)
+    except ValueError:  # a loose solve resolves too little tail for a fit window
+        fit = None
     oscillatory, crossings = detect_oscillation(sol)
     q_min = pi_integral = None
     if sol.converged:
@@ -353,7 +357,7 @@ def _cmd_profile(cfg: dict, m: Model) -> int:
         "converged": sol.converged,
         "clamped_low": sol.clamp_low,
         "clamped_high": sol.clamp_high,
-        "decay": dataclasses.asdict(fit),
+        "decay": dataclasses.asdict(fit) if fit else None,
         "oscillatory": oscillatory,
         "kappa_crossings": crossings,
         "q_min": q_min,

@@ -299,12 +299,15 @@ def config_number(key: str, value, kind: Callable = float):
     """The config entry ``key`` = ``value`` converted with ``kind``.  A JSON
     boolean is rejected, though float() and int() would take it as 0 or 1,
     and so is NaN or +-inf (JSON's NaN and Infinity, or "nan" and "inf"):
-    no parameter, speed or option takes one."""
+    no parameter, speed or option takes one.  An int ``kind`` refuses a
+    fractional number, which int() would truncate."""
     if isinstance(value, bool):
         raise TypeError(f"{key} must be a number, got {str(value).lower()}")
     # a float is checked unconverted: int() of Infinity raises OverflowError
     if not math.isfinite(value if isinstance(value, float) else kind(value)):
         raise ValueError(f"{key} must be finite, got {value}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value}")
     return kind(value)
 
 

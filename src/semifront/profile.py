@@ -14,8 +14,9 @@ Convergence is measured against P; the raw image A(phi) of a converged
 profile still differs from phi by a pure O(step^2) translation (the
 discretization's speed bias), reported separately as ``drift``.
 
-Two stages: damped sweeps take the seed into the contraction basin,
-then Anderson mixing on P finishes to tolerance.  Plain damped
+One loop, one map application per step: damped steps take the seed into
+the contraction basin, then Anderson mixing on P finishes to tolerance,
+and the hand-over step's image is Anderson's first residual.  Plain damped
 iteration cannot finish the job — it ends up orbiting the fixed point
 along the translation direction at the drift amplitude.
 
@@ -85,8 +86,8 @@ class SolverOptions:
     scaled by kappa); a solve counts as converged at residual <= 2*tol
     when its final raw image needed no clamp.
     ``max_iter`` and ``accel_iter`` budget the damped and the Anderson
-    stage; each stage's own parameters are module constants (see the
-    module docstring for why they have one value).
+    steps (the hand-over step is Anderson's first); each stage's own
+    parameters are module constants (the module docstring says why).
     """
 
     t_minus: Optional[float] = None
@@ -134,11 +135,14 @@ class ProfileSolution:
     critical: bool
     residual: float
     drift: float
-    iterations: int
     converged: bool
     clamp_low: int
     clamp_high: int
     residual_history: list = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history) - 1
 
     @property
     def step(self) -> float:
@@ -439,14 +443,10 @@ class _AndersonRing:
         return out
 
 
-def _sup(x: np.ndarray) -> float:
-    """sup|x|, from two reductions rather than an abs pass."""
-    return float(max(abs(x.min()), abs(x.max())))
-
-
 def _sup_gap(a: np.ndarray, b: np.ndarray, work: np.ndarray) -> float:
-    """sup|a - b|, computed in ``work``."""
-    return _sup(np.subtract(a, b, out=work))
+    """sup|a - b|, computed in ``work``, from two reductions rather than an abs pass."""
+    d = np.subtract(a, b, out=work)
+    return float(max(abs(d.min()), abs(d.max())))
 
 
 def solve_profile(
@@ -477,47 +477,44 @@ def solve_profile(
     # direction (double root): its error runs orders above the residual,
     # so aim below the contracted tolerance to resolve the tail scale
     goal = opts.tol * (1e-2 if P.critical else 1.0)
-    res = math.inf
-    n_damped = 0
-    # the solve's scratch; each iterate is a new array (the pinned image, or
-    # Anderson's mix), since the ring and ``prev`` keep the last one
-    work = np.empty(phi.size)
-    for _ in range(opts.max_iter):
-        img = P(phi)
-        res = _sup_gap(img, phi, work)
-        history.append(res)
-        n_damped += 1
-        if res <= max(goal, switch):
-            break
-        img *= DAMPING
-        img += np.multiply(phi, 1.0 - DAMPING, out=work)
-        phi = img
-
     # Anderson mixing on P: combine the differences between the last
     # ACCEL_DEPTH iterates by least squares, damped by ACCEL_DAMPING.  The
-    # difference columns live in a ring: each iteration writes one, and
-    # the least squares are the normal equations of the ring's Gram matrix.
+    # difference columns live in a ring: each step writes one, and the
+    # least squares are the normal equations of the ring's Gram matrix.
     beta = ACCEL_DAMPING
     ring = _AndersonRing(phi.size, ACCEL_DEPTH - 1)
     prev = None
-    best_res, best_phi = res, phi.copy()
-    n_accel = 0
+    best_res, best_phi = math.inf, None
     # mixing can fall into a limit cycle on near-neutral oscillatory modes;
     # if the residual fails to halve within a window, restart from the best
-    # iterate with fresh memory and a gentler first step
-    stall, mark, restarts = 0, res, 0
-    for _ in range(opts.accel_iter):
+    # iterate with fresh memory and a gentler first step.  The window opens
+    # at the residual of the damped stage's last map.
+    res, stall, mark, restarts = math.inf, 0, math.inf, 0
+    # the solve's scratch; each iterate is a new array (the pinned image, or
+    # Anderson's mix), since the ring and ``prev`` keep the last one
+    work = np.empty(phi.size)
+    # each step maps phi once: damped while the damped budget lasts and the
+    # residual is above switch, Anderson from the first other step on
+    damped = opts.max_iter
+    while len(history) < damped + opts.accel_iter:
+        img = P(phi)
+        res = _sup_gap(img, phi, work)
+        history.append(res)
         if res <= goal:
             break
-        fx = P(phi)
-        fx -= phi
-        res = _sup(fx)
-        history.append(res)
-        n_accel += 1
+        if len(history) <= damped:  # a step of the damped budget
+            mark = res
+            if res > switch:
+                img *= DAMPING
+                img += np.multiply(phi, 1.0 - DAMPING, out=work)
+                phi = img
+                continue
+            damped = len(history) - 1  # this step hands over to Anderson
+            if opts.accel_iter == 0:
+                break
+        fx = np.subtract(img, phi, out=img)
         if res < best_res:
             best_res, best_phi = res, phi.copy()
-        if res <= goal:
-            break
         if res <= 0.5 * mark:
             stall, mark = 0, res
         else:
@@ -563,7 +560,6 @@ def solve_profile(
         critical=P.critical,
         residual=res,
         drift=drift,
-        iterations=n_damped + n_accel,
         # a clamped image is not A(phi): the solve then rests on the clamp
         converged=res <= 2.0 * opts.tol and clamp_low == clamp_high == 0,
         clamp_low=clamp_low,

@@ -212,6 +212,27 @@ def test_profile_nonconvergence_still_writes(tmp_path, capsys):
     assert (tmp_path / "profile.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (("--h", "1", "--c", "2.5", "--tol", "1e-3"), EXIT_OK),
+        (("--h", "1", "--c", "2.5", "--tol", "1e-4"), EXIT_OK),
+        (("--h", "2", "--c", "2.5", "--accel-iter", "0"), EXIT_NO_CONVERGENCE),
+    ],
+)
+def test_loose_solve_without_fit_window_still_reports(tmp_path, capsys, argv, exit_code):
+    # at residuals of ~1e-5 to 1e-3 the first node resolved above the
+    # residual (phi >= 1e3 * residual) lies past the fit level, so there is
+    # no decay window: the report says so, and the exit code is the
+    # convergence verdict's, not a configuration error
+    code, doc = run_json(capsys, "profile", "--model", "kpp", *argv, "--svg", "--outdir", str(tmp_path))
+    assert code == exit_code and doc["converged"] is (exit_code == EXIT_OK)
+    assert doc["decay"] is None
+    assert {p.name for p in tmp_path.iterdir()} == {"profile.csv", "profile.json", "profile.svg"}
+    svg = (tmp_path / "profile.svg").read_text(encoding="utf-8")
+    assert svg.count("<polyline") == 1 and "tail fit" not in svg
+
+
 def test_clamped_profile_is_not_converged(tmp_path, capsys):
     # at h = 4 the default solve meets the residual tolerance only on nodes
     # held at the clamp floor; such a profile does not solve phi = A(phi)
@@ -326,10 +347,11 @@ def test_config_values_take_their_flag_type(tmp_path, capsys):
     # a config value is converted, and echoed, with its flag's type
     argv = ("profile", "--model", "kpp", "--c", "2.5", "--step", "0.05")
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"t_plus": 30}))
+    cfg.write_text(json.dumps({"t_plus": 30, "max_iter": 600.0}))
     code, doc = run_json(capsys, *argv, "--config", str(cfg), "--outdir", str(tmp_path / "a"))
     assert code == EXIT_OK
     assert doc["config"]["t_plus"] == 30.0 and isinstance(doc["config"]["t_plus"], float)
+    assert doc["config"]["max_iter"] == 600 and isinstance(doc["config"]["max_iter"], int)
     code, ref = run_json(capsys, *argv, "--t-plus", "30", "--outdir", str(tmp_path / "b"))
     assert code == EXIT_OK
     for d in (doc, ref):
@@ -389,6 +411,11 @@ def _error_of(convert, value) -> str:
         (("speed", "--model", "kpp"), {"c": "-inf"}, "c must be finite, got -inf"),
         (("speed", "--c", "3"), {"model": {"name": "nicholson", "h": 1, "p": math.inf}},
          "p must be finite, got inf"),
+        # an integer setting refuses a fraction, which int() would truncate
+        (("verify", "--model", "kpp"), {"n_samples": 2.9, "seed": 1.5},
+         "n_samples must be an integer, got 2.9"),
+        (("profile", "--model", "kpp", "--c", "2.5"), {"max_iter": 600.7},
+         "max_iter must be an integer, got 600.7"),
     ],
 )
 def test_bad_typed_config_values_exit_2(tmp_path, capsys, argv, override, message):

@@ -119,6 +119,39 @@ def test_one_convolve_call_per_map_application(kpp_h1, monkeypatch):
     assert all(len(g) == sol.t.size for g in grids)
 
 
+def _record_map_inputs(monkeypatch) -> list:
+    """Record a copy of each array ``_PinnedMap.__call__`` receives."""
+    mapped, inputs = _PinnedMap.__call__, []
+
+    def recorded(self, phi):
+        inputs.append(phi.copy())
+        return mapped(self, phi)
+
+    monkeypatch.setattr(_PinnedMap, "__call__", recorded)
+    return inputs
+
+
+def test_no_iterate_is_mapped_twice_in_a_row(monkeypatch):
+    # the hand-over step's image is Anderson's first residual: no step maps
+    # the iterate its predecessor just mapped
+    inputs = _record_map_inputs(monkeypatch)
+    sol = solve_profile(builtin_kpp(1.0), 2.5)
+    assert len(inputs) == sol.iterations
+    assert not any(np.array_equal(a, b) for a, b in zip(inputs, inputs[1:]))
+
+
+def test_hand_over_step_is_the_first_anderson_update(kpp_h2, monkeypatch):
+    # accel_iter = 2 allows the hand-over step's update and one more, so a
+    # solve that hands over at its k-th map application maps k + 1 times,
+    # along the iterates of the default budget
+    inputs = _record_map_inputs(monkeypatch)
+    sol = solve_profile(kpp_h2.model, kpp_h2.c, SolverOptions(accel_iter=2))
+    switch = profile_mod.SWITCH_RES * max(1.0, kpp_h2.model.kappa)
+    k = next(j for j, r in enumerate(sol.residual_history, 1) if r <= switch)
+    assert len(inputs) == sol.iterations == k + 1
+    assert sol.residual_history[:-1] == kpp_h2.residual_history[: k + 1]
+
+
 def test_map_outputs_are_not_overwritten_by_later_calls(kpp_h1):
     # the map's buffers are scratch only: a convolution A(phi) and a pinned
     # image keep their values through later applications of the map
