@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 DOUBLE_ROOT_RTOL = 1e-6  # roots merged when |l2-l1| < tol*max(1, l2)
+# |chi| below CHI_ATOL*(1 + p + q) is zero: Newton's stop on the double-root
+# system, and the least band in which real_roots merges a double root
+CHI_ATOL = 1e-13
 # the dominance half plane is {Re z >= lambda1 - DOMINANCE_EPS}; the zero
 # count's default rectangle starts on the same edge
 DOMINANCE_EPS = 1e-3
@@ -158,8 +161,10 @@ def real_roots(m: Model, c: float) -> Optional[RealRoots]:
     z_min, chi_min = char_min(m, c)
     sep_tol = DOUBLE_ROOT_RTOL * max(1.0, z_min)
     # chi ~ chi_min + (z - z_min)^2 chi_zz/2 near the minimum, so a root
-    # separation below sep_tol corresponds to |chi_min| below this band:
-    band = 0.5 * float(chi_dzz(m, z_min, c)) * (0.5 * sep_tol) ** 2
+    # separation below sep_tol corresponds to |chi_min| below this band,
+    # widened to Newton's stop so that the c* it returns reads critical:
+    band = max(0.5 * float(chi_dzz(m, z_min, c)) * (0.5 * sep_tol) ** 2,
+               CHI_ATOL * (1.0 + m.lin.p + m.lin.q))
     if chi_min > band:
         return None
     if chi_min >= -band:
@@ -220,7 +225,7 @@ def critical_speed_newton(
     The Jacobian at the solution is [[0, chi_c], [chi_zz, chi_zc]] with
     determinant -chi_c*chi_zz > 0, so Newton is locally quadratic.  The
     default start is the zero-delay closed form lam = sqrt(p-q), c = 2 lam.
-    Converged at |(chi, chi_z)| <= 1e-13 (1 + p + q), within 100 steps.
+    Converged at |(chi, chi_z)| <= CHI_ATOL (1 + p + q), within 100 steps.
     """
     p, q = m.lin.p, m.lin.q
     if guess is None:
@@ -228,7 +233,7 @@ def critical_speed_newton(
         lam, c = lam0, 2.0 * lam0
     else:
         lam, c = guess
-    tol = 1e-13 * (1.0 + p + q)
+    tol = CHI_ATOL * (1.0 + p + q)
     fnorm = math.inf
     for it in range(100):
         F0 = float(eval_chi(m, lam, c))

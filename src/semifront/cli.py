@@ -464,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     flag("--n-samples", type=int, default=N_SAMPLES, help="samples per hypothesis")
     flag("--seed", type=int, default=0, help="base RNG seed")
     flag("--epsilon", type=float, default=EPSILON, help="lower-bound test level")
-    flag("--n-seeds", type=int, default=0, help="uniqueness harness restarts (0 = skip)")
+    flag("--n-seeds", type=int, default=0, help="uniqueness harness starts (0 = skip)")
 
     flag = command("evolve", "integrate the equation and measure the front speed", _cmd_evolve)
     flag("--ic", choices=["tail", "step"], default="tail", help="initial data kind")

@@ -74,6 +74,9 @@ ACCEL_DAMPING = 0.5  # Anderson's mixing weight beta
 # lower clamp of the map, relative to kappa: keeps the image positive and
 # lies far below the deepest tail value a default grid resolves (~e^-40)
 CLAMP_FLOOR = 1e-30
+# the most grid nodes a solve allocates: Anderson's ring alone then holds
+# 2*(ACCEL_DEPTH - 1) columns of this length, about 300 MB
+MAX_NODES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -266,6 +269,9 @@ class _PinnedMap:
         else:
             n_lo = math.ceil(-opts.t_minus / step - 1e-9)
         n_hi = math.ceil(opts.t_plus / step - 1e-9)
+        if n_lo + n_hi + 1 > MAX_NODES:  # the automatic left edge grows like 40c
+            raise ValueError(f"the grid would have {n_lo + n_hi + 1} nodes, above {MAX_NODES}: "
+                             "set a shallower --t-minus or a larger --step")
         # integer-multiple grid so the pin node sits at exactly 0.0
         self.grid = Grid(step * np.arange(-n_lo, n_hi + 1))
         self.t, self.step = self.grid.t, self.grid.step
@@ -406,8 +412,7 @@ _GRAM_RCOND = 1e-15
 
 class _AndersonRing:
     """Anderson's differences as ring columns of dX and dF, and G = dF^T dF.
-    Writing a column refills its row and column of G, so a restart only
-    resets the counters."""
+    Writing a column refills its row and column of G."""
 
     def __init__(self, n: int, cols: int):
         self.dX = np.empty((n, cols), order="F")
@@ -484,12 +489,8 @@ def solve_profile(
     beta = ACCEL_DAMPING
     ring = _AndersonRing(phi.size, ACCEL_DEPTH - 1)
     prev = None
-    best_res, best_phi = math.inf, None
-    # mixing can fall into a limit cycle on near-neutral oscillatory modes;
-    # if the residual fails to halve within a window, restart from the best
-    # iterate with fresh memory and a gentler first step.  The window opens
-    # at the residual of the damped stage's last map.
-    res, stall, mark, restarts = math.inf, 0, math.inf, 0
+    # a solve that runs out of budget ends on its least-residual iterate
+    res, best_res, best_phi = math.inf, math.inf, None
     # the solve's scratch; each iterate is a new array (the pinned image, or
     # Anderson's mix), since the ring and ``prev`` keep the last one
     work = np.empty(phi.size)
@@ -503,7 +504,6 @@ def solve_profile(
         if res <= goal:
             break
         if len(history) <= damped:  # a step of the damped budget
-            mark = res
             if res > switch:
                 img *= DAMPING
                 img += np.multiply(phi, 1.0 - DAMPING, out=work)
@@ -513,25 +513,13 @@ def solve_profile(
             if opts.accel_iter == 0:
                 break
         fx = np.subtract(img, phi, out=img)
-        if res < best_res:
-            best_res, best_phi = res, phi.copy()
-        if res <= 0.5 * mark:
-            stall, mark = 0, res
-        else:
-            stall += 1
-        if res > 1e3 * best_res or stall >= 150:
-            phi = best_phi.copy()
-            ring.filled, ring.head, prev = 0, 0, None
-            stall, mark = 0, best_res
-            restarts += 1
-            continue
+        if res < best_res:  # no iterate is written after it is made
+            best_res, best_phi = res, phi
         if prev is not None:
             ring.push(phi, prev[0], fx, prev[1])
         prev = (phi, fx)
-        if ring.filled == 0:
-            nudge = np.multiply(fx, beta)
-            nudge /= 1.0 + restarts
-            phi = np.add(phi, nudge, out=nudge)
+        if ring.filled == 0:  # the hand-over step: a plain damped step
+            phi = phi + beta * fx
         else:
             phi = ring.mix(phi, fx, beta, work)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semifront import chareq as ce
-from semifront.model import Measure, builtin_kpp, builtin_mackey_glass, builtin_nicholson
+from semifront.model import Measure, builtin_kpp, builtin_mackey_glass, builtin_may, builtin_nicholson
 
 KPP = builtin_kpp(1.0)
 NICH = builtin_nicholson(1.0, 2.0)
@@ -159,6 +159,20 @@ def test_critical_speed_below_zero_delay_bound():
         c_star, _ = ce.critical_speed(m)
         bound = 2.0 * math.sqrt(m.lin.p - m.lin.q)
         assert c_star <= bound + 1e-12
+
+
+@pytest.mark.parametrize("name, h, p", [
+    ("nicholson", 1.0, 1e5), ("nicholson", 4.0, 1e6), ("may", 0.5, 1e5), ("may", 2.0, 1e6),
+    ("nicholson", 0.1, 2.0),
+])
+def test_critical_speed_has_a_double_root(name, h, p):
+    # Newton stops at |chi| <= CHI_ATOL (1+p+q), which grows with p; the merge
+    # band of real_roots must hold its answer, or c* itself reads subcritical
+    m = builtin_nicholson(h, p) if name == "nicholson" else builtin_may(h, p, 2.0, 1.0)
+    c_star, _ = ce.critical_speed(m)
+    roots = ce.real_roots(m, c_star)
+    assert roots is not None and roots.critical
+    assert not ce.real_roots(m, c_star * (1.0 + 1e-6)).critical
 
 
 def test_char_min_is_global_minimum():

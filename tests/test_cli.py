@@ -509,12 +509,14 @@ def test_verify_seeds_without_speed_is_config_error(tmp_path, capsys):
 def test_evolve_outputs(tmp_path, capsys):
     code, doc = run_json(
         capsys, "evolve", "--model", "kpp", "--c", "2.5", "--t-run", "10",
-        "--x-lo", "-60", "--x-hi", "25", "--outdir", str(tmp_path),
+        "--x-lo", "-60", "--x-hi", "25", "--compare", "--outdir", str(tmp_path),
     )
     assert code == EXIT_OK
     assert doc["speed"] == pytest.approx(2.5, rel=0.02)
     assert doc["exited"] is False
     assert doc["clamped"] == 0
+    # the time-stepped front, aligned, lies on the solver's profile
+    assert doc["profile_gap"]["sup"] <= 5e-2
 
     track = (tmp_path / "track.csv").read_text(encoding="utf-8").splitlines()
     assert track[0] == "t,x_half"
@@ -523,6 +525,17 @@ def test_evolve_outputs(tmp_path, capsys):
     assert field[0] == "x,u"
     # final field has the domain's node count
     assert len(field) - 1 == int(round((25 - (-60)) / 0.1)) + 1
+
+
+def test_evolve_step_data_runs_at_the_critical_speed(tmp_path, capsys):
+    # compactly supported data ignore --c: the front approaches c* = 2 from below
+    code, doc = run_json(
+        capsys, "evolve", "--model", "kpp", "--c", "2.5", "--t-run", "10", "--ic", "step",
+        "--x-lo", "-60", "--x-hi", "25", "--outdir", str(tmp_path),
+    )
+    assert code == EXIT_OK
+    assert doc["speed"] < 2.1
+    assert "profile_gap" not in doc
 
 
 def test_evolve_too_short_to_measure(tmp_path, capsys):
@@ -554,6 +567,12 @@ def test_evolve_nonpositive_run_time_exit_2(tmp_path, capsys, t_run):
         (
             ("profile", "--model", "kpp", "--c", "2.5", "--max-iter", "-5", "--accel-iter", "-1"),
             "max_iter and accel_iter must be nonnegative",
+        ),
+        # the automatic left edge -40/lambda1 grows like 40c: refused before allocation
+        (
+            ("profile", "--model", "kpp", "--h", "1", "--c", "1e6"),
+            "the grid would have 2000002001 nodes, above 1000000: "
+            "set a shallower --t-minus or a larger --step",
         ),
     ],
 )

@@ -467,6 +467,21 @@ def test_zero_budgets_are_valid():
     assert sol.iterations == 0 and len(sol.residual_history) == 1
 
 
+def test_budget_bound_solve_ends_on_its_best_iterate():
+    # 13 Anderson steps from the seed leave kpp h=2 on a worse iterate than
+    # an earlier one: the solve reports the earlier iterate, remapped
+    sol = solve_profile(builtin_kpp(2.0), 2.5, SolverOptions(max_iter=0, accel_iter=13))
+    loop = sol.residual_history[:-1]
+    assert not sol.converged and len(loop) == 13
+    assert sol.residual == min(loop) < loop[-1]
+
+
+def test_explicit_left_edge_keeps_zero_a_node():
+    P = _PinnedMap(builtin_kpp(1.0), 2.5, SolverOptions(t_minus=-30.0))
+    assert P.t[0] == pytest.approx(-30.0, abs=1e-12)
+    assert P.t[P.i_zero] == 0.0
+
+
 # ------------------------------------------------------ iteration pieces
 
 
