@@ -132,15 +132,14 @@ def _shifted_log_slope(tn: np.ndarray, excess: np.ndarray) -> tuple[float, float
     t0 -> inf it degenerates into a linear trend that any smooth excess
     could match.
     """
-    t_edge = float(tn[-1])
-    best = (math.inf, 0.0, t_edge + 1.0)
-    for delta in np.geomspace(1e-2, 30.0, 160):
-        L = np.stack([np.log(t_edge + delta - tn), np.ones_like(tn)], axis=1)
-        coef, *_ = np.linalg.lstsq(L, excess, rcond=None)
-        rss = float(np.sum((excess - L @ coef) ** 2))
-        if rss < best[0]:
-            best = (rss, float(coef[0]), t_edge + delta)
-    return best[1], best[2]
+    t0 = tn[-1] + np.geomspace(1e-2, 30.0, 160)
+    L = np.log(t0[:, None] - tn)  # one row per candidate, centred as is the excess
+    L -= L.mean(axis=1, keepdims=True)
+    e = excess - excess.mean()
+    slope = (L @ e) / np.einsum("ij,ij->i", L, L)
+    np.subtract(e, slope[:, None] * L, out=L)  # residuals, not |e|^2 - cov^2/var: it cancels
+    best = int(np.argmin(np.einsum("ij,ij->i", L, L)))  # the first minimum, as a scan keeps it
+    return float(slope[best]), float(t0[best])
 
 
 def detect_oscillation(sol: ProfileSolution) -> tuple[bool, int]:

@@ -314,6 +314,9 @@ def _arg_walk(f, za: complex, zb: complex, fa: complex, fb: complex, depth: int)
 
 _GUARD = 1e-12  # |chi| below this, relative to 1 + |z|^2, is "on a zero"
 _ATTEMPTS = 3  # dilations of a rectangle whose contour touches a zero
+# the most samples an edge takes (4 per unit length), all held at once:
+# a larger rectangle is refused before any allocation
+MAX_EDGE_SAMPLES = 10_000_000
 
 
 def count_zeros_rect(m: Model, c: float, re_range: tuple[float, float], im_max: float) -> int:
@@ -346,14 +349,17 @@ def count_zeros_rect(m: Model, c: float, re_range: tuple[float, float], im_max: 
             complex(b + db, im_max + dy),
             complex(a - da, im_max + dy),
         ]
+        edges = [(corners[k], corners[(k + 1) % 4]) for k in range(4)]
+        sizes = [max(16, int(4.0 * abs(zb - za))) + 1 for za, zb in edges]
+        if max(sizes) > MAX_EDGE_SAMPLES:  # dominance_check's Y grows like c + p
+            raise ValueError(f"a zero-count rectangle edge would take {max(sizes)} "
+                             f"samples, above {MAX_EDGE_SAMPLES}")
         try:
             total = 0.0
-            for k in range(4):
-                za, zb = corners[k], corners[(k + 1) % 4]
-                n0 = max(16, int(4.0 * abs(zb - za)))
-                pts = np.linspace(za, zb, n0 + 1)
+            for (za, zb), size in zip(edges, sizes):
+                pts = np.linspace(za, zb, size)
                 vals, pts = chi(pts).tolist(), pts.tolist()
-                for j in range(n0):
+                for j in range(size - 1):
                     total += _arg_walk(chi, pts[j], pts[j + 1], vals[j], vals[j + 1], 52)
             winding = total / (2.0 * math.pi)
             n = round(winding)

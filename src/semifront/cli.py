@@ -91,15 +91,13 @@ def _config_errors():
 def _plain(obj):
     """Recursively convert to strict-JSON-safe built-ins.
 
-    numpy scalars/arrays become Python numbers/lists and non-finite
-    floats become None, so reports stay valid JSON everywhere.
+    numpy scalars become Python numbers, tuples become lists and
+    non-finite floats become None, so reports stay valid JSON everywhere.
     """
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
@@ -118,13 +116,10 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _fmt17(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    row = ",".join(["%.17g"] * len(columns))  # '%.17g' % x is format(x, ".17g")
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt17(v) for v in row) for row in zip(*columns))
+    lines.extend(row % cells for cells in zip(*(c.tolist() for c in columns)))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -196,6 +191,8 @@ def _resolve(args) -> dict:
 @_config_errors()
 def _require_model(cfg: dict, args) -> Model:
     mcfg = cfg.get("model") or {}
+    if not isinstance(mcfg, dict):
+        raise _ConfigError(f"model must be a JSON object, got {json.dumps(mcfg)}")
     if not mcfg.get("name"):
         raise _ConfigError(
             "a model is required: pass --model or a config file with a model entry",
@@ -225,76 +222,58 @@ def _svg_profile(sol: ProfileSolution, fit: Optional[DecayFit]) -> str:
     inner_w = _SVG_W - 2.0 * _SVG_PAD
     inner_h = _SVG_H - 2.0 * _SVG_PAD
 
-    def X(v: float) -> float:
+    def X(v):  # a number or an array
         return _SVG_PAD + (v - x_lo) / (x_hi - x_lo) * inner_w
 
-    def Y(v: float) -> float:
+    def Y(v):
         return _SVG_H - _SVG_PAD - v / y_hi * inner_h
 
-    def pts(xs, ys) -> str:
-        return " ".join(f"{X(a):.2f},{Y(b):.2f}" for a, b in zip(xs, ys))
+    def polyline(xs, ys, style: str) -> None:
+        points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(X(xs).tolist(), Y(ys).tolist()))
+        el.append(f'<polyline points="{points}" fill="none" {style}/>')
+
+    def line(x1, y1, x2, y2, style='stroke="black" stroke-width="1"') -> None:
+        el.append(f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" {style}/>')
+
+    def text(x, y, size, body, anchor=None, extra="") -> None:
+        at = f' text-anchor="{anchor}"' if anchor else ""
+        el.append(f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}"{at} '
+                  f'font-family="sans-serif"{extra}>{body}</text>')
 
     el = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W:.0f}" '
         f'height="{_SVG_H:.0f}" viewBox="0 0 {_SVG_W:.0f} {_SVG_H:.0f}">',
         f'<rect width="{_SVG_W:.0f}" height="{_SVG_H:.0f}" fill="white"/>',
     ]
-    axis = 'stroke="black" stroke-width="1"'
     x_axis_y = _SVG_H - _SVG_PAD
-    el.append(f'<line x1="{_SVG_PAD:.2f}" y1="{x_axis_y:.2f}" x2="{_SVG_W - _SVG_PAD:.2f}" y2="{x_axis_y:.2f}" {axis}/>')
-    el.append(f'<line x1="{_SVG_PAD:.2f}" y1="{_SVG_PAD:.2f}" x2="{_SVG_PAD:.2f}" y2="{x_axis_y:.2f}" {axis}/>')
+    line(_SVG_PAD, x_axis_y, _SVG_W - _SVG_PAD, x_axis_y)
+    line(_SVG_PAD, _SVG_PAD, _SVG_PAD, x_axis_y)
     for i in range(5):
         xv = x_lo + i * (x_hi - x_lo) / 4.0
         xp = X(xv)
-        el.append(f'<line x1="{xp:.2f}" y1="{x_axis_y:.2f}" x2="{xp:.2f}" y2="{x_axis_y + 5:.2f}" {axis}/>')
-        el.append(
-            f'<text x="{xp:.2f}" y="{x_axis_y + 18:.2f}" font-size="11" '
-            f'text-anchor="middle" font-family="sans-serif">{xv:.4g}</text>'
-        )
+        line(xp, x_axis_y, xp, x_axis_y + 5)
+        text(xp, x_axis_y + 18, 11, f"{xv:.4g}", "middle")
         yv = i * y_hi / 4.0
         yp = Y(yv)
-        el.append(f'<line x1="{_SVG_PAD - 5:.2f}" y1="{yp:.2f}" x2="{_SVG_PAD:.2f}" y2="{yp:.2f}" {axis}/>')
-        el.append(
-            f'<text x="{_SVG_PAD - 8:.2f}" y="{yp + 4:.2f}" font-size="11" '
-            f'text-anchor="end" font-family="sans-serif">{yv:.4g}</text>'
-        )
-    el.append(
-        f'<text x="{_SVG_W / 2:.2f}" y="{_SVG_H - 14:.2f}" font-size="12" '
-        f'text-anchor="middle" font-family="sans-serif">t</text>'
-    )
-    el.append(
-        f'<text x="{16.0:.2f}" y="{_SVG_H / 2:.2f}" font-size="12" '
-        f'text-anchor="middle" font-family="sans-serif" '
-        f'transform="rotate(-90 16 {_SVG_H / 2:.0f})">phi</text>'
-    )
+        line(_SVG_PAD - 5, yp, _SVG_PAD, yp)
+        text(_SVG_PAD - 8, yp + 4, 11, f"{yv:.4g}", "end")
+    text(_SVG_W / 2, _SVG_H - 14, 12, "t", "middle")
+    text(16.0, _SVG_H / 2, 12, "phi", "middle", f' transform="rotate(-90 16 {_SVG_H / 2:.0f})"')
 
     kap_y = Y(kap)
-    el.append(
-        f'<line x1="{_SVG_PAD:.2f}" y1="{kap_y:.2f}" x2="{_SVG_W - _SVG_PAD:.2f}" '
-        f'y2="{kap_y:.2f}" stroke="#888888" stroke-width="1" stroke-dasharray="6,4"/>'
-    )
-    el.append(
-        f'<text x="{_SVG_W - _SVG_PAD - 4:.2f}" y="{kap_y - 5:.2f}" font-size="11" '
-        f'text-anchor="end" font-family="sans-serif" fill="#888888">kappa = {kap:.4g}</text>'
-    )
+    line(_SVG_PAD, kap_y, _SVG_W - _SVG_PAD, kap_y,
+         'stroke="#888888" stroke-width="1" stroke-dasharray="6,4"')
+    text(_SVG_W - _SVG_PAD - 4, kap_y - 5, 11, f"kappa = {kap:.4g}", "end", ' fill="#888888"')
 
     # exponential factor of the fitted tail law, clipped to the frame
     if fit is not None:
         y_tail = fit.amplitude * np.exp(fit.rate * t)
         show = y_tail <= y_hi
         if np.any(show):
-            el.append(
-                f'<polyline points="{pts(t[show], y_tail[show])}" fill="none" '
-                f'stroke="#d62728" stroke-width="1.5" stroke-dasharray="2,3"/>'
-            )
-    el.append(
-        f'<polyline points="{pts(t, phi)}" fill="none" stroke="#1f77b4" stroke-width="1.8"/>'
-    )
+            polyline(t[show], y_tail[show], 'stroke="#d62728" stroke-width="1.5" stroke-dasharray="2,3"')
+    polyline(t, phi, 'stroke="#1f77b4" stroke-width="1.8"')
     law = f"; tail fit: rate = {fit.rate:.6g} ({fit.mode})" if fit else ""
-    el.append(
-        f'<text x="{_SVG_PAD + 8:.2f}" y="{_SVG_PAD - 8:.2f}" font-size="12" '
-        f'font-family="sans-serif">{sol.model.name}, c = {sol.c:.6g}{law}</text>'
-    )
+    text(_SVG_PAD + 8, _SVG_PAD - 8, 12, f"{sol.model.name}, c = {sol.c:.6g}{law}")
     el.append("</svg>")
     return "\n".join(el) + "\n"
 

@@ -108,3 +108,18 @@ def eval_lin(m, seg: HistorySegment) -> float:
     for s, w in m.lin.atoms:
         out = out + w * seg(s)
     return float(out)
+
+
+def shifted_log_slope_by_lstsq(tn: np.ndarray, excess: np.ndarray) -> tuple[float, float]:
+    """Best-fit (slope, t0) for excess ~ slope*log(t0 - t) + const, one
+    least-squares fit per offset t0 = tn[-1] + delta over 160 geometric
+    deltas in [1e-2, 30]; the first smallest residual sum wins."""
+    t_edge = float(tn[-1])
+    best = (math.inf, 0.0, t_edge + 1.0)
+    for delta in np.geomspace(1e-2, 30.0, 160):
+        L = np.stack([np.log(t_edge + delta - tn), np.ones_like(tn)], axis=1)
+        coef, *_ = np.linalg.lstsq(L, excess, rcond=None)
+        rss = float(np.sum((excess - L @ coef) ** 2))
+        if rss < best[0]:
+            best = (rss, float(coef[0]), t_edge + delta)
+    return best[1], best[2]

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from semifront.asymptotics import DecayFit, detect_oscillation, fit_decay
+from oracles import shifted_log_slope_by_lstsq
+from semifront.asymptotics import (
+    DecayFit,
+    _shifted_log_slope,
+    _window_slice,
+    detect_oscillation,
+    fit_decay,
+)
 from semifront.kernel import LeftTail
 from semifront.model import builtin_kpp, builtin_nicholson
 from semifront.profile import ProfileSolution, solve_profile
@@ -75,6 +82,24 @@ def test_critical_classifier_fires():
 def test_near_critical_stays_pure():
     sol = solve_profile(builtin_kpp(0.0), 2.1)
     assert fit_decay(sol).mode == "pure_exponential"
+
+
+@pytest.mark.parametrize(
+    "c, mode", [(2.0, "critical_t_times_exponential"), (2.5, "pure_exponential")]
+)
+def test_offset_scan_matches_one_fit_per_offset(c, mode):
+    # the closed-form scan picks the same offset as 160 separate
+    # least-squares fits, and the same slope to rounding
+    sol = solve_profile(builtin_kpp(1.0), c)
+    mask = _window_slice(sol, None)
+    t = sol.t[mask]
+    tn = t[t < 0.0]
+    excess = np.log(sol.phi[mask])[t < 0.0] - sol.lambda1 * tn
+    slope, t0 = _shifted_log_slope(tn, excess)
+    want_slope, want_t0 = shifted_log_slope_by_lstsq(tn, excess)
+    assert t0 == want_t0
+    assert slope == pytest.approx(want_slope, rel=1e-12, abs=0.0)
+    assert fit_decay(sol).mode == mode
 
 
 def test_fit_error_drops_deeper_in_tail(kpp_half):

@@ -8,7 +8,10 @@ import dataclasses
 import inspect
 import json
 import math
+import shlex
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from semifront.chareq import critical_speed_bisection
@@ -19,6 +22,7 @@ from semifront.cli import (
     EXIT_NUMERICS,
     EXIT_OK,
     _resolve,
+    _write_csv,
     build_parser,
     main,
 )
@@ -261,6 +265,14 @@ def test_profile_reruns_are_byte_identical(tmp_path, capsys):
     assert out1.encode("utf-8") == files1["profile.json"]
 
 
+def test_csv_cells_carry_17_significant_digits(tmp_path):
+    values = [-0.0, 5e-324, 0.1, 1.0 / 3.0, 1e22]
+    _write_csv(tmp_path / "x.csv", ("a", "b"), (np.array(values), -np.array(values)))
+    lines = (tmp_path / "x.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "a,b"
+    assert lines[1:] == [f"{format(v, '.17g')},{format(-v, '.17g')}" for v in values]
+
+
 # ----------------------------------------------------- configuration
 
 
@@ -333,6 +345,10 @@ def test_outdir_env_default(tmp_path, capsys, monkeypatch):
             ("speed", "--c", "2.5"),
             {"model": {"name": "custom", "h": 0.0, "eval_points": [0.0], "expr": "u0 *"}},
         ),  # SyntaxError in the reaction expression
+        # a model that is not a JSON object
+        (("speed", "--c", "2.5"), {"model": "kpp"}),
+        (("speed", "--c", "2.5"), {"model": ["kpp"]}),
+        (("speed", "--c", "2.5"), {"model": 1}),
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, argv, override):
@@ -574,6 +590,17 @@ def test_evolve_nonpositive_run_time_exit_2(tmp_path, capsys, t_run):
             "the grid would have 2000002001 nodes, above 1000000: "
             "set a shallower --t-minus or a larger --step",
         ),
+        # a zero count samples each rectangle edge 4 times per unit length:
+        # refused before allocation, whether the rectangle is given ...
+        (
+            ("zeros", "--model", "kpp", "--h", "1", "--c", "2.5", "--im-max", "1e9"),
+            "a zero-count rectangle edge would take 8000000001 samples, above 10000000",
+        ),
+        # ... or is the dominance rectangle, whose height grows like c + p
+        (
+            ("speed", "--model", "nicholson", "--p", "1e6", "--h", "4"),
+            "a zero-count rectangle edge would take 80000303 samples, above 10000000",
+        ),
     ],
 )
 def test_bad_flag_values_exit_2(tmp_path, capsys, argv, message):
@@ -581,6 +608,26 @@ def test_bad_flag_values_exit_2(tmp_path, capsys, argv, message):
     assert code == EXIT_CONFIG and out == ""
     assert err == f"error: {message}\n"
     assert not any(tmp_path.iterdir())
+
+
+# ------------------------------------------------------------- README
+
+
+def readme_commands() -> list:
+    """The commands of the fenced block under the README's "## Command line"."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.strip()]
+
+
+def test_readme_commands_run(tmp_path, capsys):
+    cmds = readme_commands()
+    assert [argv[0] for argv in cmds] == ["speed", "speed", "zeros", "profile", "verify", "evolve"]
+    for i, argv in enumerate(cmds):
+        outdir = tmp_path / str(i)
+        code, out, _ = run(capsys, *argv, "--outdir", str(outdir))
+        assert code == EXIT_OK, argv
+        assert out == (outdir / f"{argv[0]}.json").read_text(encoding="utf-8"), argv
 
 
 # --------------------------------------------------------------- import

@@ -359,6 +359,16 @@ def test_verify_model_with_profile_diagnostics():
     assert rep.uniqueness == ()
 
 
+def test_verify_model_runs_the_harness_with_its_defaults():
+    # the real harness, at its default options (tol 1e-10, t_plus 120):
+    # two starts give one pair, the same wave to well below the tolerance
+    rep = verify_model(builtin_kpp(0.0), n_samples=2000, c=2.5, n_seeds=2)
+    assert rep.all_passed
+    assert rep.excluded_seeds == ()
+    assert len(rep.uniqueness) == 1
+    assert rep.uniqueness[0][1] <= 1e-9
+
+
 @pytest.mark.parametrize("opts", [None])
 def test_verify_model_passes_solver_opts_to_harness(monkeypatch, opts):
     # verify_model takes no solver options: the harness keeps its defaults
