@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -49,25 +48,22 @@ class DecayFit:
     amplitude: float
 
 
-def _window_slice(sol: ProfileSolution, window: Optional[tuple]) -> np.ndarray:
+def _window_slice(sol: ProfileSolution) -> np.ndarray:
     t, phi = sol.t, sol.phi
-    if window is None:
-        level = WINDOW_LEVEL * sol.model.kappa
-        above = np.nonzero(phi >= level)[0]
-        if above.size == 0:
-            raise ValueError("profile never reaches the fit level")
-        t_b = t[above[0]]
-        t_a = t[0] + EDGE_SKIP * sol.step
-        if sol.residual > 0.0:
-            # nodes near the iteration-residual scale carry no decay
-            # information: at the critical speed the deep tail is a
-            # near-neutral direction of the profile map, so node errors
-            # there run two to three orders above the residual
-            resolved = np.nonzero(phi >= 1e3 * sol.residual)[0]
-            if resolved.size:
-                t_a = max(t_a, t[resolved[0]])
-    else:
-        t_a, t_b = float(window[0]), float(window[1])
+    level = WINDOW_LEVEL * sol.model.kappa
+    above = np.nonzero(phi >= level)[0]
+    if above.size == 0:
+        raise ValueError("profile never reaches the fit level")
+    t_b = t[above[0]]
+    t_a = t[0] + EDGE_SKIP * sol.step
+    if sol.residual > 0.0:
+        # nodes near the iteration-residual scale carry no decay
+        # information: at the critical speed the deep tail is a
+        # near-neutral direction of the profile map, so node errors
+        # there run two to three orders above the residual
+        resolved = np.nonzero(phi >= 1e3 * sol.residual)[0]
+        if resolved.size:
+            t_a = max(t_a, t[resolved[0]])
     mask = (t >= t_a - 1e-12) & (t <= t_b + 1e-12)
     if int(np.sum(mask)) < MIN_POINTS:
         raise ValueError(
@@ -78,15 +74,15 @@ def _window_slice(sol: ProfileSolution, window: Optional[tuple]) -> np.ndarray:
     return mask
 
 
-def fit_decay(sol: ProfileSolution, window: Optional[tuple] = None) -> DecayFit:
+def fit_decay(sol: ProfileSolution) -> DecayFit:
     """Least-squares decay law of ``sol`` on the far-left window.
 
     The window runs from five nodes past the left edge to the first node
-    where phi reaches 5% of kappa (override with ``window``).  The mode
-    is critical when log phi - lambda1*t grows like log(-t) with slope
-    near 1; the rate is then refit with the logarithmic term included.
+    where phi reaches 5% of kappa.  The mode is critical when
+    log phi - lambda1*t grows like log(-t) with slope near 1; the rate
+    is then refit with the logarithmic term included.
     """
-    mask = _window_slice(sol, window)
+    mask = _window_slice(sol)
     t = sol.t[mask]
     logphi = np.log(sol.phi[mask])
 

@@ -49,7 +49,6 @@ __all__ = [
     "ScanPlan",
     "grid_step",
     "make_kernel",
-    "tail_response",
     "convolve",
     "convolve_at_offset",
     "exp_integral_right",
@@ -141,32 +140,6 @@ def _tail_moment(k: GreenKernel, tail: LeftTail) -> float:
         raise ValueError("left tail must not grow leftward: rate >= 0 required")
     gamma = tail.rate - k.mu_minus_root
     return tail.value / gamma - tail.slope / gamma**2
-
-
-def tail_response(k: GreenKernel, tail: LeftTail, t_minus: float, t: float) -> float:
-    """integral of K(t-s) * tail(s) over s in (-inf, T-], at one point t.
-
-    For t >= T- only the decaying kernel branch e^{mu_minus(t-s)} is active
-    and the answer is a single exponential in t.  For t < T- the kernel
-    switches branch at s = t; the growing-branch piece degenerates when
-    rate = mu_plus (resonance) into the (T- - t) e^{mu_plus(t-T-)} form.
-    """
-    moment = _tail_moment(k, tail)
-    v, rate, slope = tail
-    N, mu_m, mu_p = k.norm, k.mu_minus_root, k.mu_plus_root
-    tau = t - t_minus
-    if tau >= 0:
-        return float(N * np.exp(mu_m * tau) * moment)
-    # s < t piece, antiderivatives of (v + slope*u) e^{gamma u} up to u = tau
-    gamma = rate - mu_m
-    p1 = N * np.exp(rate * tau) * (v / gamma + slope * (tau / gamma - 1.0 / gamma**2))
-    delta = rate - mu_p
-    if abs(delta) <= 1e-8 * max(1.0, mu_p):
-        return float(p1 + N * np.exp(mu_p * tau) * (-v * tau - 0.5 * slope * tau * tau))
-    x = delta * tau
-    i0 = -np.expm1(x) / delta
-    i1 = (np.expm1(x) - x * np.exp(x)) / delta**2
-    return float(p1 + N * np.exp(mu_p * tau) * (v * i0 + slope * i1))
 
 
 def grid_step(t: np.ndarray) -> float:
@@ -371,11 +344,28 @@ class Convolution:
         return norm * math.exp(x), norm * math.exp(y), norm * w_lo, norm * w_hi
 
     def _below_first(self, ell: float) -> float:
-        """The value at t_0 - ell, 0 < ell < step: the tail's own response
-        there plus bwd_0 discounted over ell."""
+        """The value at t_0 - ell, 0 < ell < step: the left tail's own
+        response there plus bwd_0 discounted over ell.
+
+        The kernel switches branch at s = t_0 - ell: the tail below it
+        meets the decaying branch, the tail above it the growing one,
+        whose piece degenerates when rate = mu_plus (resonance) into the
+        ell e^{-mu_plus ell} form.
+        """
         k = self.plan.kernel
-        tail = tail_response(k, self.left_tail, 0.0, -ell)
-        return tail + k.norm * math.exp(-k.mu_plus_root * ell) * float(self.bwd[0])
+        v, rate, slope = self.left_tail
+        N, mu_p, u = k.norm, k.mu_plus_root, -ell
+        # antiderivatives of (v + slope*u) e^{gamma u} up to u = -ell
+        gamma = rate - k.mu_minus_root
+        decaying = N * np.exp(rate * u) * (v / gamma + slope * (u / gamma - 1.0 / gamma**2))
+        delta = rate - mu_p
+        if abs(delta) <= 1e-8 * max(1.0, mu_p):
+            growing = -v * u - 0.5 * slope * u * u
+        else:
+            x = delta * u
+            growing = v * (-np.expm1(x) / delta) + slope * ((np.expm1(x) - x * np.exp(x)) / delta**2)
+        tail = float(decaying + N * np.exp(mu_p * u) * growing)
+        return tail + N * math.exp(-mu_p * ell) * float(self.bwd[0])
 
     def at(self, i: int, delta: float) -> float:
         """The value at t_i + delta, 0 <= i < n and |delta| < step, in O(1)."""

@@ -17,7 +17,6 @@ from semifront.kernel import (
     exp_integral_right,
     make_kernel,
     pl_exp_integral,
-    tail_response,
 )
 
 RNG = np.random.default_rng(20260819)
@@ -338,7 +337,14 @@ def quad_tail(k, tail, t_minus, t_eval):
     return quad(f, lo, t_minus, points=pts, limit=300)[0]
 
 
+def tail_only(k, tail, t):
+    """The convolution of a zero source on ``t``: bwd is zero, so every
+    read is the left tail's own response."""
+    return convolve(k, t, np.zeros(t.size), tail, 0.0)
+
+
 def test_tail_response_matches_quadrature():
+    # a step-3 grid from T- = -3 reads tm - 2 below the first node
     k = make_kernel(2.5, 0.0)
     tm = -3.0
     cases = [
@@ -347,8 +353,10 @@ def test_tail_response_matches_quadrature():
         LeftTail(0.4, 0.0),  # constant tail
     ]
     for tail in cases:
-        for te in (tm - 2.0, tm - 0.4, tm, tm + 1.7, tm + 6.0):
-            got = tail_response(k, tail, tm, te)
+        conv = tail_only(k, tail, grid(tm, tm + 9.0, 3.0))
+        reads = {tm - 2.0: conv.at(0, -2.0), tm - 0.4: conv.at(0, -0.4), tm: conv.values[0],
+                 tm + 1.7: conv.at(0, 1.7), tm + 6.0: conv.values[2]}
+        for te, got in reads.items():
             assert got == pytest.approx(quad_tail(k, tail, tm, te), abs=1e-11)
 
 
@@ -357,28 +365,26 @@ def test_tail_response_resonant_rate():
     # dedicated (T- - t) e^{mu t} branch must take over for t < T-
     k = make_kernel(2.5, 0.0)
     tm = -3.0
+    t = grid(tm, tm + 9.0, 3.0)
     tail = LeftTail(0.5, k.mu_plus_root, 0.0)
-    for te in (tm - 2.0, tm - 0.3):
-        got = tail_response(k, tail, tm, te)
-        assert got == pytest.approx(quad_tail(k, tail, tm, te), rel=1e-9)
+    conv = tail_only(k, tail, t)
+    for ell in (2.0, 0.3):
+        assert conv.at(0, -ell) == pytest.approx(quad_tail(k, tail, tm, tm - ell), rel=1e-9)
     # near-resonant rates agree with the resonant limit
-    near = tail_response(k, LeftTail(0.5, k.mu_plus_root * (1 + 3e-9), 0.0), tm, tm - 1.0)
-    exact = tail_response(k, tail, tm, tm - 1.0)
-    assert near == pytest.approx(exact, rel=1e-6)
+    near = tail_only(k, LeftTail(0.5, k.mu_plus_root * (1 + 3e-9), 0.0), t).at(0, -1.0)
+    assert near == pytest.approx(conv.at(0, -1.0), rel=1e-6)
 
 
 def test_tail_response_continuous_at_break():
     k = make_kernel(1.8, 0.6)
-    tail = LeftTail(0.9, 0.4, -0.05)
-    below = tail_response(k, tail, 0.0, -1e-10)
-    above = tail_response(k, tail, 0.0, +1e-10)
-    assert below == pytest.approx(above, rel=1e-8)
+    conv = tail_only(k, LeftTail(0.9, 0.4, -0.05), grid(0.0, 3.0, 1.0))
+    assert conv.at(0, -1e-10) == pytest.approx(conv.values[0], rel=1e-8)
 
 
 def test_tail_response_rejects_growing_tail():
     k = make_kernel(1.0, 0.0)
     with pytest.raises(ValueError):
-        tail_response(k, LeftTail(1.0, -0.5), 0.0, 1.0)
+        tail_only(k, LeftTail(1.0, -0.5), grid(0.0, 3.0, 1.0))
 
 
 # ------------------------------------------------- auxiliary exponentials
