@@ -358,9 +358,11 @@ def count_zeros_rect(m: Model, c: float, re_range: tuple[float, float], im_max: 
             total = 0.0
             for (za, zb), size in zip(edges, sizes):
                 pts = np.linspace(za, zb, size)
-                vals, pts = chi(pts).tolist(), pts.tolist()
-                for j in range(size - 1):
-                    total += _arg_walk(chi, pts[j], pts[j + 1], vals[j], vals[j + 1], 52)
+                vals = chi(pts)
+                steps = np.angle(vals[1:] / vals[:-1])  # principal increments; walk those >= pi/2
+                for j in np.flatnonzero(np.abs(steps) >= 0.5 * math.pi).tolist():
+                    steps[j] = _arg_walk(chi, pts[j], pts[j + 1], vals[j], vals[j + 1], 52)
+                total += float(np.sum(steps))
             winding = total / (2.0 * math.pi)
             n = round(winding)
             if abs(winding - n) > 0.05:

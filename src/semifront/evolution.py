@@ -35,6 +35,7 @@ __all__ = [
 
 MARGIN = 10.0  # distance from either boundary the front and the comparison keep
 SAMPLE_DT = 0.05  # time between front-position samples
+MAX_STATE_VALUES = 40_000_000  # grid nodes x history rows (~320 MB), refused before allocation
 
 
 def tail_seed(kappa: float, lam: float, x0: float = 0.0) -> Callable:
@@ -84,7 +85,6 @@ class EvolutionState:
             raise ValueError("domain must span at least ten cells")
         self.m = m
         self.dx = float(dx)
-        self.x = np.arange(x_lo, x_hi + dx / 2, dx)
         self.dt = 0.4 * dx * dx if dt is None else float(dt)
         if self.dt <= 0:
             raise ValueError("dt must be positive")
@@ -93,6 +93,12 @@ class EvolutionState:
                 f"explicit step dt = {self.dt:g} violates the stability bound "
                 f"dx^2/2 = {0.5 * dx * dx:g}"
             )
+        # nodes times ring rows, in floats: a tiny dt makes h/dt overflow to inf
+        n_nodes = (x_hi + dx / 2 - x_lo) / dx  # np.arange's length, before rounding up
+        n_rows = 1.0 if m.h == 0 else m.h / self.dt + 1.0
+        if n_nodes * n_rows > MAX_STATE_VALUES:
+            raise ValueError(f"the state would hold {n_nodes * n_rows:.4g} node x history-row values, above {MAX_STATE_VALUES}")
+        self.x = np.arange(x_lo, x_hi + dx / 2, dx)
         self.bc = (0.0, m.kappa) if bc is None else (float(bc[0]), float(bc[1]))
         u = np.asarray(u0(self.x) if callable(u0) else u0, dtype=float)
         if u.shape != self.x.shape:

@@ -281,6 +281,9 @@ def _compile_expr(expr: str, n_points: int) -> Callable:
     only the names u0.., the functions in _SAFE_FUNCS and literals resolve.
     """
     code = compile(expr, "<model-expr>", "eval")
+    for const in code.co_consts:  # a nested scope cannot see the u0.. eval passes
+        if isinstance(const, type(code)):
+            raise ValueError(f"nested scope {const.co_name} in model expression")
     for name in code.co_names:
         if name not in _SAFE_FUNCS and not (
             name.startswith("u") and name[1:].isdigit() and int(name[1:]) < n_points

@@ -63,6 +63,8 @@ SLACK = 1e-12
 N_SAMPLES = 10_000
 EPSILON = 0.1
 
+MAX_SAMPLE_VALUES = 10_000_000  # samples x knots of one batch, refused before any draw
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -160,7 +162,10 @@ def _sampling(m: Model, n_samples: int, seed: int) -> tuple[np.random.Generator,
     """The RNG of ``seed`` and the knots per segment, for n_samples >= 1."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    return np.random.default_rng(seed), _knot_grid(m.h).size
+    k = _knot_grid(m.h).size
+    if n_samples * k > MAX_SAMPLE_VALUES:
+        raise ValueError(f"{n_samples} samples x {k} knots = {n_samples * k} values, above {MAX_SAMPLE_VALUES}")
+    return np.random.default_rng(seed), k
 
 
 def _verdict(

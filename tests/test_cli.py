@@ -335,6 +335,13 @@ def test_outdir_env_default(tmp_path, capsys, monkeypatch):
     assert doc["config"]["outdir"] == str(flagdir)
 
 
+# the custom model of the README's config section
+README_CUSTOM = {
+    "name": "custom", "h": 1.0, "eval_points": [0.0, -1.0], "expr": "u0 * (1.0 - u1)",
+    "atoms": [[0.0, 1.0]], "q": 0.0, "kappa": 1.0, "smoothness": [1.0, 1.0, 1.0], "bound": 4.0,
+}
+
+
 @pytest.mark.parametrize(
     "argv, override",
     [
@@ -349,6 +356,10 @@ def test_outdir_env_default(tmp_path, capsys, monkeypatch):
         (("speed", "--c", "2.5"), {"model": "kpp"}),
         (("speed", "--c", "2.5"), {"model": ["kpp"]}),
         (("speed", "--c", "2.5"), {"model": 1}),
+        # a nested scope (here a lambda) cannot see the expression's u0..:
+        # refused when the model is built, whether or not the command evaluates f
+        *[((cmd, "--c", "2.5"), {"model": {**README_CUSTOM, "expr": "(lambda: u0)()"}})
+          for cmd in ("speed", "profile", "verify")],
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, argv, override):
@@ -600,6 +611,21 @@ def test_evolve_nonpositive_run_time_exit_2(tmp_path, capsys, t_run):
         (
             ("speed", "--model", "nicholson", "--p", "1e6", "--h", "4"),
             "a zero-count rectangle edge would take 80000303 samples, above 10000000",
+        ),
+        # evolve's history ring holds ceil(h/dt)+1 fields, dt = 0.4 dx^2:
+        # refused before allocation, and so is a grid alone too large at h = 0
+        (
+            ("evolve", "--model", "kpp", "--h", "1", "--c", "2.5", "--dx", "1e-4"),
+            "the state would hold 2.75e+14 node x history-row values, above 40000000",
+        ),
+        (
+            ("evolve", "--model", "kpp", "--h", "0", "--c", "2.5", "--dx", "1e-12"),
+            "the state would hold 1.1e+14 node x history-row values, above 40000000",
+        ),
+        # each sampled check draws n_samples x knots values at once
+        (
+            ("verify", "--model", "kpp", "--h", "1", "--n-samples", "1000000000"),
+            "1000000000 samples x 8 knots = 8000000000 values, above 10000000",
         ),
     ],
 )

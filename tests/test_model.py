@@ -195,6 +195,17 @@ def test_model_from_config_custom_expression():
     assert eval_f(m, seg) == pytest.approx(eval_f(ref, seg))
 
 
+@pytest.mark.parametrize(
+    "expr, scope", [("(lambda: u0)()", "<lambda>"), ("maximum(*(u0 * v for v in (1.0, 2.0)))", "<genexpr>")]
+)
+def test_model_from_config_rejects_nested_scopes(expr, scope):
+    # a nested scope cannot see the u0.. that eval passes as locals, so it
+    # would fail only when f is evaluated: refuse it when the model is built
+    cfg = {"name": "custom", "h": 0.0, "eval_points": [0.0], "expr": expr, "atoms": [[0.0, 1.0]], "kappa": 1.0}
+    with pytest.raises(ValueError, match=f"nested scope {scope} in model expression"):
+        model_from_config(cfg)
+
+
 def test_model_from_config_rejects_rogue_names():
     cfg = {
         "name": "custom",
