@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import winding_by_sample_walk
 from semifront import chareq as ce
 from semifront.model import Measure, builtin_kpp, builtin_mackey_glass, builtin_may, builtin_nicholson
 
@@ -253,6 +255,21 @@ UNCERTIFIED_DOMINANCE = [
 def test_dominance_near_critical_speed(h, p, dc):
     m = builtin_nicholson(h, p)
     assert ce.dominance_check(m, ce.critical_speed(m)[0] + dc) is True
+
+
+def test_count_matches_the_walk_of_every_sample():
+    # the array walk takes every increment below pi/2 in one pass and walks
+    # only the larger ones; on the dominance rectangles near c* it counts
+    # what the per-sample loop counts, the aliased rectangles included
+    for h, p, dc in itertools.product((0.0, 0.25, 0.5, 1.0, 1.5, 2.0), (1.5, 2.0, 2.5, 3.0), (0.0, 1e-3, 1e-2)):
+        m = builtin_nicholson(h, p)
+        c = ce.critical_speed(m)[0] + dc
+        lam1, R = ce.real_roots(m, c).lambda1, ce.zero_modulus_bound(m, c) + 1.0
+        Y = 10.0 * (c + m.lin.p + m.lin.q + 1.0)
+        for eps in (ce.DOMINANCE_EPS, 0.1):
+            winding = winding_by_sample_walk(m, c, (lam1 - eps, R), Y)
+            assert abs(winding - round(winding)) <= 0.05
+            assert ce.count_zeros_rect(m, c, (lam1 - eps, R), Y) == round(winding)
 
 
 def test_dominance_requires_real_roots():
