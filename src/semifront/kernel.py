@@ -19,6 +19,7 @@ Each scan is the first-order recurrence y_j = a y_{j-1} + u_j, run as a
 blocked matrix product in numpy alone: blocks of 32 nodes are scanned by
 one product with a 32x32 matrix of powers of a, built once per plan, and
 the carries between blocks are the same recurrence over the block ends.
+:class:`Recurrence` also runs ``evolution``'s implicit diffusion step.
 A scan runs in a workspace (:class:`ScanPlan`) that holds the cell
 weights, the block matrices of every carry level and every buffer both
 sweeps write, so a caller that passes one plan to each convolution on its
@@ -46,6 +47,7 @@ __all__ = [
     "Grid",
     "Convolution",
     "LeftTail",
+    "Recurrence",
     "ScanPlan",
     "grid_step",
     "make_kernel",
@@ -210,10 +212,10 @@ def _cell_weights(step: float, rate: float) -> tuple[float, float, float]:
     return far, step * _phi1(x) - far, math.exp(x)
 
 
-class _Sweep:
-    """The workspace of one exponential scan over ``n`` nodes: the cell
-    weights, the block matrices of every level of the carry recursion, and
-    each level's input, block-end and product buffers.
+class Recurrence:
+    """The first-order recurrence y_j = a y_{j-1} + u_j over ``n`` nodes,
+    0 < a < 1, run blocked: the block matrices of every level of the carry
+    recursion, and each level's input, block-end and product buffers.
 
     A level scans its input y_j = b y_{j-1} + u_j as a blocked matrix
     product.  The end of each block of 32, scanned from zero, is one dot
@@ -224,14 +226,13 @@ class _Sweep:
     once they fit in one block.  The carry enters block B as one more input
     b * carry at its first node, and one product with the block matrix then
     scans every block.  Each input buffer holds whole blocks; its padding
-    stays zero, since only the first n entries and block starts are written.
+    stays zero, since only the first n entries (the caller writes u_0 ..
+    u_{n-1} into ``u`` before each scan) and block starts are written.
     """
 
-    def __init__(self, n: int, step: float, rate: float):
-        self.far, self.near, a = _cell_weights(step, rate)
+    def __init__(self, n: int, a: float):
         self.n = n
         self.u = np.zeros(n + -n % _BLOCK)  # the input of level 0
-        self.body = self.u[1:n]
         # down, from level 0: (all blocks but the last, the block matrix's
         # last column, the ends); up, from the top level: (the blocks, the
         # first node of each block but the first, the block matrix, b, the
@@ -250,17 +251,9 @@ class _Sweep:
                 break
             blocks, span = nxt.reshape(-1, _BLOCK), span * _BLOCK
 
-    def __call__(self, src: np.ndarray, start: float, out: np.ndarray) -> np.ndarray:
-        """y_0 = start, y_j = a y_{j-1} + the integral of e^{-rate u} src over
-        the cell that ends at node j, u the distance to it; ``src`` has the
-        sweep's n nodes.  The blocks of y are written into ``out``, ``n``
-        rounded up to whole blocks long; its first n entries are returned.
-        rate > 0, so the scan is stable and every power it uses is <= 1.
-        """
-        n, body = self.n, self.body
-        self.u[0] = start
-        np.multiply(src[:-1], self.far, out=body)
-        body += np.multiply(src[1:], self.near, out=out[: n - 1])
+    def scan(self, out: np.ndarray) -> np.ndarray:
+        """y_j = a y_{j-1} + u_j from y_{-1} = 0, written blockwise into
+        ``out`` (as long as ``u``); returns its first n entries."""
         for heads, last, ends in self.down:
             np.matmul(heads, last, out=ends)
         # the top level's ends fit in one block: scan them one by one
@@ -271,7 +264,24 @@ class _Sweep:
         for blocks, starts, lower, b, product in self.up:
             starts += b * np.asarray(carry[: starts.size])
             carry = np.matmul(blocks, lower, out=out.reshape(blocks.shape) if product is None else product).ravel()
-        return carry[:n]
+        return carry[: self.n]
+
+
+class _Sweep(Recurrence):
+    """One exponential scan: the recurrence with a = e^{-rate step}."""
+
+    def __init__(self, n: int, step: float, rate: float):
+        self.far, self.near, a = _cell_weights(step, rate)
+        super().__init__(n, a)
+        self.body = self.u[1:n]
+
+    def __call__(self, src: np.ndarray, start: float, out: np.ndarray) -> np.ndarray:
+        """y_0 = start, y_j = a y_{j-1} + the integral of e^{-rate u} src over
+        the cell that ends at node j, u the distance to it, into ``out``."""
+        self.u[0] = start
+        np.multiply(src[:-1], self.far, out=self.body)
+        self.body += np.multiply(src[1:], self.near, out=out[: self.n - 1])
+        return self.scan(out)
 
 
 class ScanPlan:

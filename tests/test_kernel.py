@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from semifront.kernel import (
     Grid,
     LeftTail,
+    Recurrence,
     ScanPlan,
     _Sweep,
     _phi1,
@@ -262,22 +263,39 @@ def fresh_scan(src, step, rate, start):
     return sweep(src, start, np.empty(sweep.u.size))
 
 
-@pytest.mark.parametrize(
-    "n, step, rate",
-    [
-        (20, 0.02, 2.5),  # below one block
-        (1000, 0.02, 0.4),  # not whole blocks
-        (3001, 0.02, 2.5),  # more than 32 blocks: the carries recurse
-        (40000, 0.01, 0.3),  # more than 32^2 blocks: they recurse twice
-        (3001, 0.5, 60.0),  # a^32 underflows
-        (3001, 0.02, 1e-7),  # rate step near 0
-    ],
-)
+SCAN_CASES = [
+    (20, 0.02, 2.5),  # below one block
+    (1000, 0.02, 0.4),  # not whole blocks
+    (3001, 0.02, 2.5),  # more than 32 blocks: the carries recurse
+    (40000, 0.01, 0.3),  # more than 32^2 blocks: they recurse twice
+    (3001, 0.5, 60.0),  # a^32 underflows
+    (3001, 0.02, 1e-7),  # rate step near 0
+]
+
+
+@pytest.mark.parametrize("n, step, rate", SCAN_CASES)
 def test_exp_scan_matches_recurrence(n, step, rate):
     src = RNG.uniform(0.1, 1.0, n)
     for s in (src, src[::-1]):  # the backward branch scans a reversed view
         ref = scan_reference(s, step, rate, 0.3)
         out = fresh_scan(s, step, rate, 0.3)
+        assert np.max(np.abs(out - ref) / ref) <= 1e-14
+
+
+@pytest.mark.parametrize("n, step, rate", SCAN_CASES)
+def test_plain_recurrence_matches_loop(n, step, rate):
+    # the recurrence alone, fed its input directly, as the time stepper's
+    # implicit diffusion runs it, on the sweeps' sizes and multipliers
+    a = math.exp(-rate * step)
+    rec = Recurrence(n, a)
+    src = RNG.uniform(0.1, 1.0, n)
+    acc, ref = 0.0, []
+    for v in src.tolist():
+        acc = a * acc + v
+        ref.append(acc)
+    for _ in range(2):  # a scan leaves carries in the input's block starts
+        rec.u[:n] = src
+        out = rec.scan(np.empty(rec.u.size))
         assert np.max(np.abs(out - ref) / ref) <= 1e-14
 
 
