@@ -52,7 +52,7 @@ from .chareq import (
     count_zeros_rect,
     critical_speed,
 )
-from .evolution import front_speed, moving_frame_gap, step_init, tail_seed
+from .evolution import DT, MARGIN, MIN_SAMPLES, front_speed, moving_frame_gap, step_init, tail_seed
 from .model import MODEL_NAMES, Model, config_number, model_from_config
 from .profile import ProfileSolution, SolverOptions, solve_profile
 from .verify import EPSILON, N_SAMPLES, diagnostics_Q, verify_model
@@ -385,6 +385,10 @@ def _cmd_evolve(cfg: dict, m: Model) -> int:
         shift, gap = moving_frame_gap(run, sol)
         payload["profile_gap"] = {"shift": shift, "sup": gap}
     _emit_json(cfg, payload, "evolve")
+    if not math.isfinite(run.speed):
+        cause = f"the front was missing or within {MARGIN:g} of a boundary" if run.exited else "the run ended"
+        print(f"numerical failure: {cause} at t = {run.t_final:g}, after {run.times.size} front samples; "
+              f"the speed fit needs {MIN_SAMPLES}", file=sys.stderr)
     return EXIT_OK if math.isfinite(run.speed) else EXIT_NUMERICS
 
 
@@ -451,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     flag("--x-lo", type=float, default=-80.0, help="left edge of the domain")
     flag("--x-hi", type=float, default=30.0, help="right edge of the domain")
     flag("--dx", type=float, default=0.1, help="spatial step")
-    flag("--dt", type=float, help="time step (default 0.4*dx^2)")
+    flag("--dt", type=float, help=f"time step (default {DT:g}, whatever --dx)")
     flag("--t-run", type=float, default=18.0, help="integration time")
     flag("--compare", action="store_true", help="also align against the profile solver")
 

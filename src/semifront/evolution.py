@@ -8,9 +8,9 @@ runs leftward at speed c, and the co-moving coordinate is xi = x + c*tau
 (the profile's own history phi(t + c*s) is the PDE history read along
 that change of variables).
 
-Explicit Euler with the second-order central Laplacian; one state per
-run.  This module is an oracle for the profile solver, not a
-performance target.
+SBDF2 (Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995) steps the
+central Laplacian implicitly, through the kernel's recurrence, and the
+delayed reaction explicitly, so the default dt is set by accuracy, not dx.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .kernel import Recurrence
 from .model import Model
 from .profile import ProfileSolution, scan_shift, up_crossing
 
@@ -35,7 +36,10 @@ __all__ = [
 
 MARGIN = 10.0  # distance from either boundary the front and the comparison keep
 SAMPLE_DT = 0.05  # time between front-position samples
+MIN_SAMPLES = 4  # front samples the speed fit needs
+DT = SAMPLE_DT / 2  # default time step, whatever dx
 MAX_STATE_VALUES = 40_000_000  # grid nodes x history rows (~320 MB), refused before allocation
+MAX_CELL_STEPS = 800_000_000  # ceil(t_run/dt) x grid nodes: under a minute at 16-71 ns a node-step
 
 
 def tail_seed(kappa: float, lam: float, x0: float = 0.0) -> Callable:
@@ -58,6 +62,48 @@ def step_init(kappa: float, x0: float = 0.0) -> Callable:
     return u0
 
 
+def _resolvent(n: int, nu: float) -> Callable:
+    """r -> d, (I - nu D2) d = r on n nodes, D2 the 3-point second difference, d = 0
+    at the ghost nodes -1 and n.  On Z, d is r convolved with rho^|j|/sqrt(1+4nu): a
+    forward plus a backward scan y_j = rho y_{j-1} + r_j, run as one over r and r
+    reversed.  Their starts add the homogeneous solutions rho^(j+1) and rho^(n-j)
+    that take d at the ghosts to 0; the second's also cancels the first's end."""
+    root = math.sqrt(1.0 + 4.0 * nu)
+    rho = 2.0 * nu / (1.0 + 2.0 * nu + root)  # the root < 1 of nu rho^2 - (1+2nu) rho + nu
+    rec = Recurrence(2 * n, rho)
+    decay = rho ** np.arange(float(n))  # rho^j; subnormal products run many times slower
+    decay[decay < np.finfo(float).tiny] = 0.0
+    rise, top, far = decay[::-1].copy(), rho ** float(n), rho ** (n + 1.0)
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        ahead, behind = float(np.dot(rise, rhs)), float(np.dot(decay, rhs))  # the scans' ends
+        left = rho * (behind - far * ahead) / (1.0 - far * far)  # of rho^(j+1), times root
+        right = rho * (ahead - far * behind) / (1.0 - far * far)  # of rho^(n-j)
+        rec.u[:n], rec.u[n : 2 * n] = rhs, rhs[::-1]
+        rec.u[0] -= rho * left
+        rec.u[n] -= rho * (right + ahead - left * top)
+        y = rec.scan(np.empty(rec.u.size))
+        return (y[:n] + y[: n - 1 : -1] - rhs) / root  # both scans count r_j
+
+    return solve
+
+
+def _state_size(m: Model, x_lo: float, x_hi: float, dx: float, dt: Optional[float]) -> tuple[float, float]:
+    """(dt, nodes) of a state, validated, in floats: a tiny dt overflows counts."""
+    if dx <= 0:
+        raise ValueError("dx must be positive")
+    if x_hi - x_lo < 10 * dx:
+        raise ValueError("domain must span at least ten cells")
+    dt = DT if dt is None else float(dt)
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    n_nodes = (x_hi + dx / 2 - x_lo) / dx
+    n_rows = 1.0 if m.h == 0 else m.h / dt + 1.0
+    if n_nodes * n_rows > MAX_STATE_VALUES:
+        raise ValueError(f"the state would hold {n_nodes * n_rows:.4g} node x history-row values, above {MAX_STATE_VALUES}")
+    return dt, n_nodes
+
+
 class EvolutionState:
     """Method-of-lines state: spatial grid, clock, and the history ring.
 
@@ -65,8 +111,8 @@ class EvolutionState:
     spacing dt, enough to interpolate u(tau + s, x) for any s in [-h, 0].
     Outside the grid the field is extended by the constant boundary
     values ``bc`` (defaults (0, kappa): zero far left, the positive
-    equilibrium far right).  Negative values are clamped to 0 and
-    counted.
+    equilibrium far right), and a step's increment by 0.  Negative values
+    are clamped to 0 and counted.
     """
 
     def __init__(
@@ -79,25 +125,9 @@ class EvolutionState:
         dt: Optional[float] = None,
         bc: Optional[tuple[float, float]] = None,
     ):
-        if dx <= 0:
-            raise ValueError("dx must be positive")
-        if x_hi - x_lo < 10 * dx:
-            raise ValueError("domain must span at least ten cells")
+        self.dt, _ = _state_size(m, x_lo, x_hi, dx, dt)
         self.m = m
         self.dx = float(dx)
-        self.dt = 0.4 * dx * dx if dt is None else float(dt)
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.dt > 0.5 * dx * dx + 1e-15:
-            raise ValueError(
-                f"explicit step dt = {self.dt:g} violates the stability bound "
-                f"dx^2/2 = {0.5 * dx * dx:g}"
-            )
-        # nodes times ring rows, in floats: a tiny dt makes h/dt overflow to inf
-        n_nodes = (x_hi + dx / 2 - x_lo) / dx  # np.arange's length, before rounding up
-        n_rows = 1.0 if m.h == 0 else m.h / self.dt + 1.0
-        if n_nodes * n_rows > MAX_STATE_VALUES:
-            raise ValueError(f"the state would hold {n_nodes * n_rows:.4g} node x history-row values, above {MAX_STATE_VALUES}")
         self.x = np.arange(x_lo, x_hi + dx / 2, dx)
         self.bc = (0.0, m.kappa) if bc is None else (float(bc[0]), float(bc[1]))
         u = np.asarray(u0(self.x) if callable(u0) else u0, dtype=float)
@@ -111,6 +141,8 @@ class EvolutionState:
         n_back = 0 if m.h == 0 else int(math.ceil(m.h / self.dt - 1e-12))
         self._ring = np.tile(u, (n_back + 1, 1))
         self._head = 0
+        self._inc = self._react = None  # SBDF2's last increment and reaction
+        self._solve = _resolvent(u.size, 2.0 * self.dt / (3.0 * self.dx**2))
 
     @property
     def u(self) -> np.ndarray:
@@ -121,10 +153,9 @@ class EvolutionState:
         """The field at time tau + s, s in [-h, 0], linear in the ring."""
         if s > 1e-12 or s < -self.m.h - 1e-12:
             raise ValueError(f"history offset {s} outside [-h, 0]")
-        back = -s / self.dt
-        j = min(int(back), self._ring.shape[0] - 1)
+        back, rows = -s / self.dt, self._ring.shape[0]
+        j = min(int(back), rows - 1)
         w = back - j
-        rows = self._ring.shape[0]
         a = self._ring[(self._head + j) % rows]
         if w <= 1e-12 or j + 1 >= rows:
             return a
@@ -132,25 +163,29 @@ class EvolutionState:
         return (1.0 - w) * a + w * b
 
     def step(self) -> None:
-        """One explicit Euler step of Laplacian plus delayed reaction."""
+        """One SBDF2 step for the increment d = u^{n+1} - u^n,
+        (I - nu D2) d = d_prev/3 + nu D2 u^n + (2 dt/3)(2 f^n - f^{n-1}) with
+        nu = 2 dt/(3 dx^2); the first is backward Euler.  On a constant
+        state that matches ``bc`` the right side, and so d, is exactly 0."""
         u = self._ring[self._head]
-        lap = np.empty_like(u)
-        lap[1:-1] = u[2:] - 2.0 * u[1:-1] + u[:-2]
-        lap[0] = u[1] - 2.0 * u[0] + self.bc[0]
-        lap[-1] = self.bc[1] - 2.0 * u[-1] + u[-2]
-        lap /= self.dx * self.dx
-        new = u + self.dt * (lap + self.m.react(self.history))
-        neg = new < 0.0
-        if np.any(neg):
-            self.clamped += int(np.count_nonzero(neg))
-            new = np.where(neg, 0.0, new)
+        react = np.array(self.m.react(self.history))  # kept past the ring write, so never a view of it
+        ext = np.concatenate(((self.bc[0],), u, (self.bc[1],)))
+        lap = ext[:-2] + ext[2:] - 2.0 * ext[1:-1]
+        if self._inc is None:  # backward Euler
+            nu = self.dt / self.dx**2
+            inc = _resolvent(u.size, nu)(nu * lap + self.dt * react)
+        else:
+            nu = 2.0 * self.dt / (3.0 * self.dx**2)
+            inc = self._solve(self._inc / 3.0 + nu * lap + (2.0 * self.dt / 3.0) * (2.0 * react - self._react))
         self._head = (self._head - 1) % self._ring.shape[0]
-        self._ring[self._head] = new
+        new = np.add(u, inc, out=self._ring[self._head])  # u's own row when h = 0
+        if new.min() < 0.0:
+            neg = new < 0.0
+            self.clamped += int(np.count_nonzero(neg))
+            inc[neg] -= new[neg]
+            new[neg] = 0.0
+        self._inc, self._react = inc, react
         self.t += self.dt
-
-    def front_position(self) -> Optional[float]:
-        """Leftmost upward kappa/2 crossing of the current field, or None."""
-        return up_crossing(self.x, self._ring[self._head], 0.5 * self.m.kappa)
 
 
 @dataclass(frozen=True)
@@ -192,16 +227,16 @@ def front_speed(
     """
     if not t_run > 0:
         raise ValueError("t_run must be positive")
-    state = EvolutionState(m, x_lo, x_hi, dx, u0, dt)
-    every = max(1, int(round(SAMPLE_DT / state.dt)))
-    times, positions = [], []
-    exited = False
-
-    n_steps = int(math.ceil(t_run / state.dt))
-    for k in range(n_steps):
+    step, n_nodes = _state_size(m, x_lo, x_hi, dx, dt)
+    if (cells := float(np.ceil(t_run / step)) * n_nodes) > MAX_CELL_STEPS:
+        raise ValueError(f"the run would take {cells:.4g} cell-steps (ceil(t_run/dt) x nodes), above {MAX_CELL_STEPS}")
+    state = EvolutionState(m, x_lo, x_hi, dx, u0, step)
+    every = max(1, int(round(SAMPLE_DT / step)))
+    times, positions, exited = [], [], False
+    for k in range(int(math.ceil(t_run / step))):
         state.step()
         if k % every == 0:
-            pos = state.front_position()
+            pos = up_crossing(state.x, state.u, 0.5 * m.kappa)  # the kappa/2 level set
             if pos is None or pos < x_lo + MARGIN or pos > x_hi - MARGIN:
                 exited = True
                 break
@@ -210,20 +245,11 @@ def front_speed(
 
     times_a, pos_a = np.asarray(times), np.asarray(positions)
     speed = math.nan
-    if times_a.size >= 4:
+    if times_a.size >= MIN_SAMPLES:
         half = times_a.size // 2
-        slope = np.polyfit(times_a[half:], pos_a[half:], 1)[0]
-        speed = -float(slope)
-    return FrontRun(
-        speed=speed,
-        times=times_a,
-        positions=pos_a,
-        x=state.x,
-        u=state.u.copy(),
-        t_final=state.t,
-        clamped=state.clamped,
-        exited=exited,
-    )
+        speed = -float(np.polyfit(times_a[half:], pos_a[half:], 1)[0])
+    return FrontRun(speed=speed, times=times_a, positions=pos_a, x=state.x, u=state.u.copy(),
+                    t_final=state.t, clamped=state.clamped, exited=exited)
 
 
 def moving_frame_gap(run: FrontRun, sol: ProfileSolution) -> tuple[float, float]:

@@ -575,6 +575,26 @@ def test_evolve_too_short_to_measure(tmp_path, capsys):
     assert doc["rel_error"] is None
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # too short a run for four front samples
+        (("--t-run", "0.01"), "the run ended at t = 0.025, after 1 front samples"),
+        # the front starts outside the window MARGIN inside the domain
+        (("--x0", "200"), "the front was missing or within 10 of a boundary at t = 0.025, after 0 front samples"),
+        # a step longer than the sample spacing: two steps, two samples
+        (("--dx", "5", "--dt", "10"), "the run ended at t = 20, after 2 front samples"),
+    ],
+)
+def test_evolve_without_a_speed_names_the_cause(tmp_path, capsys, flags, message):
+    code, out, err = run(
+        capsys, "evolve", "--model", "kpp", "--h", "1", "--c", "2.5", *flags, "--outdir", str(tmp_path),
+    )
+    assert code == EXIT_NUMERICS
+    assert json.loads(out)["speed"] is None  # the reports are still written
+    assert err == f"numerical failure: {message}; the speed fit needs 4\n"
+
+
 @pytest.mark.parametrize("t_run", ["0", "-1"])
 def test_evolve_nonpositive_run_time_exit_2(tmp_path, capsys, t_run):
     code, out, err = run(
@@ -612,11 +632,12 @@ def test_evolve_nonpositive_run_time_exit_2(tmp_path, capsys, t_run):
             ("speed", "--model", "nicholson", "--p", "1e6", "--h", "4"),
             "a zero-count rectangle edge would take 80000303 samples, above 10000000",
         ),
-        # evolve's history ring holds ceil(h/dt)+1 fields, dt = 0.4 dx^2:
-        # refused before allocation, and so is a grid alone too large at h = 0
+        # evolve's history ring holds ceil(h/dt)+1 fields, 41 at the default
+        # dt = 0.025 and h = 1: refused before allocation, and so is a grid
+        # alone too large at h = 0
         (
             ("evolve", "--model", "kpp", "--h", "1", "--c", "2.5", "--dx", "1e-4"),
-            "the state would hold 2.75e+14 node x history-row values, above 40000000",
+            "the state would hold 4.51e+07 node x history-row values, above 40000000",
         ),
         (
             ("evolve", "--model", "kpp", "--h", "0", "--c", "2.5", "--dx", "1e-12"),
@@ -626,6 +647,12 @@ def test_evolve_nonpositive_run_time_exit_2(tmp_path, capsys, t_run):
         (
             ("verify", "--model", "kpp", "--h", "1", "--n-samples", "1000000000"),
             "1000000000 samples x 8 knots = 8000000000 values, above 10000000",
+        ),
+        # an evolve run of 4000 steps on 1 100 001 nodes: its state fits, its
+        # time does not, and it is refused before allocation
+        (
+            ("evolve", "--model", "kpp", "--h", "0", "--c", "2.5", "--dx", "1e-4", "--t-run", "100"),
+            "the run would take 4.4e+09 cell-steps (ceil(t_run/dt) x nodes), above 800000000",
         ),
     ],
 )
