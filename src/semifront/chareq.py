@@ -241,15 +241,15 @@ def critical_speed_newton(
         fnorm = math.hypot(F0, F1)
         if fnorm <= tol:
             return float(c), float(lam), it, fnorm
-        J00 = float(chi_dz(m, lam, c))
+        # the Jacobian's first row is (chi_z, chi_c), and chi_z is F1
         J01 = float(chi_dc(m, lam, c))
         J10 = float(chi_dzz(m, lam, c))
         J11 = float(chi_dzc(m, lam, c))
-        det = J00 * J11 - J01 * J10
+        det = F1 * J11 - J01 * J10
         if det == 0.0:
             break
         dlam = -(F0 * J11 - J01 * F1) / det
-        dc = -(J00 * F1 - F0 * J10) / det
+        dc = -(F1 * F1 - F0 * J10) / det
         alpha = 1.0
         while alpha > 2.0**-40:
             lam_n, c_n = lam + alpha * dlam, c + alpha * dc

@@ -45,9 +45,7 @@ import numpy as np
 
 from .asymptotics import DecayFit, detect_oscillation, fit_decay
 from .chareq import (
-    ContourError,
     DOMINANCE_EPS,
-    SubcriticalError,
     analyze_speed,
     count_zeros_rect,
     critical_speed,
@@ -66,23 +64,15 @@ EXIT_NO_CONVERGENCE = 4
 EXIT_HYPOTHESIS = 5
 
 
-class _ConfigError(Exception):
-    """Invalid configuration; optionally carries a usage string."""
-
-    def __init__(self, message: str, usage: Optional[str] = None):
-        super().__init__(message)
-        self.usage = usage
-
-
 @contextmanager
 def _config_errors():
     """Report a KeyError or TypeError raised while reading the configuration
-    as invalid configuration; raised anywhere else they are bugs and
-    propagate (exit 1 with a traceback)."""
+    as invalid configuration, a ValueError like every other; raised anywhere
+    else they are bugs and propagate (exit 1 with a traceback)."""
     try:
         yield
     except (KeyError, TypeError, SyntaxError) as exc:  # SyntaxError: a custom expr
-        raise _ConfigError(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
 
 
 # ----------------------------------------------------------- emitters
@@ -109,7 +99,6 @@ def _plain(obj):
 
 
 def _write_text(path: Path, text: str) -> None:
-    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # newline="\n" keeps outputs byte-identical across platforms
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -160,7 +149,7 @@ def _resolve(args) -> dict:
     the speed may also be null or "critical"), a switch only from a JSON
     boolean.  A value from a flag takes the same conversion."""
     if args.critical and args.c is not None:
-        raise _ConfigError("pass either --c or --critical, not both")
+        raise ValueError("pass either --c or --critical, not both")
     shape = {key: getattr(args, key) for key in ("h", "p", "z", "k")}
     model = {"name": args.model, **{key: val for key, val in shape.items() if val is not None}}
     cfg: dict = {"command": args.cmd, "model": model, "outdir": args.outdir}
@@ -171,7 +160,7 @@ def _resolve(args) -> dict:
         with open(args.config, encoding="utf-8") as fh:
             overrides = json.load(fh)
         if not isinstance(overrides, dict):
-            raise _ConfigError("config file must contain a JSON object")
+            raise ValueError("config file must contain a JSON object")
         cfg = _merge(cfg, overrides)
         cfg["config_file"] = args.config
     if cfg["c"] not in (None, "critical"):
@@ -192,12 +181,10 @@ def _resolve(args) -> dict:
 def _require_model(cfg: dict, args) -> Model:
     mcfg = cfg.get("model") or {}
     if not isinstance(mcfg, dict):
-        raise _ConfigError(f"model must be a JSON object, got {json.dumps(mcfg)}")
+        raise ValueError(f"model must be a JSON object, got {json.dumps(mcfg)}")
     if not mcfg.get("name"):
-        raise _ConfigError(
-            "a model is required: pass --model or a config file with a model entry",
-            usage=args._parser.format_usage(),
-        )
+        sys.stderr.write(args._parser.format_usage())  # the one error message under a usage line
+        raise ValueError("a model is required: pass --model or a config file with a model entry")
     return model_from_config(mcfg)
 
 
@@ -292,15 +279,9 @@ def _cmd_zeros(cfg: dict, m: Model) -> int:
     re_max = sa.lambda2 + 1e-3 if cfg["re_max"] is None else cfg["re_max"]
     im_max = 50.0 if cfg["im_max"] is None else cfg["im_max"]
     count = count_zeros_rect(m, sa.c, (re_min, re_max), im_max)
-    payload = {
-        "c": sa.c,
-        "c_star": sa.c_star,
-        "lambda1": sa.lambda1,
-        "lambda2": sa.lambda2,
-        "critical": sa.critical,
-        "count": count,
-        "rectangle": {"re_min": re_min, "re_max": re_max, "im_max": im_max},
-    }
+    payload = sa._asdict()
+    del payload["dominance_ok"]  # not checked here: the count is the check
+    payload.update(count=count, rectangle={"re_min": re_min, "re_max": re_max, "im_max": im_max})
     _emit_json(cfg, payload, "zeros")
     return EXIT_OK
 
@@ -363,7 +344,7 @@ def _cmd_evolve(cfg: dict, m: Model) -> int:
     elif ic == "step":
         u0 = step_init(m.kappa, cfg["x0"])
     else:
-        raise _ConfigError(f"unknown initial data kind {ic!r}; expected tail or step")
+        raise ValueError(f"unknown initial data kind {ic!r}; expected tail or step")
     span = (cfg[key] for key in ("x_lo", "x_hi", "dx", "t_run"))
     run = front_speed(m, u0, *span, dt=cfg["dt"])
 
@@ -475,17 +456,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _resolve(args)
         return args.func(cfg, _require_model(cfg, args))
-    except _ConfigError as exc:
-        if exc.usage:
-            sys.stderr.write(exc.usage)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (SubcriticalError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         # bad inputs surface as ValueError subclasses throughout the library;
         # a KeyError or TypeError counts only while reading the configuration
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ContourError, ArithmeticError, RuntimeError) as exc:
+    except (ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
 

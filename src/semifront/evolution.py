@@ -39,7 +39,8 @@ SAMPLE_DT = 0.05  # time between front-position samples
 MIN_SAMPLES = 4  # front samples the speed fit needs
 DT = SAMPLE_DT / 2  # default time step, whatever dx
 MAX_STATE_VALUES = 40_000_000  # grid nodes x history rows (~320 MB), refused before allocation
-MAX_CELL_STEPS = 800_000_000  # ceil(t_run/dt) x grid nodes: under a minute at 16-71 ns a node-step
+MAX_CELL_STEPS = 800_000_000  # ceil(t_run/dt) x max(nodes, MIN_STEP_NODES) cell-steps, <= 47 ns each: under a minute
+MIN_STEP_NODES = 2_000  # a step's fixed cost (~25-45 us) in nodes: a small grid is charged at least this
 
 
 def tail_seed(kappa: float, lam: float, x0: float = 0.0) -> Callable:
@@ -228,8 +229,9 @@ def front_speed(
     if not t_run > 0:
         raise ValueError("t_run must be positive")
     step, n_nodes = _state_size(m, x_lo, x_hi, dx, dt)
-    if (cells := float(np.ceil(t_run / step)) * n_nodes) > MAX_CELL_STEPS:
-        raise ValueError(f"the run would take {cells:.4g} cell-steps (ceil(t_run/dt) x nodes), above {MAX_CELL_STEPS}")
+    if (cells := float(np.ceil(t_run / step)) * max(n_nodes, MIN_STEP_NODES)) > MAX_CELL_STEPS:
+        raise ValueError(f"the run would take {cells:.4g} cell-steps (ceil(t_run/dt) x max(nodes, {MIN_STEP_NODES})), "
+                         f"above {MAX_CELL_STEPS}")
     state = EvolutionState(m, x_lo, x_hi, dx, u0, step)
     every = max(1, int(round(SAMPLE_DT / step)))
     times, positions, exited = [], [], False

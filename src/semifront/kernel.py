@@ -20,10 +20,11 @@ blocked matrix product in numpy alone: blocks of 32 nodes are scanned by
 one product with a 32x32 matrix of powers of a, built once per plan, and
 the carries between blocks are the same recurrence over the block ends.
 :class:`Recurrence` also runs ``evolution``'s implicit diffusion step.
-A scan runs in a workspace (:class:`ScanPlan`) that holds the cell
-weights, the block matrices of every carry level and every buffer both
-sweeps write, so a caller that passes one plan to each convolution on its
-grid allocates only the arrays the convolution returns.  The growing
+A scan runs in a workspace (:class:`ScanPlan`) that validates its grid
+once and holds the cell weights, the block matrices of every carry level
+and every buffer both sweeps write, so a caller that passes one plan to
+each convolution on its grid neither checks the grid again nor allocates
+more than the arrays the convolution returns.  The growing
 branch scans a reversed copy of the source, so no elementwise pass reads
 a reversed stride.
 
@@ -44,7 +45,6 @@ import numpy as np
 
 __all__ = [
     "GreenKernel",
-    "Grid",
     "Convolution",
     "LeftTail",
     "Recurrence",
@@ -85,8 +85,6 @@ def _phi2(x: float) -> float:
 
 @dataclass(frozen=True)
 class GreenKernel:
-    c: float
-    q: float
     mu_plus_root: float
     mu_minus_root: float
     norm: float
@@ -106,7 +104,7 @@ def make_kernel(c: float, q: float) -> GreenKernel:
     mu_plus = 0.5 * (c + disc)
     mu_minus = 0.5 * (c - disc)
     norm = 1.0 / disc
-    k = GreenKernel(c, q, mu_plus, mu_minus, norm)
+    k = GreenKernel(mu_plus, mu_minus, norm)
     # construction self-check: root property and unit derivative jump
     scale = 1.0 + c * c + q
     for mu in (mu_plus, mu_minus):
@@ -150,40 +148,23 @@ def grid_step(t: np.ndarray) -> float:
     return float((t[-1] - t[0]) / (t.size - 1))
 
 
-class Grid:
-    """Uniform increasing nodes, validated once.
-
-    Every kernel function takes a Grid or a plain node array.  An array
-    is validated on each call; a Grid only when it is built, so a caller
-    that scans one grid many times (the profile solver) builds it once.
-    """
-
-    __slots__ = ("t", "step")
-
-    def __init__(self, t):
-        t = np.asarray(t, dtype=float)
-        if t.size < 2:
-            raise ValueError("grid needs at least two nodes")
-        step = grid_step(t)
-        if step <= 0 or not np.allclose(np.diff(t), step, rtol=1e-9, atol=1e-12):
-            raise ValueError("grid must be uniform and increasing")
-        self.t, self.step = t, step
-
-    def __len__(self) -> int:
-        return self.t.size
+def _nodes(t) -> tuple[np.ndarray, float]:
+    """Uniform increasing nodes ``t`` as floats, and their step."""
+    t = np.asarray(t, dtype=float)
+    if t.size < 2:
+        raise ValueError("grid needs at least two nodes")
+    step = grid_step(t)
+    if step <= 0 or not np.allclose(np.diff(t), step, rtol=1e-9, atol=1e-12):
+        raise ValueError("grid must be uniform and increasing")
+    return t, step
 
 
-def _grid(t) -> Grid:
-    return t if isinstance(t, Grid) else Grid(t)
-
-
-def _on_grid(t, src) -> tuple[Grid, np.ndarray]:
-    """The Grid of ``t`` and ``src`` as float values on its nodes."""
-    grid = _grid(t)
+def _on_grid(t: np.ndarray, src) -> np.ndarray:
+    """``src`` as float values on the nodes ``t``."""
     src = np.asarray(src, dtype=float)
-    if src.shape != grid.t.shape:
+    if src.shape != t.shape:
         raise ValueError("source values must match the grid")
-    return grid, src
+    return src
 
 
 _BLOCK = 32  # nodes per block of the blocked scan
@@ -289,19 +270,20 @@ class ScanPlan:
     branches' sweeps, the reversed source the backward sweep reads, its
     reversed output, and the scratch of :meth:`Convolution.shifted_into`.
 
-    A caller that convolves on one grid many times (the profile solver)
-    builds one plan and passes it to every call; the arrays a convolution
-    returns are its own, never the plan's buffers.  A plan serves one
-    convolution or shifted read at a time.
+    The plan validates its grid once and holds the nodes ``t`` and their
+    ``step``.  A caller that convolves on one grid many times (the profile
+    solver) passes one plan and its ``t`` to every call; the arrays a
+    convolution returns are their own, never the plan's buffers.  A plan
+    serves one convolution or shifted read at a time.
     """
 
-    __slots__ = ("kernel", "grid", "fwd", "bwd", "rev", "bwd_out", "work")
+    __slots__ = ("kernel", "t", "step", "fwd", "bwd", "rev", "bwd_out", "work")
 
-    def __init__(self, k: GreenKernel, grid: Grid):
-        n, step = len(grid), grid.step
-        self.kernel, self.grid = k, grid
-        self.fwd = _Sweep(n, step, -k.mu_minus_root)
-        self.bwd = _Sweep(n, step, k.mu_plus_root)
+    def __init__(self, k: GreenKernel, t):
+        self.t, self.step = _nodes(t)
+        self.kernel, n = k, self.t.size
+        self.fwd = _Sweep(n, self.step, -k.mu_minus_root)
+        self.bwd = _Sweep(n, self.step, k.mu_plus_root)
         self.rev = np.empty(n)
         self.bwd_out = np.empty(self.bwd.u.size)
         self.work = np.empty(n)
@@ -343,7 +325,7 @@ class Convolution:
         value at t_i + d, 0 < d < step, the common factor norm folded in."""
         k = self.plan.kernel
         mu_m, mu_p, norm = k.mu_minus_root, k.mu_plus_root, k.norm
-        step = self.plan.grid.step
+        step = self.plan.step
         lead = step - d
         x, y = mu_m * d, -mu_p * lead
         f1, f2 = d * _phi1(x), d * d * _phi2(x) / step
@@ -382,7 +364,7 @@ class Convolution:
         if delta < 0.0:
             if i == 0:
                 return self._below_first(-delta)
-            i, delta = i - 1, delta + self.plan.grid.step  # t_i - ell = t_{i-1} + (step - ell)
+            i, delta = i - 1, delta + self.plan.step  # t_i - ell = t_{i-1} + (step - ell)
         elif delta == 0.0:
             return float(self.values[i])
         return self._in_cell(i, self._weights(delta))
@@ -411,7 +393,7 @@ class Convolution:
             out[:] = self.values[first:stop]
             return out
         lag = int(delta < 0.0)  # t_j - ell = t_{j-1} + (step - ell): node j reads cell j-1
-        weights = self._weights(delta + self.plan.grid.step if lag else delta)
+        weights = self._weights(delta + self.plan.step if lag else delta)
         cf, cb, w_lo, w_hi = weights
         a, b = max(first - lag, 0), min(stop - lag, n - 1)  # cells [t_c, t_{c+1}] read
         body = out[a + lag - first : b + lag - first]
@@ -436,20 +418,20 @@ class Convolution:
 def convolve(k: GreenKernel, t, src, left_tail, right_const: float, plan: ScanPlan | None = None) -> Convolution:
     """integral of K(t_i - s) * source(s) over all of R, at every grid node.
 
-    source = piecewise-linear interpolant of ``src`` on the uniform grid
-    ``t`` (a :class:`Grid` or node array), extended by ``left_tail`` below
-    t[0] and by the constant ``right_const`` above t[-1].  The node values
-    are ``.values`` of the result, which also reads the convolution
-    between nodes without another scan (:meth:`Convolution.at`,
-    :meth:`Convolution.shifted_into`).  The scan runs in ``plan``, which
-    must have been built for ``k`` and the Grid ``t``; without one it runs
-    in a fresh plan.
+    source = piecewise-linear interpolant of ``src`` on the uniform nodes
+    ``t``, extended by ``left_tail`` below t[0] and by the constant
+    ``right_const`` above t[-1].  The node values are ``.values`` of the
+    result, which also reads the convolution between nodes without another
+    scan (:meth:`Convolution.at`, :meth:`Convolution.shifted_into`).  The
+    scan runs in ``plan``, which must have been built for ``k`` and this
+    very array ``t`` (``plan.t``), whose check it then skips; without one
+    it runs in a fresh plan, which checks ``t``.
     """
-    grid, src = _on_grid(t, src)
     if plan is None:
-        plan = ScanPlan(k, grid)
-    elif plan.kernel is not k or plan.grid is not grid:
+        plan = ScanPlan(k, t)
+    elif plan.kernel is not k or plan.t is not t:
         raise ValueError("the scan plan was built for another kernel or grid")
+    src = _on_grid(plan.t, src)
     rc = float(right_const)
     # decaying branch swept left to right from the whole left tail, growing
     # branch right to left from the constant right closure; the growing
@@ -475,13 +457,13 @@ def convolve_at_offset(k: GreenKernel, t, src, left_tail, right_const: float, de
     interpolation error.  To read one source at several offsets, call
     :func:`convolve` once and read its result.
     """
-    grid = _grid(t)
+    plan = ScanPlan(k, t)
     if np.size(src) < 3:
         raise ValueError("offset evaluation needs at least three nodes")
-    if not abs(delta) < grid.step:
+    if not abs(delta) < plan.step:
         raise ValueError(f"|delta| must be below one step, got {delta:g}")
-    conv = convolve(k, grid, src, left_tail, right_const)
-    return conv.shifted_into(np.empty(len(grid)), 0, delta)
+    conv = convolve(k, plan.t, src, left_tail, right_const, plan)
+    return conv.shifted_into(np.empty(plan.t.size), 0, delta)
 
 
 def exp_integral_right(t, src, rate: float, tail_const: float = 0.0):
@@ -492,15 +474,16 @@ def exp_integral_right(t, src, rate: float, tail_const: float = 0.0):
     """
     if rate <= 0:
         raise ValueError("rate must be positive")
-    grid, src = _on_grid(t, src)
-    sweep = _Sweep(len(grid), grid.step, rate)
+    t, step = _nodes(t)
+    src = _on_grid(t, src)
+    sweep = _Sweep(t.size, step, rate)
     return sweep(src[::-1], tail_const / rate, np.empty(sweep.u.size))[::-1]
 
 
 def pl_exp_integral(t, src, rate: float) -> float:
     """Exact integral of e^{rate s} * (piecewise-linear src) over [t[0], t[-1]]."""
-    grid, src = _on_grid(t, src)
-    t, step = grid.t, grid.step
+    t, step = _nodes(t)
+    src = _on_grid(t, src)
     w_hi, w_lo, _ = _cell_weights(step, -rate)  # a cell's far node is its right one
     cell = w_lo * src[:-1] + w_hi * src[1:]
     return float(np.dot(np.exp(rate * t[:-1]), cell))

@@ -50,7 +50,6 @@ from .chareq import SubcriticalError, chi_dz, real_roots
 from .kernel import (
     Convolution,
     GreenKernel,
-    Grid,
     LeftTail,
     ScanPlan,
     convolve,
@@ -272,19 +271,18 @@ class _PinnedMap:
         if n_lo + n_hi + 1 > MAX_NODES:  # the automatic left edge grows like 40c
             raise ValueError(f"the grid would have {n_lo + n_hi + 1} nodes, above {MAX_NODES}: "
                              "set a shallower --t-minus or a larger --step")
-        # integer-multiple grid so the pin node sits at exactly 0.0
-        self.grid = Grid(step * np.arange(-n_lo, n_hi + 1))
-        self.t, self.step = self.grid.t, self.grid.step
-        self.i_zero = int(round(-self.t[0] / self.step))
         self.kernel: GreenKernel = make_kernel(c, m.lin.q)
+        # integer-multiple grid so the pin node sits at exactly 0.0, validated by the scan's plan
+        self.plan = ScanPlan(self.kernel, step * np.arange(-n_lo, n_hi + 1))
+        self.t, self.step = self.plan.t, self.plan.step
+        self.i_zero = int(round(-self.t[0] / self.step))
         # chi(lam) = 0 turns the source tail into closed form:
         # (1+q)*e + f'(0)[e] = D*e for e = e^{lam t}, D = 1 + q + c*lam - lam^2
         self.D = 1.0 + m.lin.q + c * self.lam - self.lam * self.lam
         self.chz = float(chi_dz(m, self.lam, c))
-        # the map's workspace: each read's buffer and the scan's plan; every
-        # array the map returns is its own
+        # the rest of the map's workspace: each read's buffer; every array
+        # the map returns is its own
         self.reads = {s: ShiftedRead(self.t, c * s) for s in m.eval_points}
-        self.plan = ScanPlan(self.kernel, self.grid)
         self.floor = CLAMP_FLOOR * m.kappa
         self.ceil = m.bound
         # the nodes tail_of reads: a multi-unit window at the critical speed
@@ -331,7 +329,7 @@ class _PinnedMap:
         src += m.react(lambda s: self.reads[s](phi, tail))
         sv = tail.value * self.D + tail.slope * (self.c - 2.0 * self.lam + self.chz)
         stail = LeftTail(sv, self.lam, tail.slope * self.D)
-        return convolve(self.kernel, self.grid, src, stail, float(src[-1]), self.plan)
+        return convolve(self.kernel, self.t, src, stail, float(src[-1]), self.plan)
 
     def clip(self, values: np.ndarray) -> np.ndarray:
         return np.clip(values, self.floor, self.ceil)

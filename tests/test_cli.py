@@ -370,6 +370,40 @@ def test_bad_config_values_exit_2(tmp_path, capsys, argv, override):
     assert err.startswith("error:")
 
 
+# the usage line argparse prints for `speed` at 80 columns
+SPEED_USAGE = (
+    "usage: semifront speed [-h] [--model {kpp,nicholson,may,square,custom}]\n"
+    "                       [--h H] [--p P] [--z Z] [--k K] [--config CONFIG]\n"
+    "                       [--outdir OUTDIR] [--c C] [--critical]\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, config, stderr",
+    [
+        # the one message that prints a usage line prints it first
+        ((), None,
+         SPEED_USAGE + "error: a model is required: pass --model or a config file with a model entry\n"),
+        (("--model", "kpp", "--c", "2", "--critical"), None,
+         "error: pass either --c or --critical, not both\n"),
+        (("--model", "kpp"), [1], "error: config file must contain a JSON object\n"),
+        ((), {"model": {"name": "nicholson"}}, "error: 'p'\n"),  # a KeyError read from the config
+        (("--c", "2.5"), {"model": {**README_CUSTOM, "expr": "u0 * (1.0 - "}},
+         "error: '(' was never closed (<model-expr>, line 1)\n"),  # a SyntaxError in the expression
+    ],
+)
+def test_config_errors_print_exact_stderr(tmp_path, capsys, monkeypatch, argv, config, stderr):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage line at the terminal width
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = (*argv, "--config", str(cfg))
+    outdir = tmp_path / "out"
+    code, out, err = run(capsys, "speed", *argv, "--outdir", str(outdir))
+    assert (code, out, err) == (EXIT_CONFIG, "", stderr)
+    assert not outdir.exists()
+
+
 def test_config_values_take_their_flag_type(tmp_path, capsys):
     # a config value is converted, and echoed, with its flag's type
     argv = ("profile", "--model", "kpp", "--c", "2.5", "--step", "0.05")
@@ -652,7 +686,7 @@ def test_evolve_nonpositive_run_time_exit_2(tmp_path, capsys, t_run):
         # time does not, and it is refused before allocation
         (
             ("evolve", "--model", "kpp", "--h", "0", "--c", "2.5", "--dx", "1e-4", "--t-run", "100"),
-            "the run would take 4.4e+09 cell-steps (ceil(t_run/dt) x nodes), above 800000000",
+            "the run would take 4.4e+09 cell-steps (ceil(t_run/dt) x max(nodes, 2000)), above 800000000",
         ),
     ],
 )
@@ -660,6 +694,27 @@ def test_bad_flag_values_exit_2(tmp_path, capsys, argv, message):
     code, out, err = run(capsys, *argv, "--outdir", str(tmp_path))
     assert code == EXIT_CONFIG and out == ""
     assert err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_small_grid_run_is_charged_a_step_floor(tmp_path, capsys, monkeypatch):
+    # 800 000 steps on 101 nodes are 8.1e7 node-steps, but a step costs at
+    # least what 2 000 nodes do: refused before the first step, no file written
+    import semifront.evolution as evolution
+
+    steps = []
+
+    def counted_step(state):
+        steps.append(state.t)
+        raise RuntimeError("the refused run took a step")
+
+    monkeypatch.setattr(evolution.EvolutionState, "step", counted_step)
+    argv = ("evolve", "--model", "kpp", "--c", "2.5", "--x-lo", "-25", "--x-hi", "25", "--dx", "0.5",
+            "--t-run", "20000", "--outdir", str(tmp_path))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, steps) == (EXIT_CONFIG, "", [])
+    assert err == ("error: the run would take 1.6e+09 cell-steps (ceil(t_run/dt) x max(nodes, 2000)), "
+                   "above 800000000\n")
     assert not any(tmp_path.iterdir())
 
 

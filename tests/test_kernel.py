@@ -6,7 +6,6 @@ import pytest
 from scipy.integrate import quad
 
 from semifront.kernel import (
-    Grid,
     LeftTail,
     Recurrence,
     ScanPlan,
@@ -192,8 +191,8 @@ def test_grid_step_is_exact_on_offset_grid():
     # one node difference at |t| ~ 80 is ~2e-13 off the step; the span is not,
     # so a convolution does not depend on where its grid sits
     t = -80.0 + 0.02 * np.arange(4001)
-    assert Grid(t).step == pytest.approx(0.02, rel=1e-15)
     k = make_kernel(2.5, 1.0)
+    assert ScanPlan(k, t).step == pytest.approx(0.02, rel=1e-15)
     src = 1.0 / (1.0 + np.exp(-np.linspace(-5.0, 5.0, t.size)))
     here = convolve(k, t, src, LeftTail(src[0], 1.0), 1.0).values
     origin = convolve(k, 0.02 * np.arange(t.size), src, LeftTail(src[0], 1.0), 1.0).values
@@ -308,7 +307,7 @@ def test_scan_plan_reuse_matches_fresh_scan(n, levels):
     # loop, and two and three levels
     step = 0.01
     k = make_kernel(2.5, 0.5)
-    plan = ScanPlan(k, Grid(step * np.arange(n)))
+    plan = ScanPlan(k, step * np.arange(n))
     for sweep, rate in ((plan.fwd, -k.mu_minus_root), (plan.bwd, k.mu_plus_root)):
         assert len(sweep.down) == len(sweep.up) == levels
         buf = np.full(sweep.u.size, np.nan)
@@ -323,8 +322,8 @@ def test_scan_plan_reuse_matches_fresh_scan(n, levels):
 def test_convolutions_keep_their_arrays():
     # a convolution in a shared plan equals one in a fresh plan bit for bit,
     # and neither is overwritten by a later convolution; a plan built for
-    # another grid or kernel is refused
-    k, grid = make_kernel(2.5, 0.0), Grid(0.02 * np.arange(-1500, 1501))
+    # another grid or kernel is refused, even for an equal copy of its nodes
+    k, grid = make_kernel(2.5, 0.0), 0.02 * np.arange(-1500, 1501)
     plan = ScanPlan(k, grid)
     tail = LeftTail(0.01, 0.4)
     first_src, later_src = RNG.uniform(0.1, 1.0, (2, len(grid)))
@@ -341,7 +340,7 @@ def test_convolutions_keep_their_arrays():
     with pytest.raises(ValueError, match="another kernel or grid"):
         convolve(make_kernel(2.4, 0.0), grid, first_src, tail, 0.7, plan)
     with pytest.raises(ValueError, match="another kernel or grid"):
-        convolve(k, grid.t, first_src, tail, 0.7, plan)
+        convolve(k, grid.copy(), first_src, tail, 0.7, plan)
 
 
 # ------------------------------------------------------------- tail pieces
