@@ -16,16 +16,17 @@ a bisection characterization of c* independent of the Newton solve on
 the double-root system chi = chi_z = 0.
 
 Complex zeros are counted with the argument principle on rectangle
-boundaries (adaptive phase tracking), which certifies that no zero other
-than lambda1 and lambda2 lies in {Re z >= lambda1 - eps}: on the zero
-set, z^2 - c z = q - sum w_j e^{czs_j} is bounded by q + p whenever
-Re z >= 0, hence |z| <= (c + sqrt(c^2 + 4(q+p)))/2; see README for the
-derivation.
+boundaries.  A boundary segment [u, v] is halved until |v - u| times a
+bound on |chi_z| over it falls below min(|chi(u)|, |chi(v)|); chi then
+maps it into a disc that excludes 0, so its principal argument increment
+is exact.  The count certifies that no zero other than lambda1 and
+lambda2 lies in {Re z >= lambda1 - eps}: on the zero set,
+z^2 - c z = q - sum w_j e^{czs_j} is bounded by q + p whenever Re z >= 0,
+hence |z| <= (c + sqrt(c^2 + 4(q+p)))/2; see README for the derivation.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import NamedTuple, Optional
 
@@ -296,45 +297,46 @@ class _TooClose(Exception):
     pass
 
 
-def _arg_walk(f, za: complex, zb: complex, fa: complex, fb: complex, depth: int) -> float:
-    """Accumulated argument increment of f along [za, zb].
-
-    Principal increments are trusted only below pi/2; larger jumps split
-    the segment.  f raises _TooClose when |f| dips under the contour guard.
-    """
-    d = cmath.phase(fb / fa)
-    if abs(d) < 0.5 * math.pi:
-        return d
-    if depth <= 0:
-        raise ContourError("phase tracking failed to resolve the contour")
-    zm = 0.5 * (za + zb)
-    fm = f(zm)
-    return _arg_walk(f, za, zm, fa, fm, depth - 1) + _arg_walk(f, zm, zb, fm, fb, depth - 1)
-
-
 _GUARD = 1e-12  # |chi| below this, relative to 1 + |z|^2, is "on a zero"
 _ATTEMPTS = 3  # dilations of a rectangle whose contour touches a zero
-# the most samples an edge takes (4 per unit length), all held at once:
-# a larger rectangle is refused before any allocation
-MAX_EDGE_SAMPLES = 10_000_000
+MAX_CONTOUR_SAMPLES = 1_000_000  # the most vertices one contour may take
+
+
+def _dz_bound(m: Model, c: float, u, v):
+    """count_zeros_rect's S, a bound on |chi_z| over each segment [u, v]."""
+    with np.errstate(over="ignore"):
+        S = 2.0 * np.maximum(np.abs(u), np.abs(v)) + c
+        for s, w in m.lin.atoms:
+            S += w * c * abs(s) * np.exp(c * np.maximum(s * u.real, s * v.real))
+    return S
 
 
 def count_zeros_rect(m: Model, c: float, re_range: tuple[float, float], im_max: float) -> int:
     """Number of zeros of chi(., c), with multiplicity, inside the
     rectangle [a, b] x [-im_max, im_max], by the argument principle.
 
-    The winding number of the boundary image is accumulated with adaptive
-    phase tracking.  Points where |chi| < 1e-12 (1 + |z|^2) flag the
-    contour as too close to a zero; the rectangle is then dilated by a
-    small relative amount, at most three times.
+    The boundary is one closed polyline of 16 segments an edge, and every
+    segment [u, v] with |v - u| S >= min(|chi(u)|, |chi(v)|) is halved
+    until none is, where S = 2 max(|u|, |v|) + c + sum_j w_j c|s_j|
+    e^{c max(s_j Re u, s_j Re v)} bounds |chi_z| on [u, v].  chi then maps
+    each segment into a disc about chi(u) that excludes 0, so the winding
+    number is the sum of the principal argument increments.  A non-finite
+    chi on the contour is refused (ValueError), and a contour that needs
+    more than MAX_CONTOUR_SAMPLES vertices raises ContourError.  A vertex
+    where |chi| < 1e-12 (1 + |z|^2) flags the contour as too close to a
+    zero; the rectangle is then dilated by a small relative amount, at
+    most three times.
     """
     a, b = re_range
     if not (a < b) or im_max <= 0:
         raise ValueError("empty rectangle")
 
-    def chi(z):  # eval_chi, raising _TooClose where |chi| < _GUARD (1 + |z|^2);
-        # called once per edge on an array, then on Python complex by the walk
-        out = eval_chi(m, z, c)
+    def chi(z):  # eval_chi at vertices: refuses an overflow, flags a zero
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = eval_chi(m, z, c)
+        if (bad := np.flatnonzero(~np.isfinite(out))).size:
+            k = bad[0]
+            raise ValueError(f"chi(z) = {out[k]} is not finite at z = {z[k]} on the zero-count contour")
         if np.any(np.abs(out) < _GUARD * (1.0 + np.abs(z) ** 2)):
             raise _TooClose
         return out
@@ -343,35 +345,31 @@ def count_zeros_rect(m: Model, c: float, re_range: tuple[float, float], im_max: 
         da = attempt * 3e-4 * (1.0 + abs(a))
         db = attempt * 3e-4 * (1.0 + abs(b))
         dy = attempt * 1e-3 * im_max
-        corners = [
-            complex(a - da, -(im_max + dy)),
-            complex(b + db, -(im_max + dy)),
-            complex(b + db, im_max + dy),
-            complex(a - da, im_max + dy),
-        ]
-        edges = [(corners[k], corners[(k + 1) % 4]) for k in range(4)]
-        sizes = [max(16, int(4.0 * abs(zb - za))) + 1 for za, zb in edges]
-        if max(sizes) > MAX_EDGE_SAMPLES:  # dominance_check's Y grows like c + p
-            raise ValueError(f"a zero-count rectangle edge would take {max(sizes)} "
-                             f"samples, above {MAX_EDGE_SAMPLES}")
+        corners = np.array([complex(a - da, -(im_max + dy)), complex(b + db, -(im_max + dy)),
+                            complex(b + db, im_max + dy), complex(a - da, im_max + dy)])
+        u = (corners[:, None] + np.outer(np.roll(corners, -1) - corners, np.arange(16) / 16)).ravel()
         try:
-            total = 0.0
-            for (za, zb), size in zip(edges, sizes):
-                pts = np.linspace(za, zb, size)
-                vals = chi(pts)
-                steps = np.angle(vals[1:] / vals[:-1])  # principal increments; walk those >= pi/2
-                for j in np.flatnonzero(np.abs(steps) >= 0.5 * math.pi).tolist():
-                    steps[j] = _arg_walk(chi, pts[j], pts[j + 1], vals[j], vals[j + 1], 52)
-                total += float(np.sum(steps))
-            winding = total / (2.0 * math.pi)
-            n = round(winding)
-            if abs(winding - n) > 0.05:
-                raise ContourError(f"winding {winding} is not close to an integer")
-            if n < 0:
-                raise ContourError(f"negative winding {n}: contour orientation bug")
-            return int(n)
+            fu = chi(u)
+            v, fv = np.roll(u, -1), np.roll(fu, -1)  # the closed polyline's segments [u, v]
+            total, samples = 0.0, u.size
+            while u.size:  # sum the certified segments' increments, halve the rest
+                split = ~(np.abs(v - u) * _dz_bound(m, c, u, v) < np.minimum(np.abs(fu), np.abs(fv)))
+                total += float(np.sum(np.angle(fv[~split] / fu[~split])))
+                u, v, fu, fv = u[split], v[split], fu[split], fv[split]
+                if (samples := samples + u.size) > MAX_CONTOUR_SAMPLES:
+                    raise ContourError(f"the zero-count contour needs more than {MAX_CONTOUR_SAMPLES} samples")
+                mid = 0.5 * (u + v)
+                fm = chi(mid)
+                u, v, fu, fv = (np.concatenate(pair) for pair in ((u, mid), (mid, v), (fu, fm), (fm, fv)))
         except _TooClose:
             continue
+        winding = total / (2.0 * math.pi)
+        n = round(winding)
+        if abs(winding - n) > 0.05:
+            raise ContourError(f"winding {winding} is not close to an integer")
+        if n < 0:
+            raise ContourError(f"negative winding {n}: contour orientation bug")
+        return int(n)
     raise ContourError(
         f"a zero sits on (or within {_GUARD} of) every perturbed contour near "
         f"[{a},{b}]x[-{im_max},{im_max}]"

@@ -89,8 +89,9 @@ def _resolvent(n: int, nu: float) -> Callable:
     return solve
 
 
-def _state_size(m: Model, x_lo: float, x_hi: float, dx: float, dt: Optional[float]) -> tuple[float, float]:
-    """(dt, nodes) of a state, validated, in floats: a tiny dt overflows counts."""
+def _state_size(m: Model, x_lo: float, x_hi: float, dx: float, dt: Optional[float]) -> tuple[float, float, float]:
+    """(dt, nodes, ring rows) of a state, validated, counted in floats as
+    ``np.arange`` and the ring count them: a tiny dt overflows counts."""
     if dx <= 0:
         raise ValueError("dx must be positive")
     if x_hi - x_lo < 10 * dx:
@@ -98,11 +99,11 @@ def _state_size(m: Model, x_lo: float, x_hi: float, dx: float, dt: Optional[floa
     dt = DT if dt is None else float(dt)
     if not dt > 0:
         raise ValueError("dt must be positive")
-    n_nodes = (x_hi + dx / 2 - x_lo) / dx
-    n_rows = 1.0 if m.h == 0 else m.h / dt + 1.0
+    n_nodes = float(np.ceil((x_hi + dx / 2 - x_lo) / dx))
+    n_rows = 1.0 if m.h == 0 else float(np.ceil(m.h / dt - 1e-12)) + 1.0
     if n_nodes * n_rows > MAX_STATE_VALUES:
         raise ValueError(f"the state would hold {n_nodes * n_rows:.4g} node x history-row values, above {MAX_STATE_VALUES}")
-    return dt, n_nodes
+    return dt, n_nodes, n_rows
 
 
 class EvolutionState:
@@ -126,7 +127,7 @@ class EvolutionState:
         dt: Optional[float] = None,
         bc: Optional[tuple[float, float]] = None,
     ):
-        self.dt, _ = _state_size(m, x_lo, x_hi, dx, dt)
+        self.dt, _, n_rows = _state_size(m, x_lo, x_hi, dx, dt)
         self.m = m
         self.dx = float(dx)
         self.x = np.arange(x_lo, x_hi + dx / 2, dx)
@@ -137,10 +138,9 @@ class EvolutionState:
 
         self.t = 0.0
         self.clamped = 0
-        # ring rows sit at tau, tau-dt, ..., tau-n_back*dt; the segment
+        # ring rows sit at tau, tau-dt, ..., tau-(n_rows-1)*dt; the segment
         # before tau = 0 is the initial field held constant
-        n_back = 0 if m.h == 0 else int(math.ceil(m.h / self.dt - 1e-12))
-        self._ring = np.tile(u, (n_back + 1, 1))
+        self._ring = np.tile(u, (int(n_rows), 1))
         self._head = 0
         self._inc = self._react = None  # SBDF2's last increment and reaction
         self._solve = _resolvent(u.size, 2.0 * self.dt / (3.0 * self.dx**2))
@@ -228,7 +228,7 @@ def front_speed(
     """
     if not t_run > 0:
         raise ValueError("t_run must be positive")
-    step, n_nodes = _state_size(m, x_lo, x_hi, dx, dt)
+    step, n_nodes, _ = _state_size(m, x_lo, x_hi, dx, dt)
     if (cells := float(np.ceil(t_run / step)) * max(n_nodes, MIN_STEP_NODES)) > MAX_CELL_STEPS:
         raise ValueError(f"the run would take {cells:.4g} cell-steps (ceil(t_run/dt) x max(nodes, {MIN_STEP_NODES})), "
                          f"above {MAX_CELL_STEPS}")

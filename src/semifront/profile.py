@@ -484,7 +484,6 @@ def solve_profile(
     # ACCEL_DEPTH iterates by least squares, damped by ACCEL_DAMPING.  The
     # difference columns live in a ring: each step writes one, and the
     # least squares are the normal equations of the ring's Gram matrix.
-    beta = ACCEL_DAMPING
     ring = _AndersonRing(phi.size, ACCEL_DEPTH - 1)
     prev = None
     # a solve that runs out of budget ends on its least-residual iterate
@@ -516,10 +515,7 @@ def solve_profile(
         if prev is not None:
             ring.push(phi, prev[0], fx, prev[1])
         prev = (phi, fx)
-        if ring.filled == 0:  # the hand-over step: a plain damped step
-            phi = phi + beta * fx
-        else:
-            phi = ring.mix(phi, fx, beta, work)
+        phi = ring.mix(phi, fx, ACCEL_DAMPING, work)  # on the empty ring, a damped step
 
     if res > best_res:
         phi = best_phi

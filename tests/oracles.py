@@ -124,24 +124,3 @@ def shifted_log_slope_by_lstsq(tn: np.ndarray, excess: np.ndarray) -> tuple[floa
             best = (rss, float(coef[0]), t_edge + delta)
     return best[1], best[2]
 
-
-def winding_by_sample_walk(m, c: float, re_range: tuple[float, float], im_max: float) -> float:
-    """Winding number of chi(., c) around [a, b] x [-im_max, im_max], by the
-    per-sample loop ``count_zeros_rect`` ran before its array walk: the
-    same boundary samples, each step handed to ``_arg_walk``, which trusts
-    a principal increment below pi/2 and splits the step otherwise."""
-    from semifront.chareq import _arg_walk, eval_chi
-
-    def chi(z):
-        return complex(eval_chi(m, z, c))
-
-    a, b = re_range
-    corners = [complex(a, -im_max), complex(b, -im_max), complex(b, im_max), complex(a, im_max)]
-    total = 0.0
-    for k in range(4):
-        za, zb = corners[k], corners[(k + 1) % 4]
-        pts = np.linspace(za, zb, max(16, int(4.0 * abs(zb - za))) + 1)
-        vals, pts = eval_chi(m, pts, c).tolist(), pts.tolist()
-        for j in range(len(pts) - 1):
-            total += _arg_walk(chi, pts[j], pts[j + 1], vals[j], vals[j + 1], 52)
-    return total / (2.0 * math.pi)

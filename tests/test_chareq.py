@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import winding_by_sample_walk
 from semifront import chareq as ce
 from semifront.model import Measure, builtin_kpp, builtin_mackey_glass, builtin_may, builtin_nicholson
 
@@ -235,12 +234,10 @@ def test_dominance_nicholson_supercritical_and_critical():
 
 
 # the (h, p, c - c*) points of nicholson, h in {0, 0.25, 0.5, 1, 1.5, 2},
-# p in {1.5, 2, 2.5, 3}, c - c* in {0, 1e-3, 1e-2}, where dominance fails
-# (may shares the linearization: q = 1 and weight p at -h).  The rectangle's
-# left edge passes 1e-3 from lambda1 while its boundary samples lie ~0.25
-# apart, so the phase turns by nearly 2*pi between two samples, the argument
-# walk accepts the aliased small increment, and the count is one zero where
-# there are two (ROADMAP item 2).
+# p in {1.5, 2, 2.5, 3}, c - c* in {0, 1e-3, 1e-2}, where a count that
+# sampled the boundary ~0.25 apart read one zero of two: the rectangle's
+# left edge passes 1e-3 from lambda1, so chi's phase turns by nearly 2*pi
+# between two such samples (ROADMAP item 2; may shares the linearization)
 UNCERTIFIED_DOMINANCE = [
     (0.0, 1.5, 0.0), (0.0, 1.5, 1e-3), (0.0, 2.5, 0.0), (0.25, 2.5, 0.0),
     (0.25, 2.5, 1e-3), (1.0, 1.5, 1e-3), (1.0, 3.0, 0.0), (1.0, 3.0, 1e-3),
@@ -250,26 +247,42 @@ UNCERTIFIED_DOMINANCE = [
 ]
 
 
-@pytest.mark.xfail(strict=True, reason="aliased argument walk near c* (ROADMAP item 2)")
 @pytest.mark.parametrize("h, p, dc", UNCERTIFIED_DOMINANCE)
 def test_dominance_near_critical_speed(h, p, dc):
     m = builtin_nicholson(h, p)
     assert ce.dominance_check(m, ce.critical_speed(m)[0] + dc) is True
 
 
-def test_count_matches_the_walk_of_every_sample():
-    # the array walk takes every increment below pi/2 in one pass and walks
-    # only the larger ones; on the dominance rectangles near c* it counts
-    # what the per-sample loop counts, the aliased rectangles included
-    for h, p, dc in itertools.product((0.0, 0.25, 0.5, 1.0, 1.5, 2.0), (1.5, 2.0, 2.5, 3.0), (0.0, 1e-3, 1e-2)):
-        m = builtin_nicholson(h, p)
+def test_dominance_rectangles_count_two():
+    # item 2's grid, both models: the dominance rectangle (left edge
+    # lambda1 - 1e-3) and its twin with the edge at lambda1 - 0.1 hold
+    # exactly the real pair, and the count's bound on |chi_z| holds on
+    # 64 points an edge of each (2|z| + c alone fails on 132 of them)
+    for name, h, p, dc in itertools.product(
+        ("nicholson", "may"), (0.0, 0.25, 0.5, 1.0, 1.5, 2.0), (1.5, 2.0, 2.5, 3.0), (0.0, 1e-3, 1e-2)
+    ):
+        m = builtin_nicholson(h, p) if name == "nicholson" else builtin_may(h, p, 2.0, 1.0)
         c = ce.critical_speed(m)[0] + dc
         lam1, R = ce.real_roots(m, c).lambda1, ce.zero_modulus_bound(m, c) + 1.0
         Y = 10.0 * (c + m.lin.p + m.lin.q + 1.0)
         for eps in (ce.DOMINANCE_EPS, 0.1):
-            winding = winding_by_sample_walk(m, c, (lam1 - eps, R), Y)
-            assert abs(winding - round(winding)) <= 0.05
-            assert ce.count_zeros_rect(m, c, (lam1 - eps, R), Y) == round(winding)
+            assert ce.count_zeros_rect(m, c, (lam1 - eps, R), Y) == 2, (name, h, p, dc, eps)
+            corners = np.array([complex(lam1 - eps, -Y), complex(R, -Y), complex(R, Y), complex(lam1 - eps, Y)])
+            z = (corners[:, None] + np.outer(np.roll(corners, -1) - corners, np.arange(64) / 64)).ravel()
+            assert np.all(np.abs(ce.chi_dz(m, z, c)) <= ce._dz_bound(m, c, z, z)), (name, h, p, dc, eps)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_zero_delay_counts_match_the_closed_form(p):
+    # at h = 0, chi = z^2 - cz + p - 1 has exactly the zeros (c -+ d)/2,
+    # d = sqrt(c^2 - 4(p - 1)); a rectangle counts those it holds
+    m = builtin_nicholson(0.0, p)
+    for dc in (1e-3, 1e-2, 1.0):
+        c = 2.0 * math.sqrt(p - 1.0) + dc
+        d = math.sqrt(c * c - 4.0 * (p - 1.0))
+        r1, r2, R = 0.5 * (c - d), 0.5 * (c + d), ce.zero_modulus_bound(m, c) + 1.0
+        for lo, expected in ((r1 - 1e-3, 2), (r1 + 1e-4, 1), (r2 + 1e-4, 0)):
+            assert ce.count_zeros_rect(m, c, (lo, R), 10.0 * (c + p + 2.0)) == expected
 
 
 def test_dominance_requires_real_roots():

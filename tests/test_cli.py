@@ -655,16 +655,16 @@ def test_evolve_nonpositive_run_time_exit_2(tmp_path, capsys, t_run):
             "the grid would have 2000002001 nodes, above 1000000: "
             "set a shallower --t-minus or a larger --step",
         ),
-        # a zero count samples each rectangle edge 4 times per unit length:
-        # refused before allocation, whether the rectangle is given ...
+        # chi overflows on a zero-count contour far left (the delayed
+        # exponentials) or far up (z^2): refused, not counted as NaN
         (
-            ("zeros", "--model", "kpp", "--h", "1", "--c", "2.5", "--im-max", "1e9"),
-            "a zero-count rectangle edge would take 8000000001 samples, above 10000000",
+            ("zeros", "--model", "nicholson", "--p", "2", "--h", "1", "--c", "2", "--re-min", "-500"),
+            "chi(z) = (nan+nanj) is not finite at z = (-500-50j) on the zero-count contour",
         ),
-        # ... or is the dominance rectangle, whose height grows like c + p
         (
-            ("speed", "--model", "nicholson", "--p", "1e6", "--h", "4"),
-            "a zero-count rectangle edge would take 80000303 samples, above 10000000",
+            ("zeros", "--model", "kpp", "--h", "1", "--c", "2.5", "--im-max", "1e200"),
+            "chi(z) = (-inf+1.5019999999999998e+200j) is not finite at z = (0.499-1e+200j) "
+            "on the zero-count contour",
         ),
         # evolve's history ring holds ceil(h/dt)+1 fields, 41 at the default
         # dt = 0.025 and h = 1: refused before allocation, and so is a grid
@@ -695,6 +695,30 @@ def test_bad_flag_values_exit_2(tmp_path, capsys, argv, message):
     assert code == EXIT_CONFIG and out == ""
     assert err == f"error: {message}\n"
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        # a tall rectangle: its segments split only near the real axis
+        (("zeros", "--model", "kpp", "--h", "1", "--c", "2.5", "--im-max", "1e9"), "count", 2),
+        # dominance rectangles whose height grows like c + p, at c*
+        (("speed", "--model", "nicholson", "--p", "1e6", "--h", "4"), "dominance_ok", True),
+        (("speed", "--model", "nicholson", "--p", "1e5", "--h", "1"), "dominance_ok", True),
+    ],
+)
+def test_large_rectangles_are_counted(tmp_path, capsys, argv, key, value):
+    code, doc = run_json(capsys, *argv, "--outdir", str(tmp_path))
+    assert (code, doc[key]) == (EXIT_OK, value)
+
+
+def test_contour_over_its_sample_budget_exits_3(tmp_path, capsys, monkeypatch):
+    import semifront.chareq as chareq
+
+    monkeypatch.setattr(chareq, "MAX_CONTOUR_SAMPLES", 100)
+    code, out, err = run(capsys, "speed", "--model", "kpp", "--h", "1", "--c", "2.5", "--outdir", str(tmp_path))
+    assert (code, out) == (EXIT_NUMERICS, "")
+    assert err == "numerical failure: the zero-count contour needs more than 100 samples\n"
 
 
 def test_small_grid_run_is_charged_a_step_floor(tmp_path, capsys, monkeypatch):

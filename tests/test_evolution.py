@@ -68,6 +68,18 @@ def test_nonpositive_step_rejected(dt):
         EvolutionState(builtin_kpp(0.0), -5, 5, 0.1, flat(0.0), dt=dt)
 
 
+def test_state_limit_counts_every_node_and_ring_row(monkeypatch):
+    # [-25, 25] at dx 0.5 has 101 nodes, and h = 1 at dt = 0.03 keeps
+    # ceil(h/dt) + 1 = 35 ring rows: 3,535 values, above a limit of 3,500
+    monkeypatch.setattr(evolution, "MAX_STATE_VALUES", 3500)
+    m = builtin_kpp(1.0)
+    with pytest.raises(ValueError, match="the state would hold 3535 node x history-row values, above 3500"):
+        EvolutionState(m, -25.0, 25.0, 0.5, flat(0.0), dt=0.03)
+    monkeypatch.setattr(evolution, "MAX_STATE_VALUES", 3535)
+    st = EvolutionState(m, -25.0, 25.0, 0.5, flat(0.0), dt=0.03)
+    assert st._ring.shape == (35, 101)
+
+
 def test_bad_grid_and_data_rejected():
     m = builtin_kpp(0.0)
     with pytest.raises(ValueError):
