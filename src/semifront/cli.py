@@ -445,6 +445,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse takes "-8e1" or "-80." for a flag
+        if argv[i].startswith("-") and argv[i - 1].startswith("--"):
+            try:
+                float(argv[i])
+            except ValueError:
+                continue
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help

@@ -18,13 +18,13 @@ piecewise-linear representation itself, O(step^2).
 Each scan is the first-order recurrence y_j = a y_{j-1} + u_j, run as a
 blocked matrix product in numpy alone: blocks of 32 nodes are scanned by
 one product with a 32x32 matrix of powers of a, built once per plan, and
-the carries between blocks are the same recurrence over the block ends.
+the carry between blocks is a :class:`Recurrence` over the block ends.
 :class:`Recurrence` also runs ``evolution``'s implicit diffusion step.
-A scan runs in a workspace (:class:`ScanPlan`) that validates its grid
-once and holds the cell weights, the block matrices of every carry level
-and every buffer both sweeps write, so a caller that passes one plan to
-each convolution on its grid neither checks the grid again nor allocates
-more than the arrays the convolution returns.  The growing
+A convolution runs only in the workspace it is given (:class:`ScanPlan`):
+it validates its grid once and holds the kernel, nodes, cell weights,
+carries and every buffer both sweeps write, so a caller that passes one
+plan to each convolution on its grid neither checks the grid again nor
+allocates more than the arrays the convolution returns.  The growing
 branch scans a reversed copy of the source, so no elementwise pass reads
 a reversed stride.
 
@@ -195,57 +195,54 @@ def _cell_weights(step: float, rate: float) -> tuple[float, float, float]:
 
 class Recurrence:
     """The first-order recurrence y_j = a y_{j-1} + u_j over ``n`` nodes,
-    0 < a < 1, run blocked: the block matrices of every level of the carry
-    recursion, and each level's input, block-end and product buffers.
+    0 < a < 1, run blocked in its block matrix and input buffer; its carry
+    is a :class:`Recurrence` over the block ends.
 
-    A level scans its input y_j = b y_{j-1} + u_j as a blocked matrix
-    product.  The end of each block of 32, scanned from zero, is one dot
-    product with the block matrix's last column.  The carry into block B,
-    the full y at the end of block B-1, is the same recurrence over these
-    ends with multiplier b^32 (Blelloch, CMU-CS-90-190, sec. 1.4): the next
-    level, whose input buffer the ends are written into, or a plain loop
-    once they fit in one block.  The carry enters block B as one more input
-    b * carry at its first node, and one product with the block matrix then
-    scans every block.  Each input buffer holds whole blocks; its padding
-    stays zero, since only the first n entries (the caller writes u_0 ..
-    u_{n-1} into ``u`` before each scan) and block starts are written.
+    The recurrence runs with multiplier b = a^span (span 1, except in a
+    carry) as a blocked matrix product.  The end of each block of 32,
+    scanned from zero, is one dot product with the block matrix's last
+    column.  The carry into block B, the full y at the end of block B-1, is
+    the same recurrence over these ends with multiplier b^32 (Blelloch,
+    CMU-CS-90-190, sec. 1.4): a ``Recurrence`` at 32 times the span, whose
+    input buffer the ends are written into, or a plain loop once they fit
+    in one block.  The carry enters block B as one more input b * carry at
+    its first node, and one product with the block matrix then scans every
+    block.  The input buffer holds whole blocks; its padding stays zero,
+    since only the first n entries (the caller writes u_0 .. u_{n-1} into
+    ``u`` before each scan) and block starts are written.
     """
 
-    def __init__(self, n: int, a: float):
+    def __init__(self, n: int, a: float, span: int = 1):
         self.n = n
-        self.u = np.zeros(n + -n % _BLOCK)  # the input of level 0
-        # down, from level 0: (all blocks but the last, the block matrix's
-        # last column, the ends); up, from the top level: (the blocks, the
-        # first node of each block but the first, the block matrix, b, the
-        # product buffer, which at level 0 is the caller's ``out``)
-        self.down, self.up = [], []
-        blocks, span = self.u.reshape(-1, _BLOCK), 1
-        while True:
-            lower, lift = _block_powers(a, span)
-            m = blocks.shape[0] - 1  # block ends, whose scan is the carry
-            nxt = np.zeros(m + -m % _BLOCK)
-            product = np.empty(blocks.shape) if self.up else None
-            self.down.append((blocks[:-1], lower[:, -1], nxt[:m]))
-            self.up.insert(0, (blocks, blocks[1:, 0], lower, float(lift[0]), product))
-            if m <= _BLOCK:
-                self.carry_b = float(lift[-1])  # the loop's multiplier b^32
-                break
-            blocks, span = nxt.reshape(-1, _BLOCK), span * _BLOCK
+        self.u = np.zeros(n + -n % _BLOCK)
+        self.blocks = self.u.reshape(-1, _BLOCK)
+        self.lower, lift = _block_powers(a, span)
+        # views: every block but the last, the matrix's last column, each later block's start
+        self.heads, self.last, self.starts = self.blocks[:-1], self.lower[:, -1], self.blocks[1:, 0]
+        self.b = float(lift[0])
+        m = self.blocks.shape[0] - 1  # block ends, whose scan is the carry
+        if m > _BLOCK:
+            self.carry = Recurrence(m, a, span * _BLOCK)
+            self.ends, self.carried = self.carry.u[:m], np.empty(self.carry.u.size)
+        else:  # the loop's multiplier is b^32
+            self.carry, self.ends, self.loop_b = None, np.empty(m), float(lift[-1])
 
     def scan(self, out: np.ndarray) -> np.ndarray:
         """y_j = a y_{j-1} + u_j from y_{-1} = 0, written blockwise into
         ``out`` (as long as ``u``); returns its first n entries."""
-        for heads, last, ends in self.down:
-            np.matmul(heads, last, out=ends)
-        # the top level's ends fit in one block: scan them one by one
-        carry, acc = [], 0.0
-        for e in ends.tolist():
-            acc = self.carry_b * acc + e
-            carry.append(acc)
-        for blocks, starts, lower, b, product in self.up:
-            starts += b * np.asarray(carry[: starts.size])
-            carry = np.matmul(blocks, lower, out=out.reshape(blocks.shape) if product is None else product).ravel()
-        return carry[: self.n]
+        np.matmul(self.heads, self.last, out=self.ends)
+        if self.carry is None:  # the ends fit in one block: scan them one by one
+            carry, acc = [], 0.0
+            for e in self.ends.tolist():
+                acc = self.loop_b * acc + e
+                carry.append(acc)
+        else:
+            carry = self.carry._scan(self.carried)
+        self.starts += self.b * np.asarray(carry)
+        return np.matmul(self.blocks, self.lower, out=out.reshape(self.blocks.shape)).ravel()[: self.n]
+
+    # the carry's scan, which a wrapped ``scan`` does not see
+    _scan = scan
 
 
 class _Sweep(Recurrence):
@@ -270,9 +267,9 @@ class ScanPlan:
     branches' sweeps, the reversed source the backward sweep reads, its
     reversed output, and the scratch of :meth:`Convolution.shifted_into`.
 
-    The plan validates its grid once and holds the nodes ``t`` and their
-    ``step``.  A caller that convolves on one grid many times (the profile
-    solver) passes one plan and its ``t`` to every call; the arrays a
+    The plan validates its grid once and holds the ``kernel``, the nodes
+    ``t`` and their ``step``.  A caller that convolves on one grid many
+    times (the profile solver) passes one plan to every call; the arrays a
     convolution returns are their own, never the plan's buffers.  A plan
     serves one convolution or shifted read at a time.
     """
@@ -415,22 +412,17 @@ class Convolution:
         return k.norm * (k.mu_minus_root * self.fwd + k.mu_plus_root * self.bwd)
 
 
-def convolve(k: GreenKernel, t, src, left_tail, right_const: float, plan: ScanPlan | None = None) -> Convolution:
+def convolve(plan: ScanPlan, src, left_tail, right_const: float) -> Convolution:
     """integral of K(t_i - s) * source(s) over all of R, at every grid node.
 
-    source = piecewise-linear interpolant of ``src`` on the uniform nodes
-    ``t``, extended by ``left_tail`` below t[0] and by the constant
-    ``right_const`` above t[-1].  The node values are ``.values`` of the
-    result, which also reads the convolution between nodes without another
-    scan (:meth:`Convolution.at`, :meth:`Convolution.shifted_into`).  The
-    scan runs in ``plan``, which must have been built for ``k`` and this
-    very array ``t`` (``plan.t``), whose check it then skips; without one
-    it runs in a fresh plan, which checks ``t``.
+    The scan runs in ``plan``, which holds the kernel K and the nodes t.
+    source = piecewise-linear interpolant of ``src`` on t, extended by
+    ``left_tail`` below t[0] and by the constant ``right_const`` above
+    t[-1].  The node values are ``.values`` of the result, which also reads
+    the convolution between nodes without another scan
+    (:meth:`Convolution.at`, :meth:`Convolution.shifted_into`).
     """
-    if plan is None:
-        plan = ScanPlan(k, t)
-    elif plan.kernel is not k or plan.t is not t:
-        raise ValueError("the scan plan was built for another kernel or grid")
+    k = plan.kernel
     src = _on_grid(plan.t, src)
     rc = float(right_const)
     # decaying branch swept left to right from the whole left tail, growing
@@ -462,7 +454,7 @@ def convolve_at_offset(k: GreenKernel, t, src, left_tail, right_const: float, de
         raise ValueError("offset evaluation needs at least three nodes")
     if not abs(delta) < plan.step:
         raise ValueError(f"|delta| must be below one step, got {delta:g}")
-    conv = convolve(k, plan.t, src, left_tail, right_const, plan)
+    conv = convolve(plan, src, left_tail, right_const)
     return conv.shifted_into(np.empty(plan.t.size), 0, delta)
 
 

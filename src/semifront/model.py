@@ -135,6 +135,7 @@ def builtin_kpp(h: float) -> Model:
     # grow for at most one delay span at logistic rate <= 1, so sup phi stays
     # under e^h times an O(1) factor; 2*e^h reduces to the classical bound 2
     # at h = 0 and covers the oscillatory overshoot of large-delay profiles.
+    # The product is inf from h ~ 709.09 on; the cap keeps math.exp from raising.
     return Model(
         name="kpp",
         h=h,
@@ -143,7 +144,7 @@ def builtin_kpp(h: float) -> Model:
         lin=Measure(q=0.0, atoms=((0.0, 1.0),)),
         kappa=1.0,
         smoothness=(1.0, 1.0, 1.0),
-        bound=2.0 * math.exp(h),
+        bound=2.0 * math.exp(min(h, 709.5)),
     )
 
 

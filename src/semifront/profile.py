@@ -49,7 +49,6 @@ import numpy as np
 from .chareq import SubcriticalError, chi_dz, real_roots
 from .kernel import (
     Convolution,
-    GreenKernel,
     LeftTail,
     ScanPlan,
     convolve,
@@ -222,13 +221,13 @@ class ShiftedRead:
         self.u = t[: self.lo] + d - t[0]
         self.out = np.empty(n)
 
-    def into(self, out: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Write the reads of nodes lo .. hi-1 from ``v`` into ``out`` and return it."""
+    def into(self, v: np.ndarray) -> np.ndarray:
+        """Write the reads of nodes lo .. hi-1 from ``v`` into ``out[lo:hi]``; return that view."""
         k, theta, lo, hi = self.k, self.theta, self.lo, self.hi
-        np.multiply(v[lo + k : hi + k], 1.0 - theta, out=out)
+        body = np.multiply(v[lo + k : hi + k], 1.0 - theta, out=self.out[lo:hi])
         if theta:
-            out += theta * v[lo + k + 1 : hi + k + 1]
-        return out
+            body += theta * v[lo + k + 1 : hi + k + 1]
+        return body
 
     def __call__(self, phi: np.ndarray, tail: LeftTail) -> np.ndarray:
         """The reads of every node, written into ``out``; a zero shift
@@ -236,7 +235,7 @@ class ShiftedRead:
         if self.k == 0 and self.theta == 0.0:
             return phi
         out = self.out
-        self.into(out[self.lo : self.hi], phi)
+        self.into(phi)
         out[: self.lo] = tail.at(self.u)
         out[self.hi :] = phi[-1]
         return out
@@ -271,9 +270,8 @@ class _PinnedMap:
         if n_lo + n_hi + 1 > MAX_NODES:  # the automatic left edge grows like 40c
             raise ValueError(f"the grid would have {n_lo + n_hi + 1} nodes, above {MAX_NODES}: "
                              "set a shallower --t-minus or a larger --step")
-        self.kernel: GreenKernel = make_kernel(c, m.lin.q)
         # integer-multiple grid so the pin node sits at exactly 0.0, validated by the scan's plan
-        self.plan = ScanPlan(self.kernel, step * np.arange(-n_lo, n_hi + 1))
+        self.plan = ScanPlan(make_kernel(c, m.lin.q), step * np.arange(-n_lo, n_hi + 1))
         self.t, self.step = self.plan.t, self.plan.step
         self.i_zero = int(round(-self.t[0] / self.step))
         # chi(lam) = 0 turns the source tail into closed form:
@@ -329,7 +327,7 @@ class _PinnedMap:
         src += m.react(lambda s: self.reads[s](phi, tail))
         sv = tail.value * self.D + tail.slope * (self.c - 2.0 * self.lam + self.chz)
         stail = LeftTail(sv, self.lam, tail.slope * self.D)
-        return convolve(self.kernel, self.t, src, stail, float(src[-1]), self.plan)
+        return convolve(self.plan, src, stail, float(src[-1]))
 
     def clip(self, values: np.ndarray) -> np.ndarray:
         return np.clip(values, self.floor, self.ceil)
@@ -371,6 +369,7 @@ class _PinnedMap:
         frac = tc - n * self.step
         lo, hi = max(0, -n), min(size, size - n)
         out = np.empty(size)
+        accepted = 0.0  # a whole-step translation reads the nodes themselves
         if abs(frac) > 1e-14 * self.step:
             # the pinned value is Y(n*step + frac) at the zero node; chord
             # steps with the crossing-cell slope drive it to kappa/2
@@ -384,10 +383,7 @@ class _PinnedMap:
                     break  # crossing left the offset window; keep last
                 frac = nudged
             tc = n * self.step + accepted
-            conv.shifted_into(out[lo:hi], lo + n, accepted)
-        else:  # whole-step translations need no re-evaluation
-            out[lo:hi] = img[lo + n : hi + n]
-        body = out[lo:hi]
+        body = conv.shifted_into(out[lo:hi], lo + n, accepted)
         if body.min() < self.floor or body.max() > self.ceil:  # two reductions cost less than a clip
             np.clip(body, self.floor, self.ceil, out=body)
         # |accepted| < step: every filled node reads past an end of the grid,

@@ -410,7 +410,7 @@ def _sup_distance(a: ProfileSolution, b: ProfileSolution, shift: float) -> float
     read = ShiftedRead(b.t, b.t[0] + shift - a.t[0], a.t.size, snap=False)
     if read.hi - read.lo < 10:
         return math.inf
-    va = read.into(read.out[read.lo : read.hi], a.phi)
+    va = read.into(a.phi)
     va -= b.phi[read.lo : read.hi]
     return float(np.max(np.abs(va, out=va)))
 

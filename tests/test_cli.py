@@ -688,6 +688,12 @@ def test_evolve_nonpositive_run_time_exit_2(tmp_path, capsys, t_run):
             ("evolve", "--model", "kpp", "--h", "0", "--c", "2.5", "--dx", "1e-4", "--t-run", "100"),
             "the run would take 4.4e+09 cell-steps (ceil(t_run/dt) x max(nodes, 2000)), above 800000000",
         ),
+        # kpp's sup bound 2 e^h is inf this far out, and the ring of h/dt rows
+        # is what refuses the run
+        (
+            ("evolve", "--model", "kpp", "--h", "1000", "--c", "2.5"),
+            "the state would hold 4.404e+07 node x history-row values, above 40000000",
+        ),
     ],
 )
 def test_bad_flag_values_exit_2(tmp_path, capsys, argv, message):
@@ -710,6 +716,36 @@ def test_bad_flag_values_exit_2(tmp_path, capsys, argv, message):
 def test_large_rectangles_are_counted(tmp_path, capsys, argv, key, value):
     code, doc = run_json(capsys, *argv, "--outdir", str(tmp_path))
     assert (code, doc[key]) == (EXIT_OK, value)
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        # kpp's linearization is instantaneous: c* = 2 and lambda1 = 1 at any h,
+        # past the h ~ 709.8 where e^h overflows
+        (("speed", "--model", "kpp", "--h", "800"), "c_star", 2.0),
+        (("speed", "--model", "kpp", "--h", "800"), "dominance_ok", True),
+        (("zeros", "--model", "kpp", "--h", "800", "--c", "2.5"), "count", 2),
+    ],
+)
+def test_kpp_runs_past_the_overflow_of_its_bound(tmp_path, capsys, argv, key, value):
+    code, doc = run_json(capsys, *argv, "--outdir", str(tmp_path))
+    assert (code, doc[key]) == (EXIT_OK, value)
+
+
+def test_negative_values_in_exponent_form_are_values(tmp_path, capsys):
+    # argparse reads -8e1 and -80. as flags unless they are joined to theirs
+    code, doc = run_json(capsys, "zeros", "--model", "kpp", "--h", "1", "--c", "2.5",
+                         "--re-min", "-1e-1", "--outdir", str(tmp_path))
+    assert (code, doc["count"], doc["rectangle"]["re_min"]) == (EXIT_OK, 2, -0.1)
+    written = []
+    for t_minus in ("-8e1", "-80"):
+        argv = ("profile", "--model", "kpp", "--h", "1", "--c", "2.5", "--tol", "1e-6",
+                "--t-minus", t_minus, "--outdir", str(tmp_path / "profile"))
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        written.append([out] + [p.read_bytes() for p in sorted((tmp_path / "profile").iterdir())])
+    assert written[0] == written[1]
 
 
 def test_contour_over_its_sample_budget_exits_3(tmp_path, capsys, monkeypatch):

@@ -93,14 +93,14 @@ def test_convolve_constant_source_total_mass():
     for c, q in [(2.0, 0.0), (1.7, 0.8), (0.4, 2.5)]:
         k = make_kernel(c, q)
         t = grid(-10, 10, 0.05)
-        out = convolve(k, t, np.ones_like(t), LeftTail(1.0, 0.0), 1.0).values
+        out = convolve(ScanPlan(k, t), np.ones_like(t), LeftTail(1.0, 0.0), 1.0).values
         assert np.max(np.abs(out - 1.0 / (1.0 + q))) <= 1e-12
 
 
 def test_convolve_zero_source():
     k = make_kernel(1.1, 0.3)
     t = grid(-5, 5, 0.1)
-    out = convolve(k, t, np.zeros_like(t), LeftTail(0.0, 1.0), 0.0).values
+    out = convolve(ScanPlan(k, t), np.zeros_like(t), LeftTail(0.0, 1.0), 0.0).values
     assert np.all(out == 0.0)
 
 
@@ -114,7 +114,7 @@ def test_convolve_eigenfunction_identity_kpp():
         t = grid(-80.0, 40.0, step)
         phi = np.exp(lam * t)
         src = phi + phi  # (1+q)phi + atom-at-0 evaluation
-        out = convolve(k, t, src, LeftTail(2 * phi[0], lam), 2 * phi[-1]).values
+        out = convolve(ScanPlan(k, t), src, LeftTail(2 * phi[0], lam), 2 * phi[-1]).values
         sel = t <= 30.0  # keep clear of the (wrong) constant right extension
         return np.max(np.abs(out[sel] - phi[sel]) / phi[sel])
 
@@ -130,8 +130,8 @@ def test_convolve_linearity():
     s1 = RNG.uniform(0, 1, t.size)
     s2 = RNG.uniform(0, 1, t.size)
     tail1, tail2 = LeftTail(s1[0], 0.7), LeftTail(s2[0], 0.7)
-    out12 = convolve(k, t, 2 * s1 + 3 * s2, LeftTail(2 * s1[0] + 3 * s2[0], 0.7), 2 * s1[-1] + 3 * s2[-1]).values
-    ref = 2 * convolve(k, t, s1, tail1, s1[-1]).values + 3 * convolve(k, t, s2, tail2, s2[-1]).values
+    out12 = convolve(ScanPlan(k, t), 2 * s1 + 3 * s2, LeftTail(2 * s1[0] + 3 * s2[0], 0.7), 2 * s1[-1] + 3 * s2[-1]).values
+    ref = 2 * convolve(ScanPlan(k, t), s1, tail1, s1[-1]).values + 3 * convolve(ScanPlan(k, t), s2, tail2, s2[-1]).values
     assert np.max(np.abs(out12 - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -140,8 +140,8 @@ def test_convolve_monotone_in_source():
     t = grid(-6, 6, 0.05)
     lo = RNG.uniform(0.0, 1.0, t.size)
     hi = lo + RNG.uniform(0.0, 1.0, t.size)
-    out_lo = convolve(k, t, lo, LeftTail(lo[0], 0.5), lo[-1]).values
-    out_hi = convolve(k, t, hi, LeftTail(hi[0], 0.5), hi[-1]).values
+    out_lo = convolve(ScanPlan(k, t), lo, LeftTail(lo[0], 0.5), lo[-1]).values
+    out_hi = convolve(ScanPlan(k, t), hi, LeftTail(hi[0], 0.5), hi[-1]).values
     assert np.all(out_hi >= out_lo - 1e-14)
 
 
@@ -150,7 +150,7 @@ def test_convolve_exact_for_piecewise_linear_source():
     k = make_kernel(1.9, 1.2)
     t = grid(-5, 5, 0.5)
     vals = RNG.uniform(-1, 1, t.size)
-    out = convolve(k, t, vals, LeftTail(0.0, 1.0), 0.0).values
+    out = convolve(ScanPlan(k, t), vals, LeftTail(0.0, 1.0), 0.0).values
     pl = lambda s: np.interp(s, t, vals)
     for idx in (2, 7, 10, 14, 18):
         ti = t[idx]
@@ -166,7 +166,7 @@ def test_convolve_second_order_in_step_on_smooth_source():
     def run(step):
         t = grid(-12, 12, step)
         src = 1.0 / (1.0 + np.exp(-t))
-        return t, convolve(k, t, src, LeftTail(src[0], 1.0), src[-1]).values
+        return t, convolve(ScanPlan(k, t), src, LeftTail(src[0], 1.0), src[-1]).values
 
     tc, coarse = run(0.1)
     tf, fine = run(0.05)
@@ -180,11 +180,11 @@ def test_convolve_input_validation():
     k = make_kernel(1.0, 0.0)
     t = grid(0, 1, 0.1)
     with pytest.raises(ValueError):
-        convolve(k, t, np.ones(t.size - 1), LeftTail(0.0, 1.0), 0.0)
+        convolve(ScanPlan(k, t), np.ones(t.size - 1), LeftTail(0.0, 1.0), 0.0)
     with pytest.raises(ValueError):
-        convolve(k, np.array([0.0, 0.1, 0.3]), np.zeros(3), LeftTail(0.0, 1.0), 0.0)
+        convolve(ScanPlan(k, np.array([0.0, 0.1, 0.3])), np.zeros(3), LeftTail(0.0, 1.0), 0.0)
     with pytest.raises(ValueError):
-        convolve(k, t, np.ones(t.size), LeftTail(1.0, -0.2), 0.0)
+        convolve(ScanPlan(k, t), np.ones(t.size), LeftTail(1.0, -0.2), 0.0)
 
 
 def test_grid_step_is_exact_on_offset_grid():
@@ -194,8 +194,8 @@ def test_grid_step_is_exact_on_offset_grid():
     k = make_kernel(2.5, 1.0)
     assert ScanPlan(k, t).step == pytest.approx(0.02, rel=1e-15)
     src = 1.0 / (1.0 + np.exp(-np.linspace(-5.0, 5.0, t.size)))
-    here = convolve(k, t, src, LeftTail(src[0], 1.0), 1.0).values
-    origin = convolve(k, 0.02 * np.arange(t.size), src, LeftTail(src[0], 1.0), 1.0).values
+    here = convolve(ScanPlan(k, t), src, LeftTail(src[0], 1.0), 1.0).values
+    origin = convolve(ScanPlan(k, 0.02 * np.arange(t.size)), src, LeftTail(src[0], 1.0), 1.0).values
     assert np.max(np.abs(here - origin) / origin) <= 1e-15
 
 
@@ -309,7 +309,10 @@ def test_scan_plan_reuse_matches_fresh_scan(n, levels):
     k = make_kernel(2.5, 0.5)
     plan = ScanPlan(k, step * np.arange(n))
     for sweep, rate in ((plan.fwd, -k.mu_minus_root), (plan.bwd, k.mu_plus_root)):
-        assert len(sweep.down) == len(sweep.up) == levels
+        chain, rec = 0, sweep
+        while rec is not None:  # each carry is a recurrence over its parent's block ends
+            chain, rec = chain + 1, rec.carry
+        assert chain == levels
         buf = np.full(sweep.u.size, np.nan)
         for src in (RNG.uniform(0.1, 1.0, n), RNG.uniform(0.1, 1.0, n)[::-1]):
             out = sweep(src, 0.3, buf)
@@ -321,26 +324,21 @@ def test_scan_plan_reuse_matches_fresh_scan(n, levels):
 
 def test_convolutions_keep_their_arrays():
     # a convolution in a shared plan equals one in a fresh plan bit for bit,
-    # and neither is overwritten by a later convolution; a plan built for
-    # another grid or kernel is refused, even for an equal copy of its nodes
+    # and neither is overwritten by a later convolution in its plan
     k, grid = make_kernel(2.5, 0.0), 0.02 * np.arange(-1500, 1501)
     plan = ScanPlan(k, grid)
     tail = LeftTail(0.01, 0.4)
     first_src, later_src = RNG.uniform(0.1, 1.0, (2, len(grid)))
-    fresh = convolve(k, grid, first_src, tail, 0.7)
-    shared = convolve(k, grid, first_src, tail, 0.7, plan)
+    fresh = convolve(ScanPlan(k, grid), first_src, tail, 0.7)
+    shared = convolve(plan, first_src, tail, 0.7)
     assert fresh.plan is not plan and shared.plan is plan
     kept = [x.copy() for x in (first_src, fresh.fwd, fresh.bwd, fresh.values)]
     for _ in range(2):
         for conv in (fresh, shared):
             arrays = (conv.src, conv.fwd, conv.bwd, conv.values)
             assert all(np.array_equal(x, y) for x, y in zip(arrays, kept))
-        convolve(k, grid, later_src, tail, 0.2, plan)
-        convolve(k, grid, later_src, tail, 0.2)
-    with pytest.raises(ValueError, match="another kernel or grid"):
-        convolve(make_kernel(2.4, 0.0), grid, first_src, tail, 0.7, plan)
-    with pytest.raises(ValueError, match="another kernel or grid"):
-        convolve(k, grid.copy(), first_src, tail, 0.7, plan)
+        convolve(plan, later_src, tail, 0.2)
+        convolve(fresh.plan, later_src, tail, 0.2)
 
 
 # ------------------------------------------------------------- tail pieces
@@ -357,7 +355,7 @@ def quad_tail(k, tail, t_minus, t_eval):
 def tail_only(k, tail, t):
     """The convolution of a zero source on ``t``: bwd is zero, so every
     read is the left tail's own response."""
-    return convolve(k, t, np.zeros(t.size), tail, 0.0)
+    return convolve(ScanPlan(k, t), np.zeros(t.size), tail, 0.0)
 
 
 def test_tail_response_matches_quadrature():
@@ -507,7 +505,7 @@ def test_offset_read_matches_quadrature_critical_resonant_tail():
     vals = RNG.uniform(0.2, 1.0, t.size)
     tail = LeftTail(vals[0], k.mu_plus_root, -0.1)
     rc = 0.5 * float(vals[-1])
-    conv = convolve(k, t, vals, tail, rc)
+    conv = convolve(ScanPlan(k, t), vals, tail, rc)
     for delta in (0.37 * step, -0.37 * step, 0.9 * step, -0.9 * step):
         for idx in (0, 1, t.size // 2, t.size - 2, t.size - 1):
             ref = quad_offset(k, t, vals, tail, rc, t[idx] + delta)
@@ -519,7 +517,7 @@ def test_offset_node_probe_equals_vector_read():
     step = 0.1
     t = grid(-7, 7, step)
     vals = RNG.uniform(0.1, 1.1, t.size)
-    conv = convolve(k, t, vals, LeftTail(vals[0], 0.7, -0.02), 0.8)
+    conv = convolve(ScanPlan(k, t), vals, LeftTail(vals[0], 0.7, -0.02), 0.8)
     for delta in (-0.93 * step, -0.3 * step, 0.0, 0.41 * step, 0.99 * step):
         row = conv.shifted_into(np.empty(t.size), 0, delta)
         for idx in (0, 1, t.size // 2, t.size - 2, t.size - 1):
@@ -536,7 +534,7 @@ def test_shifted_into_equals_node_reads(delta, n):
     step = 0.1
     t = grid(-7, 7, step)
     vals = RNG.uniform(0.1, 1.1, t.size)
-    conv = convolve(k, t, vals, LeftTail(vals[0], 0.7, -0.02), 0.8)
+    conv = convolve(ScanPlan(k, t), vals, LeftTail(vals[0], 0.7, -0.02), 0.8)
     lo, hi = max(0, -n), min(t.size, t.size - n)
     out = np.full(t.size, np.nan)
     got = conv.shifted_into(out[lo:hi], lo + n, delta * step)
@@ -552,7 +550,7 @@ def test_offset_zero_delta_is_convolve():
     vals = RNG.uniform(0, 1, t.size)
     tail = LeftTail(vals[0], 0.5)
     out0 = convolve_at_offset(k, t, vals, tail, vals[-1], 0.0)
-    ref = convolve(k, t, vals, tail, vals[-1]).values
+    ref = convolve(ScanPlan(k, t), vals, tail, vals[-1]).values
     assert np.array_equal(out0, ref)
 
 

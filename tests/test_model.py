@@ -76,6 +76,14 @@ def test_kpp_values():
     assert eval_f(m, HistorySegment.constant(1.0, 1.0)) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("h", [709.0, 709.08, 709.09, 709.5, 709.78, 709.8, 1000.0])
+def test_kpp_bound_saturates_where_its_product_overflows(h):
+    # 2 e^h overflows from h = log(max float / 2) ~ 709.0896 on, and e^h
+    # alone from ~ 709.78: both read inf, neither raises
+    bound = builtin_kpp(h).bound
+    assert bound == (2.0 * math.exp(h) if h < 709.0896 else math.inf)
+
+
 def test_kpp_linearization_is_identity_on_value_at_zero():
     m = builtin_kpp(1.0)
     seg = HistorySegment(1.0, [0.7, 0.3])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import semifront.profile as profile_mod
 from semifront.asymptotics import detect_oscillation
 from semifront.chareq import SubcriticalError, critical_speed
-from semifront.kernel import LeftTail, convolve, make_kernel
+from semifront.kernel import LeftTail, ScanPlan, convolve, make_kernel
 from semifront.model import builtin_kpp, builtin_nicholson, model_from_config
 from semifront.profile import (
     _AndersonRing,
@@ -61,7 +61,7 @@ def _equilibrium_convolution(m):
     the matching right closure."""
     t = 0.02 * np.arange(-2000, 2001)
     src = (1.0 + m.lin.q) * m.kappa * np.ones_like(t)
-    return convolve(make_kernel(2.5, m.lin.q), t, src, LeftTail(src[0], 0.0, 0.0), right_const=src[-1])
+    return convolve(ScanPlan(make_kernel(2.5, m.lin.q), t), src, LeftTail(src[0], 0.0, 0.0), right_const=src[-1])
 
 
 def test_equilibrium_is_fixed_point():
