@@ -333,7 +333,11 @@ def _cmd_verify(cfg: dict, m: Model) -> int:
     opts = {key: cfg[key] for key in ("n_samples", "seed", "epsilon", "n_seeds")}
     report = verify_model(m, c=c_val, **opts)
     _emit_json(cfg, report.to_dict(), "verify")
-    return EXIT_OK if report.all_passed else EXIT_HYPOTHESIS
+    for failure in report.failed_solves:
+        print(f"no convergence: {failure}", file=sys.stderr)
+    if not report.all_passed:
+        return EXIT_HYPOTHESIS
+    return EXIT_NO_CONVERGENCE if report.failed_solves else EXIT_OK
 
 
 def _cmd_evolve(cfg: dict, m: Model) -> int:

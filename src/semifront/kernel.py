@@ -15,18 +15,17 @@ poison the e^{lambda1 t} tail that the decay diagnostics must recover;
 exactness in the source keeps the only discretization error in the
 piecewise-linear representation itself, O(step^2).
 
-Each scan is the first-order recurrence y_j = a y_{j-1} + u_j, run as a
-blocked matrix product in numpy alone: blocks of 32 nodes are scanned by
-one product with a 32x32 matrix of powers of a, built once per plan, and
-the carry between blocks is a :class:`Recurrence` over the block ends.
-:class:`Recurrence` also runs ``evolution``'s implicit diffusion step.
-A convolution runs only in the workspace it is given (:class:`ScanPlan`):
-it validates its grid once and holds the kernel, nodes, cell weights,
-carries and every buffer both sweeps write, so a caller that passes one
-plan to each convolution on its grid neither checks the grid again nor
-allocates more than the arrays the convolution returns.  The growing
-branch scans a reversed copy of the source, so no elementwise pass reads
-a reversed stride.
+Both scans run as blocked matrix products in numpy alone.  The source is
+copied once into rows of 32 nodes, and one product of the rows with a
+33x32 matrix, built once per plan, scans every block of a branch; the
+matrix folds the cell weights into the powers of a, and the carries
+between blocks are :class:`Recurrence` scans over the block ends, run as
+a loop within one block.  :class:`Recurrence` also runs ``evolution``'s
+implicit diffusion step.  A convolution runs only in the workspace it is
+given (:class:`ScanPlan`): it validates its grid once and holds the
+kernel, nodes and the scan's buffers, so a caller that passes one plan to
+each convolution on its grid neither checks the grid again nor allocates
+more than the arrays the convolution returns.
 
 The scan keeps its two branch accumulators (:class:`Convolution`), left
 tail and right closure included.  The convolution at a sub-step offset
@@ -167,22 +166,7 @@ def _on_grid(t: np.ndarray, src) -> np.ndarray:
     return src
 
 
-_BLOCK = 32  # nodes per block of the blocked scan
-
-
-def _block_powers(a: float, span: int) -> tuple[np.ndarray, np.ndarray]:
-    """For the multiplier b = a^span (0 < a < 1): the block matrix
-    ``lower[k, m] = b^{m-k}`` (m >= k, else 0) and ``lift[m] = b^{m+1}``.
-
-    Each entry is one power of a, so it carries one rounding however far
-    the carry recursion takes span.  Powers below the smallest normal float are set to zero: a product
-    with subnormal entries runs many times slower and adds nothing.
-    """
-    p = a ** (span * np.arange(_BLOCK + 1.0))
-    p[p < np.finfo(float).tiny] = 0.0
-    gap = np.arange(_BLOCK) - np.arange(_BLOCK)[:, None]  # m - k
-    lower = np.where(gap >= 0, p[np.abs(gap)], 0.0)
-    return lower, p[1:]
+_BLOCK = 32  # nodes per block of the blocked scans
 
 
 def _cell_weights(step: float, rate: float) -> tuple[float, float, float]:
@@ -193,79 +177,122 @@ def _cell_weights(step: float, rate: float) -> tuple[float, float, float]:
     return far, step * _phi1(x) - far, math.exp(x)
 
 
+def _block_matrix(a: float, span: int = 1, near: float = 1.0, far: float = 0.0) -> np.ndarray:
+    """The 33 x 33 matrix that scans y_j = b y_{j-1} + far x_{j-1} + near x_j,
+    b = a^span (0 < a < 1), over a block row [carry-in, x_0 .. x_31]: column
+    m < 32 gives y at node m, column 32 the next row's carry-in.  Row 0 is
+    the carry-in's weight b^m, row 1 + k node k's, near b^{m-k} + far
+    b^{m-k-1} (0 for m < k).  Each power of b is one power of a, one rounding
+    however far the carries take span; entries below the smallest normal
+    float are zero, since subnormal products run many times slower and add
+    nothing."""
+    p = a ** (span * np.arange(_BLOCK + 1.0))
+    gap = np.arange(_BLOCK + 1) - np.arange(_BLOCK)[:, None]  # m - k
+    g = np.maximum(gap, 1)
+    cells = np.where(gap > 0, near * p[g] + far * p[g - 1], np.where(gap == 0, near, 0.0))
+    mat = np.vstack((p, cells))
+    mat[mat < np.finfo(float).tiny] = 0.0
+    return mat
+
+
 class Recurrence:
     """The first-order recurrence y_j = a y_{j-1} + u_j over ``n`` nodes,
-    0 < a < 1, run blocked in its block matrix and input buffer; its carry
-    is a :class:`Recurrence` over the block ends.
+    0 < a < 1, in its own input buffer: ``evolution``'s implicit diffusion
+    and the two-branch scan's carry.
 
     The recurrence runs with multiplier b = a^span (span 1, except in a
-    carry) as a blocked matrix product.  The end of each block of 32,
-    scanned from zero, is one dot product with the block matrix's last
-    column.  The carry into block B, the full y at the end of block B-1, is
-    the same recurrence over these ends with multiplier b^32 (Blelloch,
-    CMU-CS-90-190, sec. 1.4): a ``Recurrence`` at 32 times the span, whose
-    input buffer the ends are written into, or a plain loop once they fit
-    in one block.  The carry enters block B as one more input b * carry at
-    its first node, and one product with the block matrix then scans every
-    block.  The input buffer holds whole blocks; its padding stays zero,
-    since only the first n entries (the caller writes u_0 .. u_{n-1} into
-    ``u`` before each scan) and block starts are written.
+    carry): within one block of 32 as a plain loop, past it as a blocked
+    matrix product.  The end of each block, scanned from zero, is one dot
+    product with the block matrix's last column.  The carry into block B,
+    the full y at the end of block B-1, is the same recurrence over these
+    ends with multiplier b^32 (Blelloch, CMU-CS-90-190, sec. 1.4), a
+    ``Recurrence`` at 32 times the span whose input buffer the ends are
+    written into.  It enters block B as one more input b * carry at its
+    first node, and one product with the block matrix scans every block.
+    The padding of the input buffer stays zero: the caller writes u_0 ..
+    u_{n-1} into ``u`` before each scan, and a scan only block starts.
     """
 
     def __init__(self, n: int, a: float, span: int = 1):
         self.n = n
         self.u = np.zeros(n + -n % _BLOCK)
         self.blocks = self.u.reshape(-1, _BLOCK)
-        self.lower, lift = _block_powers(a, span)
+        mat = _block_matrix(a, span)
+        self.lower, self.b = mat[1:, :-1].copy(), float(mat[0, 1])
         # views: every block but the last, the matrix's last column, each later block's start
         self.heads, self.last, self.starts = self.blocks[:-1], self.lower[:, -1], self.blocks[1:, 0]
-        self.b = float(lift[0])
         m = self.blocks.shape[0] - 1  # block ends, whose scan is the carry
-        if m > _BLOCK:
-            self.carry = Recurrence(m, a, span * _BLOCK)
-            self.ends, self.carried = self.carry.u[:m], np.empty(self.carry.u.size)
-        else:  # the loop's multiplier is b^32
-            self.carry, self.ends, self.loop_b = None, np.empty(m), float(lift[-1])
+        self.carry = Recurrence(m, a, span * _BLOCK) if m > 0 else None
+        self.carried = np.empty(m + -m % _BLOCK)  # the carry's output
 
     def scan(self, out: np.ndarray) -> np.ndarray:
-        """y_j = a y_{j-1} + u_j from y_{-1} = 0, written blockwise into
-        ``out`` (as long as ``u``); returns its first n entries."""
-        np.matmul(self.heads, self.last, out=self.ends)
-        if self.carry is None:  # the ends fit in one block: scan them one by one
-            carry, acc = [], 0.0
-            for e in self.ends.tolist():
-                acc = self.loop_b * acc + e
-                carry.append(acc)
-        else:
-            carry = self.carry._scan(self.carried)
-        self.starts += self.b * np.asarray(carry)
-        return np.matmul(self.blocks, self.lower, out=out.reshape(self.blocks.shape)).ravel()[: self.n]
+        """y_j = a y_{j-1} + u_j from y_{-1} = 0, written into ``out`` (as
+        long as ``u``); returns its first n entries."""
+        n = self.n
+        if self.carry is None:  # one block: one entry at a time
+            acc, y = 0.0, []
+            for e in self.u[:n].tolist():
+                acc = self.b * acc + e
+                y.append(acc)
+            out[:n] = y
+            return out[:n]
+        np.matmul(self.heads, self.last, out=self.carry.u[: self.carry.n])
+        self.starts += self.b * self.carry._scan(self.carried)
+        return np.matmul(self.blocks, self.lower, out=out.reshape(self.blocks.shape)).ravel()[:n]
 
     # the carry's scan, which a wrapped ``scan`` does not see
     _scan = scan
 
 
-class _Sweep(Recurrence):
-    """One exponential scan: the recurrence with a = e^{-rate step}."""
+class _TwoBranchScan:
+    """Both branches of the exact convolution on ``n`` nodes: y_0 = start,
+    y_j = a y_{j-1} + far src_{j-1} + near src_j left to right at the
+    decaying branch's rate, and its mirror image, from y_{n-1} = start, at
+    the growing branch's.
 
-    def __init__(self, n: int, step: float, rate: float):
-        self.far, self.near, a = _cell_weights(step, rate)
-        super().__init__(n, a)
-        self.body = self.u[1:n]
+    Each row of the buffer holds the forward carry-in, one block's nodes
+    and the backward carry-in, so one product scans a branch; the backward
+    matrix is the forward one mirrored, and nothing is reversed.  One more
+    product gives each row's share of both branches' next carry-in.  The
+    forward start is row 0's carry-in less its node-0 term; the backward
+    start enters as a source value at node n, just past the grid, so no
+    carry starts in mid-block and nothing is divided by a power of a.  The
+    buffer's padding stays zero.
+    """
 
-    def __call__(self, src: np.ndarray, start: float, out: np.ndarray) -> np.ndarray:
-        """y_0 = start, y_j = a y_{j-1} + the integral of e^{-rate u} src over
-        the cell that ends at node j, u the distance to it, into ``out``."""
-        self.u[0] = start
-        np.multiply(src[:-1], self.far, out=self.body)
-        self.body += np.multiply(src[1:], self.near, out=out[: self.n - 1])
-        return self.scan(out)
+    def __init__(self, n: int, step: float, fwd_rate: float, bwd_rate: float):
+        self.n = n
+        rows, r = divmod(n, _BLOCK)
+        self.buf = np.zeros((rows + 1, _BLOCK + 2))  # room for node n
+        self.nodes, self.whole, self.part = self.buf[:, 1:-1], self.buf[:rows, 1:-1], self.buf[rows, 1 : r + 2]
+        fwd_far, self.fwd_near, a = _cell_weights(step, fwd_rate)
+        bwd_far, self.bwd_near, b = _cell_weights(step, bwd_rate)
+        fwd, bwd = _block_matrix(a, 1, self.fwd_near, fwd_far), _block_matrix(b, 1, self.bwd_near, bwd_far)
+        self.bwd_past = bwd[1, 1]  # node n's weight in y_{n-1}, near b + far
+        self.fwd_mat, self.bwd_mat = fwd[:, :-1].copy(), bwd[::-1, -2::-1].copy()
+        self.end = np.column_stack((fwd[1:, -1], bwd[:0:-1, -1]))  # each node's share of the carry-ins
+        self.ends = np.empty((rows + 1, 2))
+        self.fwd_carry, self.bwd_carry = Recurrence(rows + 1, a, _BLOCK), Recurrence(rows + 1, b, _BLOCK)
+        self.carried = np.empty(self.fwd_carry.u.size)
+
+    def __call__(self, src: np.ndarray, fwd_start: float, bwd_start: float) -> tuple[np.ndarray, np.ndarray]:
+        """The forward and the backward branch of ``src``, two new arrays."""
+        buf, n, fc, bc = self.buf, self.n, self.fwd_carry, self.bwd_carry
+        self.whole[:] = src[: self.whole.size].reshape(self.whole.shape)
+        self.part[:-1] = src[self.whole.size :]
+        self.part[-1] = (bwd_start - self.bwd_near * src.item(-1)) / self.bwd_past  # node n
+        ends = np.matmul(self.nodes, self.end, out=self.ends)
+        fc.u[0], fc.u[1 : fc.n] = fwd_start - self.fwd_near * src.item(0), ends[:-1, 0]
+        buf[:, 0] = fc._scan(self.carried)
+        bc.u[1 : bc.n] = ends[:0:-1, 1]  # from the last row, whose carry-in is 0
+        buf[::-1, -1] = bc._scan(self.carried)
+        fwd = np.matmul(buf[:, :-1], self.fwd_mat).ravel()[:n]
+        return fwd, np.matmul(buf[:, 1:], self.bwd_mat).ravel()[:n]
 
 
 class ScanPlan:
-    """The workspace of :func:`convolve` on one kernel and grid: both
-    branches' sweeps, the reversed source the backward sweep reads, its
-    reversed output, and the scratch of :meth:`Convolution.shifted_into`.
+    """The workspace of :func:`convolve` on one kernel and grid: the
+    two-branch scan and the scratch of :meth:`Convolution.shifted_into`.
 
     The plan validates its grid once and holds the ``kernel``, the nodes
     ``t`` and their ``step``.  A caller that convolves on one grid many
@@ -274,16 +301,13 @@ class ScanPlan:
     serves one convolution or shifted read at a time.
     """
 
-    __slots__ = ("kernel", "t", "step", "fwd", "bwd", "rev", "bwd_out", "work")
+    __slots__ = ("kernel", "t", "step", "scan", "work")
 
     def __init__(self, k: GreenKernel, t):
         self.t, self.step = _nodes(t)
-        self.kernel, n = k, self.t.size
-        self.fwd = _Sweep(n, self.step, -k.mu_minus_root)
-        self.bwd = _Sweep(n, self.step, k.mu_plus_root)
-        self.rev = np.empty(n)
-        self.bwd_out = np.empty(self.bwd.u.size)
-        self.work = np.empty(n)
+        self.kernel = k
+        self.scan = _TwoBranchScan(self.t.size, self.step, -k.mu_minus_root, k.mu_plus_root)
+        self.work = np.empty(self.t.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,12 +449,9 @@ def convolve(plan: ScanPlan, src, left_tail, right_const: float) -> Convolution:
     k = plan.kernel
     src = _on_grid(plan.t, src)
     rc = float(right_const)
-    # decaying branch swept left to right from the whole left tail, growing
-    # branch right to left from the constant right closure; the growing
-    # branch scans a reversed copy, so no pass reads a reversed stride
-    fwd = plan.fwd(src, _tail_moment(k, left_tail), np.empty(plan.fwd.u.size))
-    np.copyto(plan.rev, src[::-1])
-    bwd = plan.bwd(plan.rev, rc / k.mu_plus_root, plan.bwd_out)[::-1].copy()
+    # the decaying branch starts from the whole left tail, the growing branch
+    # from the constant right closure
+    fwd, bwd = plan.scan(src, _tail_moment(k, left_tail), rc / k.mu_plus_root)
     values = np.add(fwd, bwd)
     values *= k.norm
     return Convolution(plan, src, left_tail, rc, fwd, bwd, values)
@@ -468,8 +489,7 @@ def exp_integral_right(t, src, rate: float, tail_const: float = 0.0):
         raise ValueError("rate must be positive")
     t, step = _nodes(t)
     src = _on_grid(t, src)
-    sweep = _Sweep(t.size, step, rate)
-    return sweep(src[::-1], tail_const / rate, np.empty(sweep.u.size))[::-1]
+    return _TwoBranchScan(t.size, step, rate, rate)(src, 0.0, tail_const / rate)[1]
 
 
 def pl_exp_integral(t, src, rate: float) -> float:

@@ -32,10 +32,11 @@ precomputed slices of the grid (:class:`ShiftedRead`), each written into
 its own buffer, and the scan runs in the map's :class:`~.kernel.ScanPlan`.
 The pin writes the accepted offset straight into its output and clamps only
 what it reads; the damped step updates the pinned image in place; Anderson's
-least squares solve the normal equations of a Gram matrix updated one row
-per step (:class:`_AndersonRing`), its products written into the solve's
-scratch.  Each iterate is a new array, never a map buffer: Anderson keeps
-the last one (and its residual) for the next step's differences.
+least squares solve the normal equations of a Gram matrix whose ring
+(:class:`_AndersonRing`) keeps dF and C = dX + beta dF, so a step reads it
+twice: once for the Gram row and the right side, once for the mix.  Each
+iterate is a new array, never a map buffer: Anderson keeps the last one
+(and its residual) for the next step's differences.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ ACCEL_DAMPING = 0.5  # Anderson's mixing weight beta
 # lies far below the deepest tail value a default grid resolves (~e^-40)
 CLAMP_FLOOR = 1e-30
 # the most grid nodes a solve allocates: Anderson's ring alone then holds
-# 2*(ACCEL_DEPTH - 1) columns of this length, about 300 MB
+# 2*ACCEL_DEPTH columns of this length, about 300 MB
 MAX_NODES = 1_000_000
 
 
@@ -405,40 +406,45 @@ _GRAM_RCOND = 1e-15
 
 
 class _AndersonRing:
-    """Anderson's differences as ring columns of dX and dF, and G = dF^T dF.
-    Writing a column refills its row and column of G."""
+    """Anderson mixing with damping ``beta`` over ring columns of dF and
+    C = dX + beta dF (dX, dF: the differences of successive iterates and
+    residuals), and G = dF^T dF.  Each step writes one column of each, and
+    one product with the new dF column and the residual refills its row
+    and column of G and gives the least squares' right side."""
 
-    def __init__(self, n: int, cols: int):
-        self.dX = np.empty((n, cols), order="F")
+    def __init__(self, n: int, cols: int, beta: float):
         self.dF = np.empty((n, cols), order="F")
+        self.C = np.empty((n, cols), order="F")
         self.G = np.empty((cols, cols))
+        self.pair = np.empty((n, 2), order="F")  # the new dF column and the residual
+        self.beta, self.last = beta, None
         self.filled = self.head = 0
 
-    def push(self, x, x_prev, f, f_prev) -> None:
-        h, cols = self.head, self.G.shape[0]
-        np.subtract(x, x_prev, out=self.dX[:, h])
-        np.subtract(f, f_prev, out=self.dF[:, h])
-        self.filled = min(self.filled + 1, cols)
-        g = self.dF[:, : self.filled].T @ self.dF[:, h]
-        self.G[h, : self.filled] = g
-        self.G[: self.filled, h] = g
-        self.head = (h + 1) % cols
-
-    def gamma(self, f: np.ndarray) -> np.ndarray:
-        """The least-squares coefficients argmin |f - dF gamma|."""
-        k = self.filled
-        return np.linalg.lstsq(self.G[:k, :k], self.dF[:, :k].T @ f, rcond=_GRAM_RCOND)[0]
-
-    def mix(self, x: np.ndarray, f: np.ndarray, beta: float, work: np.ndarray) -> np.ndarray:
-        """The Anderson iterate x + beta f - dX gamma - beta dF gamma, gamma =
-        :meth:`gamma` of f, as a new array; ``work`` takes both products."""
-        k, gamma = self.filled, self.gamma(f)
-        out = np.multiply(f, beta)
+    def step(self, x: np.ndarray, f: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """The Anderson iterate x + beta f - C gamma as a new array, gamma =
+        argmin |f - dF gamma| once the ring has taken the differences from
+        the last step's x and f (on the first step a damped one).  The ring
+        keeps x and f, so neither may be written later; ``work`` takes C
+        gamma."""
+        if self.last is not None:
+            h, beta, (x_prev, f_prev) = self.head, self.beta, self.last
+            d = np.subtract(f, f_prev, out=self.pair[:, 0])
+            self.dF[:, h] = d
+            c = np.multiply(d, beta, out=self.C[:, h])
+            c += x
+            c -= x_prev
+            self.pair[:, 1] = f
+            k = self.filled = min(self.filled + 1, self.G.shape[0])
+            g, rhs = (self.dF[:, :k].T @ self.pair).T
+            self.G[h, :k] = g
+            self.G[:k, h] = g
+            self.gamma = np.linalg.lstsq(self.G[:k, :k], rhs, rcond=_GRAM_RCOND)[0]
+            self.head = (h + 1) % self.G.shape[0]
+        self.last = (x, f)
+        out = np.multiply(f, self.beta)
         out += x
-        out -= np.matmul(self.dX[:, :k], gamma, out=work)
-        np.matmul(self.dF[:, :k], gamma, out=work)
-        work *= beta
-        out -= work
+        if self.filled:
+            out -= np.matmul(self.C[:, : self.filled], self.gamma, out=work)
         return out
 
 
@@ -467,6 +473,8 @@ def solve_profile(
             raise ValueError(
                 f"initial_phi has {phi.size} nodes, grid has {P.t.size}"
             )
+        if not np.all(np.isfinite(phi)):
+            raise ValueError("initial_phi must be finite")
         phi = P.clip(phi)
     else:
         phi = P.seed()
@@ -480,12 +488,11 @@ def solve_profile(
     # ACCEL_DEPTH iterates by least squares, damped by ACCEL_DAMPING.  The
     # difference columns live in a ring: each step writes one, and the
     # least squares are the normal equations of the ring's Gram matrix.
-    ring = _AndersonRing(phi.size, ACCEL_DEPTH - 1)
-    prev = None
+    ring = _AndersonRing(phi.size, ACCEL_DEPTH - 1, ACCEL_DAMPING)
     # a solve that runs out of budget ends on its least-residual iterate
     res, best_res, best_phi = math.inf, math.inf, None
     # the solve's scratch; each iterate is a new array (the pinned image, or
-    # Anderson's mix), since the ring and ``prev`` keep the last one
+    # Anderson's mix), since the ring keeps the last one and its residual
     work = np.empty(phi.size)
     # each step maps phi once: damped while the damped budget lasts and the
     # residual is above switch, Anderson from the first other step on
@@ -493,6 +500,8 @@ def solve_profile(
     while len(history) < damped + opts.accel_iter:
         img = P(phi)
         res = _sup_gap(img, phi, work)
+        if not math.isfinite(res):  # a NaN would pass every test below
+            raise FloatingPointError(f"the map's image at iteration {len(history)} is not finite (residual {res})")
         history.append(res)
         if res <= goal:
             break
@@ -508,10 +517,7 @@ def solve_profile(
         fx = np.subtract(img, phi, out=img)
         if res < best_res:  # no iterate is written after it is made
             best_res, best_phi = res, phi
-        if prev is not None:
-            ring.push(phi, prev[0], fx, prev[1])
-        prev = (phi, fx)
-        phi = ring.mix(phi, fx, ACCEL_DAMPING, work)  # on the empty ring, a damped step
+        phi = ring.step(phi, fx, work)
 
     if res > best_res:
         phi = best_phi

@@ -88,9 +88,11 @@ class VerificationReport:
 
     ``hypotheses`` maps the check names M, S, J, ND, UB, LB to their
     results.  ``q_min`` and ``pi_integral`` are profile diagnostics (None
-    when no profile was requested), ``uniqueness`` lists (shift,
-    sup_distance) per aligned pair, and ``excluded_seeds`` the indices of
-    harness runs that failed to converge.
+    when no profile was requested or its solve did not converge),
+    ``uniqueness`` lists (shift, sup_distance) per aligned pair,
+    ``excluded_seeds`` the indices of harness runs that failed to
+    converge, and ``failed_solves`` the requested solves that failed: a
+    profile that did not converge, a harness left with under two runs.
     """
 
     model: str
@@ -99,6 +101,7 @@ class VerificationReport:
     pi_integral: float | None = None
     uniqueness: tuple[tuple[float, float], ...] = ()
     excluded_seeds: tuple[int, ...] = ()
+    failed_solves: tuple[str, ...] = ()
     note: str = FALSIFICATION_NOTE
 
     @property
@@ -536,12 +539,18 @@ def verify_model(
     q_min = pi = None
     uniq: tuple[tuple[float, float], ...] = ()
     dropped: list[int] = []
+    failed = []
     if c is not None:
         sol = solve_profile(m, c)
         if sol.converged:
             q_min, pi = diagnostics_Q(sol)
+        else:
+            clamped = sol.clamp_low + sol.clamp_high
+            failed.append(f"profile: residual {sol.residual:.3g}, {sol.iterations} iterations, {clamped} clamped nodes")
         if n_seeds >= 2:
             uniq = tuple(uniqueness_harness(m, c, n_seeds, seed=seed, on_exclude=dropped.append))
+            if n_seeds - len(dropped) < 2:
+                failed.append(f"uniqueness harness: only {n_seeds - len(dropped)} of {n_seeds} runs converged")
     return VerificationReport(
         model=m.name,
         hypotheses=hyp,
@@ -549,4 +558,5 @@ def verify_model(
         pi_integral=pi,
         uniqueness=uniq,
         excluded_seeds=tuple(dropped),
+        failed_solves=tuple(failed),
     )

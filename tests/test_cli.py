@@ -370,6 +370,18 @@ def test_bad_config_values_exit_2(tmp_path, capsys, argv, override):
     assert err.startswith("error:")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the expression's log of a negative number
+@pytest.mark.parametrize("command", [("profile",), ("verify", "--n-samples", "200")], ids=["profile", "verify"])
+def test_non_finite_map_image_exits_3(tmp_path, capsys, command):
+    # log(u1 - 0.5) is NaN wherever the delayed value is below 0.5; the solve
+    # used to hand the NaN residual to Anderson and exit 2 with an SVD error
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps({"model": {**README_CUSTOM, "expr": "u0 * (1.0 - u1) + 0.0*log(u1 - 0.5)"}, "c": 2.5}))
+    code, _, err = run(capsys, *command, "--config", str(cfg), "--outdir", str(tmp_path))
+    assert code == EXIT_NUMERICS
+    assert err.startswith("numerical failure: ") and "image at iteration 0 is not finite" in err
+
+
 # the usage line argparse prints for `speed` at 80 columns
 SPEED_USAGE = (
     "usage: semifront speed [-h] [--model {kpp,nicholson,may,square,custom}]\n"
@@ -534,6 +546,22 @@ def test_verify_kpp_passes(tmp_path, capsys):
     assert code == EXIT_OK
     assert doc["all_passed"] is True
     assert sorted(doc["hypotheses"]) == ["J", "LB", "M", "ND", "S", "UB"]
+
+
+def test_verify_exits_4_when_its_profile_does_not_converge(tmp_path, capsys):
+    # kpp h=4 meets the tolerance only on clamped nodes (see
+    # test_clamped_profile_is_not_converged): the hypotheses pass, but the
+    # diagnostics it was asked for are missing, so verify does not succeed
+    code, out, err = run(
+        capsys, "verify", "--model", "kpp", "--h", "4", "--c", "2.5", "--n-samples", "200",
+        "--outdir", str(tmp_path),
+    )
+    doc = json.loads(out)
+    assert code == EXIT_NO_CONVERGENCE
+    assert doc["all_passed"] is True and doc["q_min"] is None
+    assert len(doc["failed_solves"]) == 1 and doc["failed_solves"][0].startswith("profile: ")
+    assert err == f"no convergence: {doc['failed_solves'][0]}\n"
+    assert json.loads((tmp_path / "verify.json").read_text(encoding="utf-8")) == doc
 
 
 def test_verify_one_seed_is_config_error(tmp_path, capsys):

@@ -9,7 +9,7 @@ from semifront.kernel import (
     LeftTail,
     Recurrence,
     ScanPlan,
-    _Sweep,
+    _TwoBranchScan,
     _phi1,
     _phi2,
     convolve,
@@ -246,7 +246,7 @@ def test_phi2_continuous_at_series_edge(edge):
 
 
 def scan_reference(src, step, rate, start):
-    """The recurrence of a ``_Sweep``, one node at a time."""
+    """The forward branch's recurrence, one node at a time."""
     x = -rate * step
     far = step * _phi2(x)
     near = step * _phi1(x) - far
@@ -256,10 +256,21 @@ def scan_reference(src, step, rate, start):
     return np.array(out)
 
 
-def fresh_scan(src, step, rate, start):
-    """The scan of ``src`` in a sweep of its own."""
-    sweep = _Sweep(src.size, step, rate)
-    return sweep(src, start, np.empty(sweep.u.size))
+def branch_references(src, step, rates, starts):
+    """Both branches one node at a time, the backward one on the reversed source."""
+    bwd = scan_reference(src[::-1], step, rates[1], starts[1])[::-1]
+    return scan_reference(src, step, rates[0], starts[0]), bwd
+
+
+def fresh_scan(src, step, rates, starts):
+    """Both branches of ``src`` in a scan of its own."""
+    return _TwoBranchScan(src.size, step, *rates)(src, *starts)
+
+
+def assert_branches_match_loop(src, step, rates, starts=(0.3, 0.7)):
+    got = fresh_scan(src, step, rates, starts)
+    for out, ref in zip(got, branch_references(src, step, rates, starts)):
+        assert np.max(np.abs(out - ref) / ref) <= 1e-14
 
 
 SCAN_CASES = [
@@ -274,17 +285,28 @@ SCAN_CASES = [
 
 @pytest.mark.parametrize("n, step, rate", SCAN_CASES)
 def test_exp_scan_matches_recurrence(n, step, rate):
+    # each branch at the case's rate, the other at an ordinary one, on a
+    # source and on a reversed view of one
     src = RNG.uniform(0.1, 1.0, n)
-    for s in (src, src[::-1]):  # the backward branch scans a reversed view
-        ref = scan_reference(s, step, rate, 0.3)
-        out = fresh_scan(s, step, rate, 0.3)
-        assert np.max(np.abs(out - ref) / ref) <= 1e-14
+    for s in (src, src[::-1]):
+        for rates in ((rate, 2.5), (2.5, rate)):
+            assert_branches_match_loop(s, step, rates)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 63, 64, 65, 1000, 10001])
+def test_two_branch_scan_matches_one_node_loop(n):
+    # one block, its edges and its multiples, where node n (the backward
+    # start's slot) opens a row; a^32 below the smallest normal float at
+    # rate step 30 and 12; a near 1
+    src = RNG.uniform(0.1, 1.0, n)
+    for step, rates in ((0.02, (2.5, 0.4)), (0.5, (60.0, 24.0)), (0.5, (1e-7, 60.0))):
+        assert_branches_match_loop(src, step, rates)
 
 
 @pytest.mark.parametrize("n, step, rate", SCAN_CASES)
 def test_plain_recurrence_matches_loop(n, step, rate):
     # the recurrence alone, fed its input directly, as the time stepper's
-    # implicit diffusion runs it, on the sweeps' sizes and multipliers
+    # implicit diffusion runs it, on the scans' sizes and multipliers
     a = math.exp(-rate * step)
     rec = Recurrence(n, a)
     src = RNG.uniform(0.1, 1.0, n)
@@ -300,25 +322,26 @@ def test_plain_recurrence_matches_loop(n, step, rate):
 
 @pytest.mark.parametrize("n, levels", [(31, 1), (33, 1), (1057, 2), (40000, 3)])
 def test_scan_plan_reuse_matches_fresh_scan(n, levels):
-    # one plan's sweeps, each run twice on different sources (the second a
-    # reversed view) into one output buffer: every run equals a fresh sweep
-    # bit for bit and the one-node recurrence within the scan's bound,
-    # whatever the last run left in the buffers; n spans one block, a carry
-    # loop, and two and three levels
+    # one plan's scan, run twice on different sources (the second a reversed
+    # view): every run equals a fresh scan bit for bit and the one-node
+    # recurrence within the scan's bound, whatever the last run left in the
+    # buffers, and returns arrays of its own; n spans one block and a carry
+    # loop (its carries fit in one block), and two and three levels of carry
     step = 0.01
     k = make_kernel(2.5, 0.5)
     plan = ScanPlan(k, step * np.arange(n))
-    for sweep, rate in ((plan.fwd, -k.mu_minus_root), (plan.bwd, k.mu_plus_root)):
-        chain, rec = 0, sweep
+    rates = (-k.mu_minus_root, k.mu_plus_root)
+    for carry in (plan.scan.fwd_carry, plan.scan.bwd_carry):
+        chain, rec = 0, carry
         while rec is not None:  # each carry is a recurrence over its parent's block ends
             chain, rec = chain + 1, rec.carry
         assert chain == levels
-        buf = np.full(sweep.u.size, np.nan)
-        for src in (RNG.uniform(0.1, 1.0, n), RNG.uniform(0.1, 1.0, n)[::-1]):
-            out = sweep(src, 0.3, buf)
-            assert np.shares_memory(out, buf)
-            assert np.array_equal(out, fresh_scan(src, step, rate, 0.3))
-            ref = scan_reference(src, step, rate, 0.3)
+    for src in (RNG.uniform(0.1, 1.0, n), RNG.uniform(0.1, 1.0, n)[::-1]):
+        got = plan.scan(src, 0.3, 0.7)
+        fresh = fresh_scan(src, step, rates, (0.3, 0.7))
+        for out, again, ref in zip(got, fresh, branch_references(src, step, rates, (0.3, 0.7))):
+            assert not np.shares_memory(out, plan.scan.buf)
+            assert np.array_equal(out, again)
             assert np.max(np.abs(out - ref) / ref) <= 1e-14
 
 

@@ -88,16 +88,16 @@ def test_one_kernel_scan_per_map_application(kpp_h1, monkeypatch):
     # the chord probes and the accepted read come from the one scan
     from semifront import kernel
 
-    scan, sweeps = kernel._Sweep.__call__, []
+    scan, scans = kernel._TwoBranchScan.__call__, []
 
     def counted(*args, **kwargs):
-        sweeps.append(args[2])
+        scans.append(args[1])
         return scan(*args, **kwargs)
 
-    monkeypatch.setattr(kernel._Sweep, "__call__", counted)
+    monkeypatch.setattr(kernel._TwoBranchScan, "__call__", counted)
     P = _PinnedMap(kpp_h1.model, kpp_h1.c, SolverOptions())
     out = P(kpp_h1.evaluate(kpp_h1.t + 1.3 * kpp_h1.step))
-    assert len(sweeps) == 2  # the forward and the backward sweep of one scan
+    assert len(scans) == 1  # one scan gives the forward and the backward branch
     i0 = int(np.argmin(np.abs(kpp_h1.t)))
     assert abs(out[i0] - 0.5 * kpp_h1.model.kappa) <= 1e-12
 
@@ -443,6 +443,25 @@ def test_seed_shape_checked():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_seed_must_be_finite(kpp_h1, bad):
+    # a NaN seed used to reach Anderson's least squares, an infinite one the clip
+    seed = kpp_h1.phi.copy()
+    seed[100] = bad
+    with pytest.raises(ValueError, match="finite"):
+        solve_profile(builtin_kpp(1.0), 2.5, SolverOptions(initial_phi=seed))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the expression's log of a negative number
+def test_non_finite_image_raises_at_its_iteration():
+    # log(u1 - 0.5) is NaN wherever the delayed value is below 0.5: a NaN
+    # residual is not above the hand-over level, so it used to reach
+    # Anderson's least squares and fail there as a LinAlgError
+    m = _logistic_config(1.0, 1.0, expr="u0 * (1.0 - u1) + 0.0*log(u1 - 0.5)")
+    with pytest.raises(FloatingPointError, match="image at iteration 0 is not finite"):
+        solve_profile(m, 2.5)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -543,15 +562,21 @@ def test_delay_read_any_shift(d):
 
 def test_gram_step_matches_tall_least_squares():
     rng = np.random.default_rng(7)
-    n, cols = 800, 6
-    ring = _AndersonRing(n, cols)
+    n, cols, beta = 800, 6, 0.5
+    ring = _AndersonRing(n, cols, beta)
     dx, df = rng.standard_normal((n, cols)), rng.standard_normal((n, cols))
+    xs, fs = [np.zeros(n)], [rng.standard_normal(n)]
+    for j in range(cols):  # steps whose differences are dx and df, up to rounding
+        xs.append(xs[-1] + dx[:, j])
+        fs.append(fs[-1] + df[:, j])
+    for x, f in zip(xs, fs):
+        ring.step(x, f, np.empty(n))
+    ref = np.linalg.lstsq(ring.dF, fs[-1], rcond=None)[0]
+    assert np.max(np.abs(ring.gamma - ref)) <= 1e-12 * np.max(np.abs(ref))
     for j in range(cols):
-        ring.push(dx[:, j], 0.0, df[:, j], 0.0)
-    f = rng.standard_normal(n)
-    ref = np.linalg.lstsq(df, f, rcond=None)[0]
-    assert np.max(np.abs(ring.gamma(f) - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert np.array_equal(ring.dX, dx)
+        assert np.array_equal(ring.dF[:, j], fs[j + 1] - fs[j])
+        assert np.array_equal(ring.C[:, j], beta * ring.dF[:, j] + xs[j + 1] - xs[j])
+        assert np.max(np.abs(ring.dF[:, j] - df[:, j])) <= 1e-14
 
 
 def test_gram_matrix_follows_ring_wraparound(monkeypatch):
@@ -560,21 +585,28 @@ def test_gram_matrix_follows_ring_wraparound(monkeypatch):
     class Counted(_AndersonRing):
         def __init__(self, *args):
             super().__init__(*args)
-            self.pushes = 0
+            self.steps = []
             rings.append(self)
 
-        def push(self, *args):
-            super().push(*args)
-            self.pushes += 1
+        def step(self, x, f, work):
+            self.steps.append((x, f))  # the solver writes neither later
+            return super().step(x, f, work)
 
     monkeypatch.setattr(profile_mod, "_AndersonRing", Counted)
     monkeypatch.setattr(profile_mod, "ACCEL_DEPTH", 6)
     sol = solve_profile(builtin_kpp(1.0), 2.5)
     (ring,) = rings
-    k = ring.filled
-    assert sol.converged and k == ring.G.shape[0] and ring.pushes > 2 * k
+    k, steps = ring.filled, ring.steps
+    pushes = len(steps) - 1  # the first step finds no earlier iterate
+    assert sol.converged and k == ring.G.shape[0] and pushes > 2 * k
     gram = ring.dF[:, :k].T @ ring.dF[:, :k]
     assert np.max(np.abs(ring.G[:k, :k] - gram)) <= 1e-13 * np.max(np.abs(gram))
+    # after the wraparound, each column holds its step's differences, C = dX + beta dF
+    for j in range(len(steps) - k, len(steps)):
+        (x_prev, f_prev), (x, f) = steps[j - 1], steps[j]
+        col = (j - 1) % k
+        assert np.array_equal(ring.dF[:, col], f - f_prev)
+        assert np.array_equal(ring.C[:, col], profile_mod.ACCEL_DAMPING * ring.dF[:, col] + x - x_prev)
 
 
 # ------------------------------------------------------- metamorphic models

@@ -369,6 +369,29 @@ def test_verify_model_runs_the_harness_with_its_defaults():
     assert rep.uniqueness[0][1] <= 1e-9
 
 
+def test_verify_model_names_the_solves_that_failed(monkeypatch):
+    # every solve capped at two damped steps: the profile does not converge
+    # and the harness keeps none of its two runs; the report says both
+    import semifront.verify as verify_mod
+
+    solve = verify_mod.solve_profile
+
+    def capped(m, c, opts=None):
+        return solve(m, c, dataclasses.replace(opts or SolverOptions(), max_iter=2, accel_iter=0))
+
+    monkeypatch.setattr(verify_mod, "solve_profile", capped)
+    rep = verify_model(builtin_kpp(1.0), n_samples=200, c=2.5, n_seeds=2)
+    assert rep.all_passed and rep.q_min is None and rep.pi_integral is None
+    assert rep.excluded_seeds == (0, 1) and rep.uniqueness == ()
+    profile_failure, harness_failure = rep.failed_solves
+    assert profile_failure.startswith("profile: residual") and "2 iterations" in profile_failure
+    assert harness_failure == "uniqueness harness: only 0 of 2 runs converged"
+    assert rep.to_dict()["failed_solves"] == (profile_failure, harness_failure)
+    # a converged profile and a harness left with two runs fail nothing
+    monkeypatch.setattr(verify_mod, "solve_profile", solve)
+    assert verify_model(builtin_kpp(1.0), n_samples=200, c=2.5).failed_solves == ()
+
+
 @pytest.mark.parametrize("opts", [None])
 def test_verify_model_passes_solver_opts_to_harness(monkeypatch, opts):
     # verify_model takes no solver options: the harness keeps its defaults
