@@ -11,9 +11,9 @@ Every function takes a :class:`~semifront.model.Model` (chi reads its
 Restricted to real z, chi is strictly convex (chi_zz >= 2), so it has at
 most two real zeros 0 < lambda1 <= lambda2; they exist iff the speed c
 reaches the critical speed c*, at which the two collide into a double
-root.  The minimum over real z is strictly decreasing in c, which gives
-a bisection characterization of c* independent of the Newton solve on
-the double-root system chi = chi_z = 0.
+root.  The minimum over real z is strictly decreasing in c, so its sign
+brackets c*, and Brent's method on that sign finds c* independently of
+the Newton solve on the double-root system chi = chi_z = 0.
 
 Complex zeros are counted with the argument principle on rectangle
 boundaries.  A boundary segment [u, v] is halved until |v - u| times a
@@ -187,12 +187,13 @@ def real_roots(m: Model, c: float) -> Optional[RealRoots]:
 
 
 def critical_speed_bisection(m: Model) -> tuple[float, float]:
-    """(c*, lambda*) by bisection on the sign of min_z chi(z, c).
+    """(c*, lambda*) by Brent's method on the sign of min_z chi(z, c).
 
     The minimum is strictly decreasing in c (chi_c < 0 at positive z), is
     positive as c -> 0+ and nonpositive at the closed-form bound
-    2*sqrt(p - q), so the sign change brackets c*, which is bisected to
-    1e-12 relative.
+    2*sqrt(p - q), so the sign change brackets c*, which
+    :func:`~._brentq.brentq` closes to 1e-12 relative.  It uses no
+    derivative, so it checks Newton independently.
     """
     p, q = m.lin.p, m.lin.q
     c_hi = 2.0 * math.sqrt(p - q)
@@ -205,16 +206,8 @@ def critical_speed_bisection(m: Model) -> tuple[float, float]:
     _, m_lo = char_min(m, c_lo)
     if m_lo <= 0 or m_hi > 0:
         raise RuntimeError("critical-speed bracket failed; degenerate linearization?")
-    while c_hi - c_lo > 1e-12 * max(1.0, c_hi):
-        c_mid = 0.5 * (c_lo + c_hi)
-        _, m_mid = char_min(m, c_mid)
-        if m_mid > 0:
-            c_lo = c_mid
-        else:
-            c_hi = c_mid
-    c_star = 0.5 * (c_lo + c_hi)
-    z_min, _ = char_min(m, c_star)
-    return float(c_star), float(z_min)
+    c_star = brentq(lambda c: char_min(m, c)[1], c_lo, c_hi, xtol=1e-12 * max(1.0, c_hi))
+    return float(c_star), float(char_min(m, c_star)[0])
 
 
 def critical_speed_newton(
@@ -270,10 +263,10 @@ def critical_speed_newton(
 def critical_speed(m: Model) -> tuple[float, float]:
     """(c*, lambda*) with both routes cross-checked.
 
-    Newton on the double-root system is the primary method; bisection on
-    the sign of the characteristic minimum is run as an independent check
-    and as the fallback (restarting Newton from the bisection point) when
-    the default start does not converge.
+    Newton on the double-root system is the primary method; the sign
+    search on the characteristic minimum (:func:`critical_speed_bisection`)
+    is run as an independent check and as the fallback (restarting Newton
+    from its point) when the default start does not converge.
     """
     c_bis, lam_bis = critical_speed_bisection(m)
     try:
@@ -282,7 +275,7 @@ def critical_speed(m: Model) -> tuple[float, float]:
         try:
             c_n, lam_n, _, _ = critical_speed_newton(m, guess=(lam_bis, c_bis))
         except RuntimeError:
-            return c_bis, lam_bis  # bisection alone; already sign-certified
+            return c_bis, lam_bis  # the sign search alone; already sign-certified
     if abs(c_n - c_bis) > 1e-6 * max(1.0, c_bis):
         raise RuntimeError(
             f"critical-speed methods disagree: newton {c_n!r} vs bisection {c_bis!r}"

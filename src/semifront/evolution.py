@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .kernel import Recurrence
 from .model import Model
-from .profile import ProfileSolution, scan_shift, up_crossing
+from .profile import ProfileSolution, scan_shift, tail_start, up_crossing
 
 __all__ = [
     "EvolutionState",
@@ -44,14 +44,10 @@ MIN_STEP_NODES = 2_000  # a step's fixed cost (~25-45 us) in nodes: a small grid
 
 
 def tail_seed(kappa: float, lam: float, x0: float = 0.0) -> Callable:
-    """Step-like initial data with left tail kappa/2 * e^{lam (x - x0)}."""
+    """Step-like initial data min(kappa, kappa/2 e^{lam (x - x0)}), by :func:`~.profile.tail_start`."""
     if lam <= 0:
         raise ValueError("tail rate must be positive")
-
-    def u0(x):
-        return np.minimum(kappa, 0.5 * kappa * np.exp(lam * (np.asarray(x) - x0)))
-
-    return u0
+    return lambda x: tail_start(x, kappa, lam, shift=x0)
 
 
 def step_init(kappa: float, x0: float = 0.0) -> Callable:
@@ -114,7 +110,7 @@ class EvolutionState:
     Outside the grid the field is extended by the constant boundary
     values ``bc`` (defaults (0, kappa): zero far left, the positive
     equilibrium far right), and a step's increment by 0.  Negative values
-    are clamped to 0 and counted.
+    are clamped to 0 and counted.  ``u0`` maps the nodes to the first field.
     """
 
     def __init__(
@@ -123,7 +119,7 @@ class EvolutionState:
         x_lo: float,
         x_hi: float,
         dx: float,
-        u0: Callable | Sequence[float],
+        u0: Callable,
         dt: Optional[float] = None,
         bc: Optional[tuple[float, float]] = None,
     ):
@@ -132,7 +128,7 @@ class EvolutionState:
         self.dx = float(dx)
         self.x = np.arange(x_lo, x_hi + dx / 2, dx)
         self.bc = (0.0, m.kappa) if bc is None else (float(bc[0]), float(bc[1]))
-        u = np.asarray(u0(self.x) if callable(u0) else u0, dtype=float)
+        u = np.asarray(u0(self.x), dtype=float)
         if u.shape != self.x.shape:
             raise ValueError(f"initial data has {u.size} values, grid has {self.x.size}")
 
@@ -211,7 +207,7 @@ class FrontRun:
 
 def front_speed(
     m: Model,
-    u0: Callable | Sequence[float],
+    u0: Callable,
     x_lo: float,
     x_hi: float,
     dx: float,

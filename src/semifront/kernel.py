@@ -237,11 +237,8 @@ class Recurrence:
             out[:n] = y
             return out[:n]
         np.matmul(self.heads, self.last, out=self.carry.u[: self.carry.n])
-        self.starts += self.b * self.carry._scan(self.carried)
+        self.starts += self.b * self.carry.scan(self.carried)
         return np.matmul(self.blocks, self.lower, out=out.reshape(self.blocks.shape)).ravel()[:n]
-
-    # the carry's scan, which a wrapped ``scan`` does not see
-    _scan = scan
 
 
 class _TwoBranchScan:
@@ -283,9 +280,9 @@ class _TwoBranchScan:
         self.part[-1] = (bwd_start - self.bwd_near * src.item(-1)) / self.bwd_past  # node n
         ends = np.matmul(self.nodes, self.end, out=self.ends)
         fc.u[0], fc.u[1 : fc.n] = fwd_start - self.fwd_near * src.item(0), ends[:-1, 0]
-        buf[:, 0] = fc._scan(self.carried)
+        buf[:, 0] = fc.scan(self.carried)
         bc.u[1 : bc.n] = ends[:0:-1, 1]  # from the last row, whose carry-in is 0
-        buf[::-1, -1] = bc._scan(self.carried)
+        buf[::-1, -1] = bc.scan(self.carried)
         fwd = np.matmul(buf[:, :-1], self.fwd_mat).ravel()[:n]
         return fwd, np.matmul(buf[:, 1:], self.bwd_mat).ravel()[:n]
 

@@ -155,6 +155,11 @@ class ProfileSolution:
         return _extended(np.asarray(tq, dtype=float), self.t, self.phi, self.tail)
 
 
+def tail_start(t, kappa: float, lam: float, scale: float = 1.0, shift: float = 0.0) -> np.ndarray:
+    """The left-tail start min(kappa, scale * kappa/2 * e^{lam (t - shift)}) at ``t``."""
+    return np.minimum(kappa, scale * 0.5 * kappa * np.exp(lam * (np.asarray(t) - shift)))
+
+
 def first_up_crossing(values: np.ndarray, level: float) -> Optional[int]:
     """The first i with values[i] < level <= values[i+1], or None."""
     if values[0] < level:  # the first node at or above level ends the search
@@ -289,15 +294,16 @@ class _PinnedMap:
         self.tail_nodes = max(2, int(round(span / self.step))) + 1 if self.critical else 1
 
     def seed(self) -> np.ndarray:
-        base = 0.5 * self.m.kappa * np.exp(self.lam * self.t)
+        base = tail_start(self.t, self.m.kappa, self.lam)
         if self.critical:
             # give the seed the (width - t) prefactor of a degenerate-root
             # tail: the deep-tail amplitude is a near-neutral direction of
             # the profile map, so the iteration essentially keeps whatever
             # scale it starts from, and a pure-exponential seed parks the
-            # tail far below the connecting orbit
+            # tail far below the connecting orbit.  The product stays below
+            # kappa/2 for t < 0, and the prefactor is 1 for t >= 0.
             base = base * (1.0 - np.minimum(self.t, 0.0) * self.lam / 5.0)
-        return np.minimum(self.m.kappa, base)
+        return base
 
     def tail_of(self, phi: np.ndarray) -> LeftTail:
         v = float(phi[0])

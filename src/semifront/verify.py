@@ -30,7 +30,7 @@ import numpy as np
 from ._brentq import brentq
 from .kernel import pl_exp_integral
 from .model import Model
-from .profile import ProfileSolution, ShiftedRead, SolverOptions, scan_shift, solve_profile, up_crossing
+from .profile import ProfileSolution, ShiftedRead, SolverOptions, scan_shift, solve_profile, tail_start, up_crossing
 
 __all__ = [
     "CheckResult",
@@ -437,7 +437,7 @@ def _harness_seeds(
     """Distinct initial guesses: scaled tails, shifted pins, bounded noise."""
 
     def tail(scale: float, shift: float = 0.0) -> np.ndarray:
-        return np.minimum(kappa, scale * 0.5 * kappa * np.exp(lam * (grid - shift)))
+        return tail_start(grid, kappa, lam, scale, shift)
 
     def wavy() -> np.ndarray:
         # bounded multiplicative noise built from a few long-wavelength

@@ -154,6 +154,17 @@ def test_nicholson_critical_speed_closed_form():
     assert abs(ce.chi_dz(NICH, lam_n, c_n)) <= 1e-9
 
 
+@pytest.mark.parametrize("m", [builtin_nicholson(h, p) for p in (2.0, 10.0, 20.0) for h in (0.5, 1.0, 2.0)]
+                         + [builtin_may(h, 2.0, 2.0, 1.0) for h in (0.5, 1.0, 2.0)])
+def test_sign_search_agrees_with_newton(m):
+    # Brent's method on the sign of min chi uses no derivative, yet lands
+    # within 1e-12 relative of Newton on the double-root system
+    c_n, lam_n, _, _ = ce.critical_speed_newton(m)
+    c_b, lam_b = ce.critical_speed_bisection(m)
+    assert abs(c_b - c_n) <= 1e-12 * c_n
+    assert ce.critical_speed(m) == (c_n, lam_n)
+
+
 def test_critical_speed_below_zero_delay_bound():
     # delayed atoms only weaken the exponential term, so c* <= 2 sqrt(p-q)
     for m in (NICH, builtin_kpp(3.0), builtin_nicholson(2.0, 1.7)):

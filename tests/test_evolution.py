@@ -85,7 +85,7 @@ def test_bad_grid_and_data_rejected():
     with pytest.raises(ValueError):
         EvolutionState(m, 0.0, 0.5, 0.1, flat(0.0))  # under ten cells
     with pytest.raises(ValueError):
-        EvolutionState(m, -5, 5, 0.1, np.zeros(7))  # wrong sample count
+        EvolutionState(m, -5, 5, 0.1, lambda x: np.zeros(7))  # wrong sample count
     with pytest.raises(ValueError):
         tail_seed(1.0, 0.0)
 
@@ -161,8 +161,8 @@ def test_second_order_in_time():
 def test_step_count_and_ring_do_not_depend_on_dx(monkeypatch):
     # EvolutionState.step wrapped as perfbench counts it: a default run takes
     # t_run/dt steps whatever dx, each with one scan of the kernel's
-    # recurrence over its forward and its backward pass, and holds
-    # ceil(h/dt) + 1 ring rows
+    # recurrence over its forward and its backward pass (every other scan
+    # is a carry of such a scan), and holds ceil(h/dt) + 1 ring rows
     steps, scans = [], []
     step, scan = EvolutionState.step, kernel.Recurrence.scan
 
@@ -171,13 +171,20 @@ def test_step_count_and_ring_do_not_depend_on_dx(monkeypatch):
         steps.append((state.x.size, state._ring.shape[0]))
 
     monkeypatch.setattr(EvolutionState, "step", counted_step)
-    monkeypatch.setattr(kernel.Recurrence, "scan", lambda rec, out: scans.append(rec.n) or scan(rec, out))
+    monkeypatch.setattr(kernel.Recurrence, "scan", lambda rec, out: scans.append(rec) or scan(rec, out))
     m = builtin_kpp(1.0)
     for dx, nodes in ((0.1, 1101), (0.05, 2201)):
         steps.clear(), scans.clear()
         front_speed(m, tail_seed(m.kappa, 0.5), -80.0, 30.0, dx, 18.0)
         assert steps == [(nodes, 41)] * 720
-        assert scans == [2 * nodes] * 720
+        top = [rec for rec in scans if rec.n == 2 * nodes]
+        carries = set()
+        for rec in top:
+            while rec.carry is not None:
+                rec = rec.carry
+                carries.add(id(rec))
+        assert len(top) == 720 and carries
+        assert all(id(rec) in carries for rec in scans if rec.n != 2 * nodes)
 
 
 def test_evolution_keeps_no_scan_of_its_own():

@@ -19,6 +19,7 @@ from semifront.profile import (
     SolverOptions,
     first_up_crossing,
     solve_profile,
+    tail_start,
     up_crossing,
 )
 from semifront.verify import _harness_seeds
@@ -179,6 +180,23 @@ def test_delayed_reads_keep_their_own_buffers():
     tail = P.tail_of(phi)
     ref = m.react(lambda s: P.reads[s](phi, tail).copy())
     assert np.array_equal(m.react(lambda s: P.reads[s](phi, tail)), ref)
+
+
+@pytest.mark.parametrize("critical", [False, True])
+def test_default_seed_is_the_harness_tail(critical):
+    # the solver's seed is the harness's tail(1.0), tail_start at scale 1
+    # and shift 0, bit for bit; at c* it carries the (width - t) prefactor,
+    # and both equal the formulas as written before they shared tail_start
+    m = builtin_kpp(1.0)
+    c = critical_speed(m)[0] if critical else 2.5
+    P = _PinnedMap(m, c, SolverOptions())
+    assert P.critical == critical
+    t, kappa, lam = P.t, m.kappa, P.lam
+    tail = tail_start(t, kappa, lam, 1.0, 0.0)
+    factor = 1.0 - np.minimum(t, 0.0) * lam / 5.0 if critical else 1.0
+    assert np.array_equal(P.seed(), tail * factor)
+    assert np.array_equal(P.seed(), np.minimum(kappa, 0.5 * kappa * np.exp(lam * t) * factor))
+    assert np.array_equal(tail, np.minimum(kappa, 0.5 * kappa * np.exp(lam * t)))
 
 
 def test_iterates_are_the_same_when_the_map_returns_copies(monkeypatch):
