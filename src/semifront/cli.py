@@ -325,6 +325,8 @@ def _cmd_profile(cfg: dict, m: Model) -> int:
         "files": files,
     }
     _emit_json(cfg, payload, "profile")
+    if not sol.converged:
+        print(f"no convergence: profile: {sol.failure}", file=sys.stderr)
     return EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
 
 

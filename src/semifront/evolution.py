@@ -11,6 +11,7 @@ that change of variables).
 SBDF2 (Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995) steps the
 central Laplacian implicitly, through the kernel's recurrence, and the
 delayed reaction explicitly, so the default dt is set by accuracy, not dx.
+Initial data are functions of x; ``tail_seed`` is the solver's tail start.
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ def front_speed(
     t_run: float,
     dt: Optional[float] = None,
 ) -> FrontRun:
-    """Run the field for ``t_run`` and fit the front speed.
+    """Run the field from ``u0(x)`` for ``t_run`` and fit the front speed.
 
     The kappa/2 level-set position is sampled every :data:`SAMPLE_DT`
     time units; the speed is the negated least-squares slope over the

@@ -150,6 +150,14 @@ class ProfileSolution:
     def step(self) -> float:
         return grid_step(self.t)
 
+    @property
+    def failure(self) -> Optional[str]:
+        """Why the solve did not converge, or None when it did."""
+        if self.converged:
+            return None
+        clamped = self.clamp_low + self.clamp_high
+        return f"residual {self.residual:.3g}, {self.iterations} iterations, {clamped} clamped nodes"
+
     def evaluate(self, tq):
         """phi at arbitrary points: tail below t[0], frozen value above t[-1]."""
         return _extended(np.asarray(tq, dtype=float), self.t, self.phi, self.tail)
@@ -300,8 +308,8 @@ class _PinnedMap:
             # tail: the deep-tail amplitude is a near-neutral direction of
             # the profile map, so the iteration essentially keeps whatever
             # scale it starts from, and a pure-exponential seed parks the
-            # tail far below the connecting orbit.  The product stays below
-            # kappa/2 for t < 0, and the prefactor is 1 for t >= 0.
+            # tail far below the connecting orbit.  No clamp is needed: the
+            # product is below kappa/2 for t < 0, the prefactor 1 for t >= 0.
             base = base * (1.0 - np.minimum(self.t, 0.0) * self.lam / 5.0)
         return base
 

@@ -207,7 +207,7 @@ def check_UB(m: Model, n_samples: int = N_SAMPLES, seed: int = 0) -> CheckResult
     phi = psi * _log_uniform(rng, 1e-4, 1.0, (n_samples, k))
     lhs, rhs = _increments(m, phi, psi)
     return _verdict(
-        m, "UB", seed, lhs > rhs + SLACK,
+        m, "UB", seed, ~(lhs <= rhs + SLACK),
         f"no violation on {n_samples} ordered pairs with values in (0, {hi:.6g}]",
         lambda i, total: (
             f"f(psi)-f(phi) = {lhs[i]:.6g} exceeds "
@@ -234,7 +234,7 @@ def check_LB(
     read = _reader(m.h, vals)
     lhs = m.lin.q * read(0.0) + m.react(read)
     rhs = (1.0 - epsilon) * m.lin.mass(read)
-    viol = lhs < rhs - SLACK
+    viol = ~(lhs >= rhs - SLACK)
 
     min_support = 30
     grid = m.kappa * 10.0 ** (-np.arange(0.0, 3.01, 0.1))
@@ -290,7 +290,7 @@ def check_S(m: Model, n_samples: int = N_SAMPLES, seed: int = 0) -> CheckResult:
     rem = np.abs(df - dlin)
     bound = K * _sup_norms(psi - phi) * (_sup_norms(phi) ** alpha + _sup_norms(psi) ** alpha)
     return _verdict(
-        m, "S", seed, rem > bound + SLACK,
+        m, "S", seed, ~(rem <= bound + SLACK),
         (
             f"remainder within K|psi-phi|(|phi|^a+|psi|^a) on {n_samples} pairs "
             f"below delta = {delta:g}"
@@ -478,11 +478,11 @@ def uniqueness_harness(
     (shift, sup_distance) for every converged pair.  Tighter tolerances
     than the plain solver default are used so that the reported distances
     measure profile disagreement rather than leftover iteration error,
-    and the default window is stretched far to the right: profiles with
-    an oscillating approach to the positive equilibrium relax so slowly
-    that a short truncation weakly locks the oscillation phase at the
-    edge, leaving distinct numerical solutions a grid-level distance
-    apart no matter how tight the tolerance.
+    and the default window reaches t_plus = 120, far from the front.  Some
+    profiles never settle to kappa (kpp h=2 and h=3 at c = 2.5 keep
+    oscillating), and the constant closure at the right edge then bends
+    the last ~10 units: solves at t_plus 120 and 240 agree to 3e-8-6e-8
+    on [t[0], 110) but differ by up to 2e-2 beyond it.
     """
     if n_seeds < 2:
         raise ValueError("need at least two seeds to compare profiles")
@@ -503,9 +503,7 @@ def uniqueness_harness(
         elif on_exclude is not None:
             on_exclude(i)
         else:
-            warnings.warn(
-                f"seed {i} did not converge (residual {s.residual:.3g} after {s.iterations} iterations); excluded"
-            )
+            warnings.warn(f"seed {i} did not converge ({s.failure}); excluded")
     return [align_profiles(a, b) for a, b in itertools.combinations(kept, 2)]
 
 
@@ -545,8 +543,7 @@ def verify_model(
         if sol.converged:
             q_min, pi = diagnostics_Q(sol)
         else:
-            clamped = sol.clamp_low + sol.clamp_high
-            failed.append(f"profile: residual {sol.residual:.3g}, {sol.iterations} iterations, {clamped} clamped nodes")
+            failed.append(f"profile: {sol.failure}")
         if n_seeds >= 2:
             uniq = tuple(uniqueness_harness(m, c, n_seeds, seed=seed, on_exclude=dropped.append))
             if n_seeds - len(dropped) < 2:

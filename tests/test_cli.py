@@ -237,6 +237,24 @@ def test_loose_solve_without_fit_window_still_reports(tmp_path, capsys, argv, ex
     assert svg.count("<polyline") == 1 and "tail fit" not in svg
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--h", "1", "--c", "2.5", "--tol", "1e-14", "--max-iter", "2", "--accel-iter", "1"),
+        ("--h", "4", "--c", "2.5"),  # within tolerance, but on clamped nodes
+    ],
+    ids=["budget", "clamped"],
+)
+def test_profile_says_why_it_did_not_converge(tmp_path, capsys, argv):
+    # exit 4 comes with the one line verify prints for the same solve
+    code, out, err = run(capsys, "profile", "--model", "kpp", *argv, "--outdir", str(tmp_path))
+    doc = json.loads(out)
+    assert code == EXIT_NO_CONVERGENCE and doc["converged"] is False
+    clamped = doc["clamped_low"] + doc["clamped_high"]
+    assert err == (f"no convergence: profile: residual {doc['residual']:.3g}, "
+                   f"{doc['iterations']} iterations, {clamped} clamped nodes\n")
+
+
 def test_clamped_profile_is_not_converged(tmp_path, capsys):
     # at h = 4 the default solve meets the residual tolerance only on nodes
     # held at the clamp floor; such a profile does not solve phi = A(phi)
@@ -380,6 +398,20 @@ def test_non_finite_map_image_exits_3(tmp_path, capsys, command):
     code, _, err = run(capsys, *command, "--config", str(cfg), "--outdir", str(tmp_path))
     assert code == EXIT_NUMERICS
     assert err.startswith("numerical failure: ") and "image at iteration 0 is not finite" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the expression's log of a negative number
+def test_nan_reaction_fails_the_sampled_checks(tmp_path, capsys):
+    # without a speed verify solves nothing; each sampled check counts a NaN
+    # sample as a violation and writes its NaN as JSON null
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps({"model": {**README_CUSTOM, "expr": "u0 * (1.0 - u1) + 0.0*log(u1 - 0.5)"}}))
+    code, out, _ = run(capsys, "verify", "--config", str(cfg), "--n-samples", "200", "--outdir", str(tmp_path))
+    hyp = json.loads(out)["hypotheses"]
+    assert code == EXIT_HYPOTHESIS
+    assert {name for name, res in hyp.items() if not res["passed"]} == {"M", "S", "UB", "LB"}
+    assert hyp["S"]["counterexample"]["remainder"] is None
+    assert hyp["UB"]["counterexample"]["lhs"] is None and hyp["LB"]["counterexample"]["lhs"] is None
 
 
 # the usage line argparse prints for `speed` at 80 columns

@@ -4,7 +4,7 @@ Run from any directory, on the checkout this file sits in:
 
     python3 tools/same_numbers.py
 
-It prints two SHA-256 digests, each over a fixed set of runs:
+It prints SHA-256 digests, each over a fixed set of runs:
 
 ``harness``
     Criterion 09's uniqueness experiment in full: kpp h=2 at c = 2.5 and
@@ -18,9 +18,11 @@ It prints two SHA-256 digests, each over a fixed set of runs:
     each of exit codes 2, 3, 4 and 5.  Each command's argv, stdout,
     stderr, exit code and every file it writes are hashed; it writes into
     ``out`` under a fresh working directory, so the output directory
-    reads the same in every run.
+    reads the same in every run.  One more digest per subcommand (speed,
+    zeros, profile, verify, evolve) hashes its commands alone, so a change
+    that moves one command shows which one.
 
-A change that keeps the numbers prints the same two digests as its parent,
+A change that keeps the numbers prints the same digests as its parent,
 run on the same machine.  BLAS is held to one thread (set before numpy
 loads, and inherited by the CLI processes), since a threaded reduction
 may round differently from run to run.  It takes under a minute.
@@ -115,31 +117,36 @@ def readme_commands() -> list[list[str]]:
     return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.strip()]
 
 
-def cli_digest() -> tuple[str, int]:
-    """(digest, commands) of the CLI runs, each in a fresh interpreter."""
+def cli_digests() -> dict[str, tuple[str, int]]:
+    """(digest, commands) of all CLI runs, each in a fresh interpreter,
+    under "cli", and of each subcommand's runs under its name."""
     commands = [argv for seed in CLI_SEEDS for argv in cli_inputs(seed)["commands"]]
     commands += readme_commands() + EXIT_CASES
     src_path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     # argparse wraps the usage line at the terminal width, which COLUMNS sets
     env = dict(os.environ, PYTHONPATH=src_path, COLUMNS="80")
     env.pop("SEMIFRONT_OUTDIR", None)
-    digest = hashlib.sha256()
+    digests = {name: hashlib.sha256() for name in ("cli", "speed", "zeros", "profile", "verify", "evolve")}
+    counts = dict.fromkeys(digests, 0)
     for argv in commands:
         with tempfile.TemporaryDirectory() as cwd:
             proc = subprocess.run([sys.executable, "-m", "semifront.cli", *argv, "--outdir", "out"],
                                   cwd=cwd, env=env, capture_output=True, timeout=300)
-            _feed(digest, " ".join(argv), proc.stdout, proc.stderr, str(proc.returncode))
+            items = [" ".join(argv), proc.stdout, proc.stderr, str(proc.returncode)]
             for path in sorted(Path(cwd).rglob("*")):
                 if path.is_file():
-                    _feed(digest, str(path.relative_to(cwd)), path.read_bytes())
-    return digest.hexdigest(), len(commands)
+                    items += [str(path.relative_to(cwd)), path.read_bytes()]
+        for name in ("cli", argv[0]):
+            _feed(digests[name], *items)
+            counts[name] += 1
+    return {name: (digest.hexdigest(), counts[name]) for name, digest in digests.items()}
 
 
 def main() -> None:
     harness, solves, pairs = harness_digest()
     print(f"harness {harness}  ({solves} solves, {pairs} pairs)", flush=True)
-    cli, commands = cli_digest()
-    print(f"cli     {cli}  ({commands} commands)")
+    for name, (digest, commands) in cli_digests().items():
+        print(f"{name:<7} {digest}  ({commands} commands)")
 
 
 if __name__ == "__main__":
