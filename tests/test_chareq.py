@@ -160,7 +160,7 @@ def test_sign_search_agrees_with_newton(m):
     # Brent's method on the sign of min chi uses no derivative, yet lands
     # within 1e-12 relative of Newton on the double-root system
     c_n, lam_n, _, _ = ce.critical_speed_newton(m)
-    c_b, lam_b = ce.critical_speed_bisection(m)
+    c_b, _ = ce.critical_speed_bisection(m)
     assert abs(c_b - c_n) <= 1e-12 * c_n
     assert ce.critical_speed(m) == (c_n, lam_n)
 
