@@ -39,21 +39,22 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .asymptotics import DecayFit, detect_oscillation, fit_decay
+from . import _lazy_getattr
 from .chareq import (
     DOMINANCE_EPS,
     analyze_speed,
     count_zeros_rect,
     critical_speed,
 )
-from .evolution import DT, MARGIN, MIN_SAMPLES, front_speed, moving_frame_gap, step_init, tail_seed
 from .model import MODEL_NAMES, Model, config_number, model_from_config
-from .profile import ProfileSolution, SolverOptions, solve_profile
-from .verify import EPSILON, N_SAMPLES, diagnostics_Q, verify_model
+
+if TYPE_CHECKING:
+    from .asymptotics import DecayFit
+    from .profile import ProfileSolution
 
 __all__ = ["main", "build_parser"]
 
@@ -62,6 +63,19 @@ EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_HYPOTHESIS = 5
+
+# The library functions only some subcommands call, by defining module.
+# Each is an attribute of this module, bound on first access, so a
+# subcommand imports only the modules it runs.  The subcommands call them
+# through ``_this``, so whatever the attribute holds when they run (a
+# tracer's wrapper, a test's stub) is what runs.
+__getattr__ = _lazy_getattr(globals(), {
+    "asymptotics": ("detect_oscillation", "fit_decay"),
+    "evolution": ("front_speed", "moving_frame_gap"),
+    "profile": ("solve_profile",),
+    "verify": ("diagnostics_Q", "verify_model"),
+})
+_this = sys.modules[__name__]
 
 
 @contextmanager
@@ -287,17 +301,19 @@ def _cmd_zeros(cfg: dict, m: Model) -> int:
 
 
 def _cmd_profile(cfg: dict, m: Model) -> int:
+    from .profile import SolverOptions
+
     sa = analyze_speed(m, _c_value(cfg), check_dominance=False)
     keys = ("t_minus", "t_plus", "step", "tol", "max_iter", "accel_iter")
-    sol = solve_profile(m, sa.c, SolverOptions(**{key: cfg[key] for key in keys}))
+    sol = _this.solve_profile(m, sa.c, SolverOptions(**{key: cfg[key] for key in keys}))
     try:
-        fit = fit_decay(sol)
+        fit = _this.fit_decay(sol)
     except ValueError:  # a loose solve resolves too little tail for a fit window
         fit = None
-    oscillatory, crossings = detect_oscillation(sol)
+    oscillatory, crossings = _this.detect_oscillation(sol)
     q_min = pi_integral = None
     if sol.converged:
-        q_min, pi_integral = diagnostics_Q(sol)
+        q_min, pi_integral = _this.diagnostics_Q(sol)
 
     outdir = Path(cfg["outdir"])
     _write_csv(outdir / "profile.csv", ("t", "phi", "dphi"), (sol.t, sol.phi, sol.dphi))
@@ -333,7 +349,7 @@ def _cmd_profile(cfg: dict, m: Model) -> int:
 def _cmd_verify(cfg: dict, m: Model) -> int:
     c_val = critical_speed(m)[0] if cfg["c"] == "critical" else _c_value(cfg)
     opts = {key: cfg[key] for key in ("n_samples", "seed", "epsilon", "n_seeds")}
-    report = verify_model(m, c=c_val, **opts)
+    report = _this.verify_model(m, c=c_val, **opts)
     _emit_json(cfg, report.to_dict(), "verify")
     for failure in report.failed_solves:
         print(f"no convergence: {failure}", file=sys.stderr)
@@ -343,6 +359,8 @@ def _cmd_verify(cfg: dict, m: Model) -> int:
 
 
 def _cmd_evolve(cfg: dict, m: Model) -> int:
+    from .evolution import MARGIN, MIN_SAMPLES, step_init, tail_seed
+
     sa = analyze_speed(m, _c_value(cfg), check_dominance=False)
     ic = cfg["ic"]
     if ic == "tail":
@@ -352,7 +370,7 @@ def _cmd_evolve(cfg: dict, m: Model) -> int:
     else:
         raise ValueError(f"unknown initial data kind {ic!r}; expected tail or step")
     span = (cfg[key] for key in ("x_lo", "x_hi", "dx", "t_run"))
-    run = front_speed(m, u0, *span, dt=cfg["dt"])
+    run = _this.front_speed(m, u0, *span, dt=cfg["dt"])
 
     outdir = Path(cfg["outdir"])
     _write_csv(outdir / "track.csv", ("t", "x_half"), (run.times, run.positions))
@@ -368,8 +386,8 @@ def _cmd_evolve(cfg: dict, m: Model) -> int:
         "files": {"track": "track.csv", "field": "field.csv", "json": "evolve.json"},
     }
     if cfg.get("compare"):
-        sol = solve_profile(m, sa.c)
-        shift, gap = moving_frame_gap(run, sol)
+        sol = _this.solve_profile(m, sa.c)
+        shift, gap = _this.moving_frame_gap(run, sol)
         payload["profile_gap"] = {"shift": shift, "sup": gap}
     _emit_json(cfg, payload, "evolve")
     if not math.isfinite(run.speed):
@@ -382,7 +400,11 @@ def _cmd_evolve(cfg: dict, m: Model) -> int:
 # -------------------------------------------------------------- parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(cmd: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of all five subcommands.  Given ``cmd``, only the
+    subcommand of that name gets its own flags (none does if no
+    subcommand has that name), so building it imports only the library
+    modules that subcommand's flag defaults come from."""
     parser = argparse.ArgumentParser(
         prog="semifront",
         description="wavefront tools for delayed monostable reaction-diffusion models",
@@ -392,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name: str, help_: str, func, c_default: Optional[str] = "critical"):
         """Add subcommand ``name`` with the common flags and --c/--critical
         (``c_default`` without either); the returned ``flag`` adds one of
-        its own flags and records its action."""
+        its own flags and records its action, or is None when ``name``
+        gets no flags of its own."""
         sp = sub.add_parser(name, help=help_, description=help_)
         sp.add_argument("--model", choices=list(MODEL_NAMES), help="model name")
         sp.add_argument("--h", type=float, default=0.0, help="delay span (default 0)")
@@ -409,48 +432,53 @@ def build_parser() -> argparse.ArgumentParser:
         def flag(*names, **kwargs) -> None:
             own.append(sp.add_argument(*names, **kwargs))
 
-        return flag
+        return flag if cmd in (None, name) else None
 
     command("speed", "critical speed and real decay rates", _cmd_speed)
 
-    flag = command("zeros", "zero count of the characteristic function on a rectangle", _cmd_zeros)
-    flag("--re-min", type=float, help="rectangle left edge (default lambda1 - 1e-3)")
-    flag("--re-max", type=float, help="rectangle right edge (default lambda2 + 1e-3)")
-    flag("--im-max", type=float, help="rectangle half-height (default 50)")
+    if flag := command("zeros", "zero count of the characteristic function on a rectangle", _cmd_zeros):
+        flag("--re-min", type=float, help="rectangle left edge (default lambda1 - 1e-3)")
+        flag("--re-max", type=float, help="rectangle right edge (default lambda2 + 1e-3)")
+        flag("--im-max", type=float, help="rectangle half-height (default 50)")
 
-    solver = SolverOptions()
-    flag = command("profile", "solve the wavefront profile and report its shape", _cmd_profile)
-    flag("--t-plus", type=float, default=solver.t_plus, help="right edge of the grid")
-    flag("--t-minus", type=float, default=solver.t_minus, help="left edge of the grid (default auto)")
-    flag("--step", type=float, default=solver.step, help="grid step")
-    flag("--tol", type=float, default=solver.tol, help="absolute sup-norm residual tolerance")
-    flag("--max-iter", type=int, default=solver.max_iter, help="damped iteration budget")
-    flag("--accel-iter", type=int, default=solver.accel_iter, help="accelerated iteration budget")
-    flag("--svg", action="store_true", help="also write an SVG figure")
+    if flag := command("profile", "solve the wavefront profile and report its shape", _cmd_profile):
+        from .profile import SolverOptions
 
-    flag = command(
+        solver = SolverOptions()
+        flag("--t-plus", type=float, default=solver.t_plus, help="right edge of the grid")
+        flag("--t-minus", type=float, default=solver.t_minus, help="left edge of the grid (default auto)")
+        flag("--step", type=float, default=solver.step, help="grid step")
+        flag("--tol", type=float, default=solver.tol, help="absolute sup-norm residual tolerance")
+        flag("--max-iter", type=int, default=solver.max_iter, help="damped iteration budget")
+        flag("--accel-iter", type=int, default=solver.accel_iter, help="accelerated iteration budget")
+        flag("--svg", action="store_true", help="also write an SVG figure")
+
+    if flag := command(
         "verify", "check the existence/uniqueness hypotheses by sampling", _cmd_verify, c_default=None
-    )
-    flag("--n-samples", type=int, default=N_SAMPLES, help="samples per hypothesis")
-    flag("--seed", type=int, default=0, help="base RNG seed")
-    flag("--epsilon", type=float, default=EPSILON, help="lower-bound test level")
-    flag("--n-seeds", type=int, default=0, help="uniqueness harness starts (0 = skip)")
+    ):
+        from .verify import EPSILON, N_SAMPLES
 
-    flag = command("evolve", "integrate the equation and measure the front speed", _cmd_evolve)
-    flag("--ic", choices=["tail", "step"], default="tail", help="initial data kind")
-    flag("--x0", type=float, default=0.0, help="initial front location")
-    flag("--x-lo", type=float, default=-80.0, help="left edge of the domain")
-    flag("--x-hi", type=float, default=30.0, help="right edge of the domain")
-    flag("--dx", type=float, default=0.1, help="spatial step")
-    flag("--dt", type=float, help=f"time step (default {DT:g}, whatever --dx)")
-    flag("--t-run", type=float, default=18.0, help="integration time")
-    flag("--compare", action="store_true", help="also align against the profile solver")
+        flag("--n-samples", type=int, default=N_SAMPLES, help="samples per hypothesis")
+        flag("--seed", type=int, default=0, help="base RNG seed")
+        flag("--epsilon", type=float, default=EPSILON, help="lower-bound test level")
+        flag("--n-seeds", type=int, default=0, help="uniqueness harness starts (0 = skip)")
+
+    if flag := command("evolve", "integrate the equation and measure the front speed", _cmd_evolve):
+        from .evolution import DT
+
+        flag("--ic", choices=["tail", "step"], default="tail", help="initial data kind")
+        flag("--x0", type=float, default=0.0, help="initial front location")
+        flag("--x-lo", type=float, default=-80.0, help="left edge of the domain")
+        flag("--x-hi", type=float, default=30.0, help="right edge of the domain")
+        flag("--dx", type=float, default=0.1, help="spatial step")
+        flag("--dt", type=float, help=f"time step (default {DT:g}, whatever --dx)")
+        flag("--t-run", type=float, default=18.0, help="integration time")
+        flag("--compare", action="store_true", help="also align against the profile solver")
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):  # argparse takes "-8e1" or "-80." for a flag
         if argv[i].startswith("-") and argv[i - 1].startswith("--"):
@@ -459,6 +487,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             except ValueError:
                 continue
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    # the top-level parser takes no flag with a value, so its first
+    # argument that is not a flag names the subcommand
+    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), ""))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help

@@ -176,16 +176,22 @@ def _verdict(
     failed: Callable[[int, int], str], **rows: np.ndarray,
 ) -> CheckResult:
     """A pass with detail ``passed`` when no sample violates; otherwise a
-    fail at the first violating sample i, with detail ``failed(i, count)``
-    and row i of every array in ``rows`` as its counterexample."""
+    fail at the first violating sample i, with row i of every array in
+    ``rows`` as its counterexample and detail ``failed(i, count)``, or,
+    when a scalar of that row is not finite, a detail that names it."""
     bad = np.flatnonzero(viol)
     if not bad.size:
         return CheckResult(name=name, passed=True, n_samples=viol.size, seed=seed, detail=passed)
     i = int(bad[0])
-    ce = _counterexample(m, i, seed, **{key: value[i] for key, value in rows.items()})
+    row = {key: value[i] for key, value in rows.items()}
+    nonfinite = [f"{key} = {v:.6g}" for key, v in row.items() if np.ndim(v) == 0 and not np.isfinite(v)]
+    why = failed(i, bad.size)
+    if nonfinite:
+        verb = "is" if len(nonfinite) == 1 else "are"
+        why = f"{' and '.join(nonfinite)} {verb} not finite ({bad.size} violations total)"
     return CheckResult(
         name=name, passed=False, n_samples=viol.size, seed=seed,
-        detail=f"violated at sample {i}: {failed(i, bad.size)}", counterexample=ce,
+        detail=f"violated at sample {i}: {why}", counterexample=_counterexample(m, i, seed, **row),
     )
 
 

@@ -158,6 +158,15 @@ def test_flag_defaults_are_the_library_defaults():
     assert verify["epsilon"] == params["epsilon"].default == EPSILON
 
 
+@pytest.mark.parametrize("cmd", sorted(OWN_CONFIG_KEYS))
+def test_one_subcommand_parser_parses_as_the_full_parser(cmd):
+    # main builds only the parsed subcommand's own flags, with the same defaults
+    one, full = (vars(parser.parse_args([cmd])) for parser in (build_parser(cmd), build_parser()))
+    assert [flag.dest for flag in one.pop("_own")] == [flag.dest for flag in full.pop("_own")]
+    del one["_parser"], full["_parser"]
+    assert one == full
+
+
 # -------------------------------------------------------------- zeros
 
 
@@ -412,6 +421,9 @@ def test_nan_reaction_fails_the_sampled_checks(tmp_path, capsys):
     assert {name for name, res in hyp.items() if not res["passed"]} == {"M", "S", "UB", "LB"}
     assert hyp["S"]["counterexample"]["remainder"] is None
     assert hyp["UB"]["counterexample"]["lhs"] is None and hyp["LB"]["counterexample"]["lhs"] is None
+    # a NaN exceeds no bound: the detail says that the value is not finite
+    assert hyp["S"]["detail"] == "violated at sample 0: remainder = nan is not finite (200 violations total)"
+    assert hyp["UB"]["detail"] == "violated at sample 0: lhs = nan is not finite (198 violations total)"
 
 
 # the usage line argparse prints for `speed` at 80 columns
@@ -888,3 +900,93 @@ def test_import_leaves_scipy_signal_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]", "[]"]
+
+
+# the semifront modules a subcommand must not load: speed and zeros run
+# the characteristic equation alone, and no subcommand loads the modules
+# of the others that it does not call
+NOT_LOADED = {
+    "speed": {"profile", "kernel", "verify", "evolution", "asymptotics"},
+    "zeros": {"profile", "kernel", "verify", "evolution", "asymptotics"},
+    "profile": {"evolution"},
+    "verify": {"evolution", "asymptotics"},
+    "evolve": {"verify", "asymptotics"},
+}
+
+# `python -m semifront.cli ARGV`, then the semifront modules it loaded as
+# the last line of stderr, read after the command's own sys.exit
+LOADED_PROBE = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith('semifront')), "
+    "file=sys.stderr))\n"
+    "sys.argv[0] = 'semifront'\n"
+    "runpy.run_module('semifront.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def fresh_python(tmp_path, code: str, *argv) -> str:
+    """Run ``code`` in a fresh interpreter on this checkout's semifront;
+    returns its stderr."""
+    import os
+    import subprocess
+    import sys
+
+    import semifront
+
+    env = dict(os.environ, PYTHONPATH=str(Path(semifront.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr
+
+
+def loaded_modules(tmp_path, code: str, *argv) -> set:
+    return set(fresh_python(tmp_path, code, *argv).splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("cmd", sorted(NOT_LOADED))
+def test_subcommand_loads_only_the_modules_it_runs(tmp_path, cmd):
+    argv = next(argv for argv in readme_commands() if argv[0] == cmd)
+    loaded = loaded_modules(tmp_path, LOADED_PROBE, *argv, "--outdir", "out")
+    assert {"semifront", "semifront.model", "semifront.chareq"} <= loaded
+    assert loaded & {f"semifront.{name}" for name in NOT_LOADED[cmd]} == set()
+
+
+def test_package_import_loads_no_submodule(tmp_path):
+    probe = "import sys, semifront\nprint(*sorted(m for m in sys.modules if m.startswith('semifront')), file=sys.stderr)"
+    assert loaded_modules(tmp_path, probe) == {"semifront"}
+
+
+@pytest.mark.parametrize("argv", [[], *([cmd] for cmd in sorted(OWN_CONFIG_KEYS))], ids=repr)
+def test_help_is_that_of_the_parser_of_all_subcommands(argv, capsys, monkeypatch):
+    # main builds only the parsed subcommand's own flags; its help must
+    # read as that of the parser with every subcommand's flags
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([*argv, "--help"])
+    full = capsys.readouterr().out
+    assert main([*argv, "--help"]) == EXIT_OK
+    assert capsys.readouterr().out == full
+    assert full.startswith(f"usage: {' '.join(['semifront', *argv])} [-h]")
+
+
+def test_tracer_wraps_each_cli_site_once(tmp_path):
+    # the benchmark tracer wraps a function's own module site before the
+    # CLI's; the CLI's lazily bound name must still be the library's
+    # function, or one call would record two spans
+    probe = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import measure, semifront.cli as cli\n"
+        "with measure.Tracer().installed():\n"
+        "    for site in (site for sites in measure.BINDINGS.values() for site in sites):\n"
+        "        mod, attr = site.split(':')\n"
+        "        if mod == 'semifront.cli':\n"
+        "            print(attr, hasattr(getattr(cli, attr).__wrapped__, '__wrapped__'), file=sys.stderr)\n"
+    )
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    wrapped_twice = dict(line.split() for line in fresh_python(tmp_path, probe, str(perfbench)).splitlines())
+    assert {"solve_profile", "fit_decay", "verify_model", "front_speed"} <= set(wrapped_twice)
+    assert set(wrapped_twice.values()) == {"False"}
