@@ -6,7 +6,9 @@ e^{z t} leads to the exponential polynomial
     chi(z, c) = z^2 - c z - q + sum_j w_j e^{c z s_j},       s_j in [-h, 0].
 
 Every function takes a :class:`~semifront.model.Model` (chi reads its
-``lin``); :func:`eval_chi` is chi's one implementation.
+``lin``) and works one point at a time in ``math``/``cmath`` arithmetic,
+so the speed analysis imports no numpy; :func:`eval_chi` is chi's one
+implementation.
 
 Restricted to real z, chi is strictly convex (chi_zz >= 2), so it has at
 most two real zeros 0 < lambda1 <= lambda2; they exist iff the speed c
@@ -27,10 +29,9 @@ hence |z| <= (c + sqrt(c^2 + 4(q+p)))/2; see README for the derivation.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 from ._brentq import brentq
 from .model import Model
@@ -75,43 +76,55 @@ class SubcriticalError(ValueError):
 
 # ------------------------------------------------------------ evaluation
 #
-# All partials below are plain calculus on chi; each accepts scalar or
-# ndarray z (complex allowed) with a fixed scalar c.
+# All partials below are plain calculus on chi, at one point z (real or
+# complex) and one speed c; a real z takes math.exp, a complex one cmath.exp.
 
 
-def _atom_sum(m: Model, z, c: float, base, factor):
-    """base(z) + sum_j factor(s_j, w_j, z) e^{c s_j z} over the delayed atoms."""
-    z = np.asarray(z)
-    out = base(z)
+def _exp(z):
+    return cmath.exp if isinstance(z, complex) else math.exp
+
+
+def _chi(m: Model, c: float):
+    """chi(., c) as a function of z alone, its per-atom constants computed once."""
+    q = m.lin.q
+    terms = tuple((c * s, w) for s, w in m.lin.atoms)
+
+    def chi(z):
+        exp = _exp(z)
+        out = z * z - c * z - q
+        for cs, w in terms:
+            out = out + w * exp(cs * z)
+        return out
+
+    return chi
+
+
+def _atom_sum(m: Model, z, c: float, out, factor):
+    """out + sum_j factor(s_j, w_j) e^{c s_j z} over the delayed atoms."""
+    exp = _exp(z)
     for s, w in m.lin.atoms:
-        out = out + factor(s, w, z) * np.exp(c * s * z)
-    return out if out.ndim else out[()]
+        out = out + factor(s, w) * exp(c * s * z)
+    return out
 
 
 def eval_chi(m: Model, z, c: float):
-    return _atom_sum(m, z, c, lambda z: z * z - c * z - m.lin.q, lambda s, w, z: w)
+    return _chi(m, c)(z)
 
 
 def chi_dz(m: Model, z, c: float):
-    return _atom_sum(m, z, c, lambda z: 2.0 * z - c, lambda s, w, z: w * (c * s))
+    return _atom_sum(m, z, c, 2.0 * z - c, lambda s, w: w * (c * s))
 
 
 def chi_dzz(m: Model, z, c: float):
-    def base(z):
-        return np.full_like(z, 2.0, dtype=np.result_type(z, float))
-
-    return _atom_sum(m, z, c, base, lambda s, w, z: w * (c * s) ** 2)
+    return _atom_sum(m, z, c, 2.0, lambda s, w: w * (c * s) ** 2)
 
 
 def chi_dc(m: Model, z, c: float):
-    return _atom_sum(m, z, c, lambda z: -z + 0.0, lambda s, w, z: w * (s * z))
+    return _atom_sum(m, z, c, -z + 0.0, lambda s, w: w * (s * z))
 
 
 def chi_dzc(m: Model, z, c: float):
-    def base(z):
-        return np.full_like(z, -1.0, dtype=np.result_type(z, float))
-
-    return _atom_sum(m, z, c, base, lambda s, w, z: w * s * (1.0 + c * s * z))
+    return _atom_sum(m, z, c, -1.0, lambda s, w: w * s * (1.0 + c * s * z))
 
 
 def zero_modulus_bound(m: Model, c: float) -> float:
@@ -148,7 +161,7 @@ def char_min(m: Model, c: float) -> tuple[float, float]:
     else:  # chi_z(z) >= 2z - c - c p h eventually positive; unreachable
         raise RuntimeError("could not bracket the characteristic minimum")
     z_min = brentq(lambda z: chi_dz(m, z, c), 0.0, b, xtol=1e-14, rtol=4e-15)
-    return float(z_min), float(eval_chi(m, z_min, c))
+    return z_min, eval_chi(m, z_min, c)
 
 
 def real_roots(m: Model, c: float) -> Optional[RealRoots]:
@@ -164,7 +177,7 @@ def real_roots(m: Model, c: float) -> Optional[RealRoots]:
     # chi ~ chi_min + (z - z_min)^2 chi_zz/2 near the minimum, so a root
     # separation below sep_tol corresponds to |chi_min| below this band,
     # widened to Newton's stop so that the c* it returns reads critical:
-    band = max(0.5 * float(chi_dzz(m, z_min, c)) * (0.5 * sep_tol) ** 2,
+    band = max(0.5 * chi_dzz(m, z_min, c) * (0.5 * sep_tol) ** 2,
                CHI_ATOL * (1.0 + m.lin.p + m.lin.q))
     if chi_min > band:
         return None
@@ -172,7 +185,7 @@ def real_roots(m: Model, c: float) -> Optional[RealRoots]:
         return RealRoots(z_min, z_min, True)
 
     hi = 0.5 * (c + math.sqrt(c * c + 4.0 * m.lin.q))  # chi > z^2-cz-q ⇒ roots < hi
-    f = lambda z: float(eval_chi(m, z, c))
+    f = _chi(m, c)
     if f(hi) <= 0.0:  # exponential tail underflowed; nudge out
         hi = hi * (1.0 + 1e-12) + 1e-12
     l1 = brentq(f, 0.0, z_min, xtol=1e-14, rtol=4e-15)
@@ -180,7 +193,7 @@ def real_roots(m: Model, c: float) -> Optional[RealRoots]:
     if l2 - l1 < DOUBLE_ROOT_RTOL * max(1.0, l2):
         mid = 0.5 * (l1 + l2)
         return RealRoots(mid, mid, True)
-    return RealRoots(float(l1), float(l2), False)
+    return RealRoots(l1, l2, False)
 
 
 # ------------------------------------------------------- critical speed
@@ -207,7 +220,7 @@ def critical_speed_bisection(m: Model) -> tuple[float, float]:
     if m_lo <= 0 or m_hi > 0:
         raise RuntimeError("critical-speed bracket failed; degenerate linearization?")
     c_star = brentq(lambda c: char_min(m, c)[1], c_lo, c_hi, xtol=1e-12 * max(1.0, c_hi))
-    return float(c_star), float(char_min(m, c_star)[0])
+    return c_star, char_min(m, c_star)[0]
 
 
 def critical_speed_newton(
@@ -230,15 +243,15 @@ def critical_speed_newton(
     tol = CHI_ATOL * (1.0 + p + q)
     fnorm = math.inf
     for it in range(100):
-        F0 = float(eval_chi(m, lam, c))
-        F1 = float(chi_dz(m, lam, c))
+        F0 = eval_chi(m, lam, c)
+        F1 = chi_dz(m, lam, c)
         fnorm = math.hypot(F0, F1)
         if fnorm <= tol:
-            return float(c), float(lam), it, fnorm
+            return c, lam, it, fnorm
         # the Jacobian's first row is (chi_z, chi_c), and chi_z is F1
-        J01 = float(chi_dc(m, lam, c))
-        J10 = float(chi_dzz(m, lam, c))
-        J11 = float(chi_dzc(m, lam, c))
+        J01 = chi_dc(m, lam, c)
+        J10 = chi_dzz(m, lam, c)
+        J11 = chi_dzc(m, lam, c)
         det = F1 * J11 - J01 * J10
         if det == 0.0:
             break
@@ -248,9 +261,7 @@ def critical_speed_newton(
         while alpha > 2.0**-40:
             lam_n, c_n = lam + alpha * dlam, c + alpha * dc
             if lam_n > 0 and c_n > 0:
-                fn = math.hypot(
-                    float(eval_chi(m, lam_n, c_n)), float(chi_dz(m, lam_n, c_n))
-                )
+                fn = math.hypot(eval_chi(m, lam_n, c_n), chi_dz(m, lam_n, c_n))
                 if fn < fnorm * (1.0 - 1e-4 * alpha) or fn <= tol:
                     lam, c = lam_n, c_n
                     break
@@ -295,13 +306,21 @@ _ATTEMPTS = 3  # dilations of a rectangle whose contour touches a zero
 MAX_CONTOUR_SAMPLES = 1_000_000  # the most vertices one contour may take
 
 
-def _dz_bound(m: Model, c: float, u, v):
-    """count_zeros_rect's S, a bound on |chi_z| over each segment [u, v]."""
-    with np.errstate(over="ignore"):
-        S = 2.0 * np.maximum(np.abs(u), np.abs(v)) + c
-        for s, w in m.lin.atoms:
-            S += w * c * abs(s) * np.exp(c * np.maximum(s * u.real, s * v.real))
-    return S
+def _growth(m: Model, c: float):
+    """G(x) = sum_j w_j c|s_j| e^{c s_j x}, the delayed atoms' part of
+    count_zeros_rect's bound S at real part x (inf past the float range)."""
+    terms = tuple((s, w * c * abs(s)) for s, w in m.lin.atoms if s)
+
+    def G(x: float) -> float:
+        out = 0.0
+        for s, k in terms:
+            try:
+                out += k * math.exp(c * (s * x))
+            except OverflowError:
+                return math.inf
+        return out
+
+    return G
 
 
 def count_zeros_rect(m: Model, c: float, re_range: tuple[float, float], im_max: float) -> int:
@@ -311,26 +330,38 @@ def count_zeros_rect(m: Model, c: float, re_range: tuple[float, float], im_max: 
     The boundary is one closed polyline of 16 segments an edge, and every
     segment [u, v] with |v - u| S >= min(|chi(u)|, |chi(v)|) is halved
     until none is, where S = 2 max(|u|, |v|) + c + sum_j w_j c|s_j|
-    e^{c max(s_j Re u, s_j Re v)} bounds |chi_z| on [u, v].  chi then maps
+    e^{c max(s_j Re u, s_j Re v)} bounds |chi_z| on [u, v].  As every
+    s_j <= 0, the sum is G (:func:`_growth`) at the endpoint of smaller
+    real part, so each vertex carries |z| and G(Re z).  chi then maps
     each segment into a disc about chi(u) that excludes 0, so the winding
-    number is the sum of the principal argument increments.  A non-finite
-    chi on the contour is refused (ValueError), and a contour that needs
-    more than MAX_CONTOUR_SAMPLES vertices raises ContourError.  A vertex
-    where |chi| < 1e-12 (1 + |z|^2) flags the contour as too close to a
-    zero; the rectangle is then dilated by a small relative amount, at
-    most three times.
+    number is the sum of the principal argument increments.  The segments
+    are halved a level at a time, all halves of one level before the next.
+    A non-finite chi on the contour is refused (ValueError), and a contour
+    that needs more than MAX_CONTOUR_SAMPLES vertices raises ContourError.
+    A vertex where |chi| < 1e-12 (1 + |z|^2) flags the contour as too
+    close to a zero; the rectangle is then dilated by a small relative
+    amount, at most three times.
     """
     a, b = re_range
     if not (a < b) or im_max <= 0:
         raise ValueError("empty rectangle")
+    chi, G = _chi(m, c), _growth(m, c)
 
-    def chi(z):  # eval_chi at vertices: refuses an overflow, flags a zero
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = eval_chi(m, z, c)
-        if (bad := np.flatnonzero(~np.isfinite(out))).size:
-            k = bad[0]
-            raise ValueError(f"chi(z) = {out[k]} is not finite at z = {z[k]} on the zero-count contour")
-        if np.any(np.abs(out) < _GUARD * (1.0 + np.abs(z) ** 2)):
+    def at(zs: list) -> list:
+        """(chi(z), |chi(z)|, |z|, G(Re z)) at each vertex of one level;
+        refuses a non-finite chi, then flags a zero."""
+        out, close = [], False
+        for z in zs:
+            try:
+                f = chi(z)
+            except OverflowError:  # an e^{c s z} past the float range: no value
+                f = complex(math.nan, math.nan)
+            if not cmath.isfinite(f):
+                raise ValueError(f"chi(z) = {f} is not finite at z = {z} on the zero-count contour")
+            r, r_z = math.hypot(f.real, f.imag), abs(z)  # abs(f) raises where |f| overflows
+            close = close or r < _GUARD * (1.0 + r_z * r_z)
+            out.append((f, r, r_z, G(z.real)))
+        if close:
             raise _TooClose
         return out
 
@@ -338,22 +369,28 @@ def count_zeros_rect(m: Model, c: float, re_range: tuple[float, float], im_max: 
         da = attempt * 3e-4 * (1.0 + abs(a))
         db = attempt * 3e-4 * (1.0 + abs(b))
         dy = attempt * 1e-3 * im_max
-        corners = np.array([complex(a - da, -(im_max + dy)), complex(b + db, -(im_max + dy)),
-                            complex(b + db, im_max + dy), complex(a - da, im_max + dy)])
-        u = (corners[:, None] + np.outer(np.roll(corners, -1) - corners, np.arange(16) / 16)).ravel()
+        corners = [complex(a - da, -(im_max + dy)), complex(b + db, -(im_max + dy)),
+                   complex(b + db, im_max + dy), complex(a - da, im_max + dy)]
+        zs = [z0 + (z1 - z0) * (k / 16) for z0, z1 in zip(corners, corners[1:] + corners[:1]) for k in range(16)]
         try:
-            fu = chi(u)
-            v, fv = np.roll(u, -1), np.roll(fu, -1)  # the closed polyline's segments [u, v]
-            total, samples = 0.0, u.size
-            while u.size:  # sum the certified segments' increments, halve the rest
-                split = ~(np.abs(v - u) * _dz_bound(m, c, u, v) < np.minimum(np.abs(fu), np.abs(fv)))
-                total += float(np.sum(np.angle(fv[~split] / fu[~split])))
-                u, v, fu, fv = u[split], v[split], fu[split], fv[split]
-                if (samples := samples + u.size) > MAX_CONTOUR_SAMPLES:
+            fs = at(zs)
+            level = list(zip(zs, zs[1:] + zs[:1], fs, fs[1:] + fs[:1]))  # the closed polyline's segments
+            total, samples = 0.0, len(zs)
+            while level:  # sum the certified segments' increments, halve the rest
+                split = []
+                for seg in level:  # max() and min() cost twice these conditionals here
+                    u, v, (fu, ru, r_u, gu), (fv, rv, r_v, gv) = seg
+                    S = 2.0 * (r_u if r_u > r_v else r_v) + c + (gu if u.real <= v.real else gv)
+                    if abs(v - u) * S < (ru if ru < rv else rv):
+                        total += cmath.phase(fv / fu)
+                    else:
+                        split.append(seg)
+                if (samples := samples + len(split)) > MAX_CONTOUR_SAMPLES:
                     raise ContourError(f"the zero-count contour needs more than {MAX_CONTOUR_SAMPLES} samples")
-                mid = 0.5 * (u + v)
-                fm = chi(mid)
-                u, v, fu, fv = (np.concatenate(pair) for pair in ((u, mid), (mid, v), (fu, fm), (fm, fv)))
+                mids = [0.5 * (u + v) for u, v, _, _ in split]
+                fms = at(mids)
+                level = [(u, z, fu, fz) for (u, _, fu, _), z, fz in zip(split, mids, fms)]
+                level += [(z, v, fz, fv) for (_, v, _, fv), z, fz in zip(split, mids, fms)]
         except _TooClose:
             continue
         winding = total / (2.0 * math.pi)

@@ -41,8 +41,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
 from . import _lazy_getattr
 from .chareq import (
     DOMINANCE_EPS,
@@ -53,6 +51,8 @@ from .chareq import (
 from .model import MODEL_NAMES, Model, config_number, model_from_config
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .asymptotics import DecayFit
     from .profile import ProfileSolution
 
@@ -95,18 +95,21 @@ def _config_errors():
 def _plain(obj):
     """Recursively convert to strict-JSON-safe built-ins.
 
-    numpy scalars become Python numbers, tuples become lists and
-    non-finite floats become None, so reports stay valid JSON everywhere.
+    numpy scalars become Python numbers (their ``item()``, so numpy need
+    not be loaded), tuples become lists and non-finite floats become
+    None, so reports stay valid JSON everywhere.
     """
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
+    if hasattr(obj, "item"):  # a numpy scalar
+        obj = obj.item()
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         v = float(obj)
         return v if math.isfinite(v) else None
     return obj
@@ -217,6 +220,8 @@ def _svg_profile(sol: ProfileSolution, fit: Optional[DecayFit]) -> str:
     law, if any, overlaid on the left.  All coordinates use fixed two-decimal
     formatting so reruns are byte-identical.
     """
+    import numpy as np
+
     t, phi, kap = sol.t, sol.phi, sol.model.kappa
     x_lo, x_hi = float(t[0]), float(t[-1])
     y_hi = 1.08 * max(float(phi.max()), kap)

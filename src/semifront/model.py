@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from ._brentq import brentq
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Measure",
@@ -90,6 +91,10 @@ class Model:
     both built-ins and config-defined models are expressed this way.
     Read points and ``lin``'s atoms lie in [-h, 0].  ``bound`` is an
     a-priori sup bound used by the profile solver's clamp.
+
+    numpy is imported where arrays are handled: in :meth:`react`, in the
+    nicholson and may birth functions and in a config expression's
+    functions; the characteristic equation reads ``lin`` alone.
     """
 
     name: str
@@ -118,6 +123,8 @@ class Model:
 
     def react(self, read: Callable) -> np.ndarray:
         """The reaction f on the history whose value at lag s is read(s)."""
+        import numpy as np
+
         return np.asarray(self.f_pointwise(*(read(s) for s in self.eval_points)), dtype=float)
 
 
@@ -189,9 +196,13 @@ def builtin_nicholson(h: float, p: float) -> Model:
         raise ValueError("need p > 1 for a positive equilibrium")
 
     def g(u):
+        import numpy as np
+
         return p * u * np.exp(-u)
 
-    kappa = brentq(lambda x: g(x) - x, 1e-12, max(10.0, 2.0 * math.log(p) + 10.0))
+    # g on floats, so finding kappa loads no numpy; the closed form ln p
+    # would move kappa further from the numpy-form root (2.6e-14 at p = 20)
+    kappa = brentq(lambda x: p * x * math.exp(-x) - x, 1e-12, max(10.0, 2.0 * math.log(p) + 10.0))
     # |g''(u)| = p e^{-u} |u - 2|, maximal at the left end of [-delta, delta]
     delta = min(0.5, kappa / 2.0)
     K = p * math.exp(delta) * (2.0 + delta) / 2.0
@@ -214,6 +225,8 @@ def builtin_may(h: float, p: float, z: float, k: float) -> Model:
         raise ValueError("need z > 1 and k > 0")
 
     def g(u):
+        import numpy as np
+
         u = np.asarray(u, dtype=float)
         out = p * u * (1.0 - (u / k) ** z)
         return np.maximum(out, 0.0)
@@ -260,40 +273,35 @@ def builtin_square(h: float = 0.0) -> Model:
 # ---------------------------------------------------------------------------
 # config-defined models
 
-_SAFE_FUNCS = {
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "sin": np.sin,
-    "cos": np.cos,
-    "tanh": np.tanh,
-    "abs": np.abs,
-    "minimum": np.minimum,
-    "maximum": np.maximum,
-    "pi": math.pi,
-    "e": math.e,
-}
+# the names an expression may use besides u0..: numpy's function of each
+# name in _SAFE_FUNCS, so that the expression maps arrays, and two constants
+_SAFE_FUNCS = ("exp", "log", "sqrt", "sin", "cos", "tanh", "abs", "minimum", "maximum")
+_CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
 def _compile_expr(expr: str, n_points: int) -> Callable:
     """Compile an arithmetic expression in u0..u{n-1} into a vectorized callable.
 
     Expressions are trusted input (they come from the user's own config);
-    only the names u0.., the functions in _SAFE_FUNCS and literals resolve.
+    only the names u0.., the functions in _SAFE_FUNCS, the constants and
+    literals resolve.  numpy is imported when the callable first runs.
     """
     code = compile(expr, "<model-expr>", "eval")
     for const in code.co_consts:  # a nested scope cannot see the u0.. eval passes
         if isinstance(const, type(code)):
             raise ValueError(f"nested scope {const.co_name} in model expression")
     for name in code.co_names:
-        if name not in _SAFE_FUNCS and not (
+        if name not in _SAFE_FUNCS and name not in _CONSTANTS and not (
             name.startswith("u") and name[1:].isdigit() and int(name[1:]) < n_points
         ):
             raise ValueError(f"unknown name {name!r} in model expression")
 
     def f(*vals):
+        import numpy as np
+
         env = {f"u{i}": v for i, v in enumerate(vals)}
-        env.update(_SAFE_FUNCS)
+        env.update((name, getattr(np, name)) for name in _SAFE_FUNCS)
+        env.update(_CONSTANTS)
         return eval(code, {"__builtins__": {}}, env)
 
     return f

@@ -171,6 +171,16 @@ def _sampling(m: Model, n_samples: int, seed: int) -> tuple[np.random.Generator,
     return np.random.default_rng(seed), k
 
 
+def _not_finite(row: dict, total: int) -> str | None:
+    """The detail naming the scalars of a counterexample ``row`` that are
+    not finite, or None when all are."""
+    nonfinite = [f"{key} = {v:.6g}" for key, v in row.items() if np.ndim(v) == 0 and not np.isfinite(v)]
+    if not nonfinite:
+        return None
+    verb = "is" if len(nonfinite) == 1 else "are"
+    return f"{' and '.join(nonfinite)} {verb} not finite ({total} violations total)"
+
+
 def _verdict(
     m: Model, name: str, seed: int, viol: np.ndarray, passed: str,
     failed: Callable[[int, int], str], **rows: np.ndarray,
@@ -184,11 +194,7 @@ def _verdict(
         return CheckResult(name=name, passed=True, n_samples=viol.size, seed=seed, detail=passed)
     i = int(bad[0])
     row = {key: value[i] for key, value in rows.items()}
-    nonfinite = [f"{key} = {v:.6g}" for key, v in row.items() if np.ndim(v) == 0 and not np.isfinite(v)]
-    why = failed(i, bad.size)
-    if nonfinite:
-        verb = "is" if len(nonfinite) == 1 else "are"
-        why = f"{' and '.join(nonfinite)} {verb} not finite ({bad.size} violations total)"
+    why = _not_finite(row, bad.size) or failed(i, bad.size)
     return CheckResult(
         name=name, passed=False, n_samples=viol.size, seed=seed,
         detail=f"violated at sample {i}: {why}", counterexample=_counterexample(m, i, seed, **row),
@@ -273,8 +279,10 @@ def check_LB(
     detail = "no adequately supported norm level passed"
     ce = None
     if i >= 0:
-        detail += f"; smallest violating norm {norms[i]:.6g}"
-        ce = _counterexample(m, i, seed, phi=vals[i], lhs=lhs[i], rhs=rhs[i])
+        row = {"lhs": lhs[i], "rhs": rhs[i]}
+        why = _not_finite(row, int(np.count_nonzero(viol)))
+        detail += f"; violated at sample {i}: {why}" if why else f"; smallest violating norm {norms[i]:.6g}"
+        ce = _counterexample(m, i, seed, phi=vals[i], **row)
     return CheckResult(
         name="LB", passed=False, n_samples=n_samples, seed=seed, detail=detail, counterexample=ce
     )

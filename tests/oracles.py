@@ -124,3 +124,61 @@ def shifted_log_slope_by_lstsq(tn: np.ndarray, excess: np.ndarray) -> tuple[floa
             best = (rss, float(coef[0]), t_edge + delta)
     return best[1], best[2]
 
+
+
+def chi_array(m, z: np.ndarray, c: float) -> np.ndarray:
+    """chi(z, c) = z^2 - c z - q + sum_j w_j e^{c s_j z} at every point of ``z``."""
+    out = z * z - c * z - m.lin.q
+    for s, w in m.lin.atoms:
+        out = out + w * np.exp(c * s * z)
+    return out
+
+
+def count_zeros_rect_vectorized(m, c: float, re_range: tuple[float, float], im_max: float) -> tuple[int, int]:
+    """(zero count, vertices evaluated) of the argument-principle walk as
+    numpy arrays, a level of segments at a time: the same rectangle,
+    dilations, split rule |v - u| S < min(|chi(u)|, |chi(v)|) and
+    increments as ``chareq.count_zeros_rect``, whose reference it is."""
+    a, b = re_range
+    vertices = 0
+
+    def chi(z):
+        nonlocal vertices
+        vertices += z.size
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = chi_array(m, z, c)
+        if not np.all(np.isfinite(out)):
+            raise ValueError("chi is not finite on the contour")
+        if np.any(np.abs(out) < 1e-12 * (1.0 + np.abs(z) ** 2)):
+            raise LookupError  # too close to a zero: dilate
+        return out
+
+    def dz_bound(u, v):
+        with np.errstate(over="ignore"):
+            S = 2.0 * np.maximum(np.abs(u), np.abs(v)) + c
+            for s, w in m.lin.atoms:
+                S += w * c * abs(s) * np.exp(c * np.maximum(s * u.real, s * v.real))
+        return S
+
+    for attempt in range(4):
+        da = attempt * 3e-4 * (1.0 + abs(a))
+        db = attempt * 3e-4 * (1.0 + abs(b))
+        dy = attempt * 1e-3 * im_max
+        corners = np.array([complex(a - da, -(im_max + dy)), complex(b + db, -(im_max + dy)),
+                            complex(b + db, im_max + dy), complex(a - da, im_max + dy)])
+        u = (corners[:, None] + np.outer(np.roll(corners, -1) - corners, np.arange(16) / 16)).ravel()
+        try:
+            fu = chi(u)
+            v, fv = np.roll(u, -1), np.roll(fu, -1)
+            total = 0.0
+            while u.size:
+                split = ~(np.abs(v - u) * dz_bound(u, v) < np.minimum(np.abs(fu), np.abs(fv)))
+                total += float(np.sum(np.angle(fv[~split] / fu[~split])))
+                u, v, fu, fv = u[split], v[split], fu[split], fv[split]
+                mid = 0.5 * (u + v)
+                fm = chi(mid)
+                u, v, fu, fv = (np.concatenate(pair) for pair in ((u, mid), (mid, v), (fu, fm), (fm, fv)))
+        except LookupError:
+            continue
+        return round(total / (2.0 * math.pi)), vertices
+    raise LookupError("a zero sits on every dilated contour")

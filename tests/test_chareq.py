@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import count_zeros_rect_vectorized
 from semifront import chareq as ce
 from semifront.model import Measure, builtin_kpp, builtin_mackey_glass, builtin_may, builtin_nicholson
 
@@ -30,13 +31,6 @@ def test_chi_at_zero_equals_p_minus_q():
 
 def test_chi_kpp_double_root_point():
     assert ce.eval_chi(KPP, 1.0, 2.0) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_chi_vectorized_matches_scalar():
-    z = np.array([0.3 + 0.1j, 1.5 - 2.0j, 0.0])
-    vec = ce.eval_chi(NICH, z, 1.3)
-    for zi, vi in zip(z, vec):
-        assert complex(ce.eval_chi(NICH, complex(zi), 1.3)) == pytest.approx(complex(vi))
 
 
 def test_partials_match_finite_differences():
@@ -189,8 +183,8 @@ def test_critical_speed_has_a_double_root(name, h, p):
 
 def test_char_min_is_global_minimum():
     z_min, chi_min = ce.char_min(NICH, 1.1)
-    zs = np.linspace(1e-3, 5.0, 400)
-    assert chi_min <= float(np.min(ce.eval_chi(NICH, zs, 1.1).real)) + 1e-12
+    zs = np.linspace(1e-3, 5.0, 400).tolist()
+    assert chi_min <= min(ce.eval_chi(NICH, z, 1.1) for z in zs) + 1e-12
 
 
 # ----------------------------------------------------------- zero counts
@@ -264,11 +258,12 @@ def test_dominance_near_critical_speed(h, p, dc):
     assert ce.dominance_check(m, ce.critical_speed(m)[0] + dc) is True
 
 
-def test_dominance_rectangles_count_two():
-    # item 2's grid, both models: the dominance rectangle (left edge
-    # lambda1 - 1e-3) and its twin with the edge at lambda1 - 0.1 hold
-    # exactly the real pair, and the count's bound on |chi_z| holds on
-    # 64 points an edge of each (2|z| + c alone fails on 132 of them)
+@pytest.fixture(scope="module")
+def item2_rectangles():
+    """Item 2's grid, both models: (label, model, c, rectangle, height) of
+    the dominance rectangle (left edge lambda1 - 1e-3) and its twin with
+    the edge at lambda1 - 0.1, 288 in all."""
+    out = []
     for name, h, p, dc in itertools.product(
         ("nicholson", "may"), (0.0, 0.25, 0.5, 1.0, 1.5, 2.0), (1.5, 2.0, 2.5, 3.0), (0.0, 1e-3, 1e-2)
     ):
@@ -276,11 +271,43 @@ def test_dominance_rectangles_count_two():
         c = ce.critical_speed(m)[0] + dc
         lam1, R = ce.real_roots(m, c).lambda1, ce.zero_modulus_bound(m, c) + 1.0
         Y = 10.0 * (c + m.lin.p + m.lin.q + 1.0)
-        for eps in (ce.DOMINANCE_EPS, 0.1):
-            assert ce.count_zeros_rect(m, c, (lam1 - eps, R), Y) == 2, (name, h, p, dc, eps)
-            corners = np.array([complex(lam1 - eps, -Y), complex(R, -Y), complex(R, Y), complex(lam1 - eps, Y)])
-            z = (corners[:, None] + np.outer(np.roll(corners, -1) - corners, np.arange(64) / 64)).ravel()
-            assert np.all(np.abs(ce.chi_dz(m, z, c)) <= ce._dz_bound(m, c, z, z)), (name, h, p, dc, eps)
+        out += [((name, h, p, dc, eps), m, c, (lam1 - eps, R), Y) for eps in (ce.DOMINANCE_EPS, 0.1)]
+    return out
+
+
+def test_dominance_rectangles_count_two(item2_rectangles):
+    # each rectangle holds exactly the real pair, and the count's bound on
+    # |chi_z| holds on 64 points an edge of each (2|z| + c alone fails on
+    # 132 of them)
+    for label, m, c, (lo, R), Y in item2_rectangles:
+        assert ce.count_zeros_rect(m, c, (lo, R), Y) == 2, label
+        corners = [complex(lo, -Y), complex(R, -Y), complex(R, Y), complex(lo, Y)]
+        G = ce._growth(m, c)
+        for z0, z1 in zip(corners, corners[1:] + corners[:1]):
+            for z in (z0 + (z1 - z0) * (k / 64) for k in range(64)):
+                assert abs(ce.chi_dz(m, z, c)) <= 2.0 * abs(z) + c + G(z.real), (label, z)
+
+
+def test_scalar_walk_matches_the_vectorized_walk(item2_rectangles, monkeypatch):
+    # the walk one segment at a time and the walk as numpy arrays, a level
+    # at a time, split the same segments: same count, same vertices
+    evaluated = []
+    chi = ce._chi
+
+    def counted(m, c):
+        f = chi(m, c)
+
+        def g(z):
+            evaluated.append(z)
+            return f(z)
+
+        return g
+
+    monkeypatch.setattr(ce, "_chi", counted)
+    for label, m, c, rect, Y in item2_rectangles:
+        evaluated.clear()
+        n = ce.count_zeros_rect(m, c, rect, Y)
+        assert (n, len(evaluated)) == count_zeros_rect_vectorized(m, c, rect, Y), label
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

@@ -21,6 +21,7 @@ from semifront.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_NUMERICS,
     EXIT_OK,
+    _plain,
     _resolve,
     _write_csv,
     build_parser,
@@ -300,6 +301,20 @@ def test_csv_cells_carry_17_significant_digits(tmp_path):
     assert lines[1:] == [f"{format(v, '.17g')},{format(-v, '.17g')}" for v in values]
 
 
+def test_plain_converts_numpy_scalars():
+    # reports may carry numpy scalars, which _plain turns into JSON's
+    # built-ins without naming numpy's types
+    values = {
+        "flag": np.bool_(True), "count": np.int64(7), "half": np.float32(0.5), "third": np.float64(1 / 3),
+        "nan": np.float64("nan"), "up": np.float64("inf"), "down": -np.inf, "pair": (np.int32(1), 2.5),
+    }
+    plain = _plain(values)
+    assert plain == {"flag": True, "count": 7, "half": 0.5, "third": 1 / 3, "nan": None, "up": None,
+                     "down": None, "pair": [1, 2.5]}
+    assert [type(plain[key]) for key in ("flag", "count", "half", "third")] == [bool, int, float, float]
+    assert [type(v) for v in plain["pair"]] == [int, float]
+
+
 # ----------------------------------------------------- configuration
 
 
@@ -424,6 +439,11 @@ def test_nan_reaction_fails_the_sampled_checks(tmp_path, capsys):
     # a NaN exceeds no bound: the detail says that the value is not finite
     assert hyp["S"]["detail"] == "violated at sample 0: remainder = nan is not finite (200 violations total)"
     assert hyp["UB"]["detail"] == "violated at sample 0: lhs = nan is not finite (198 violations total)"
+    assert hyp["LB"]["detail"] == (
+        "no adequately supported norm level passed; violated at sample 176: lhs = nan is not finite "
+        "(200 violations total)"
+    )
+    assert hyp["LB"]["counterexample"]["sample"] == 176
 
 
 # the usage line argparse prints for `speed` at 80 columns
@@ -903,8 +923,8 @@ def test_import_leaves_scipy_signal_unloaded():
 
 
 # the semifront modules a subcommand must not load: speed and zeros run
-# the characteristic equation alone, and no subcommand loads the modules
-# of the others that it does not call
+# the characteristic equation alone, in scalar arithmetic without numpy,
+# and no subcommand loads the modules of the others that it does not call
 NOT_LOADED = {
     "speed": {"profile", "kernel", "verify", "evolution", "asymptotics"},
     "zeros": {"profile", "kernel", "verify", "evolution", "asymptotics"},
@@ -913,11 +933,12 @@ NOT_LOADED = {
     "evolve": {"verify", "asymptotics"},
 }
 
-# `python -m semifront.cli ARGV`, then the semifront modules it loaded as
-# the last line of stderr, read after the command's own sys.exit
+# `python -m semifront.cli ARGV`, then the semifront modules and numpy,
+# if it loaded them, as the last line of stderr, read after the command's
+# own sys.exit
 LOADED_PROBE = (
     "import atexit, runpy, sys\n"
-    "atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith('semifront')), "
+    "atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith('semifront') or m == 'numpy'), "
     "file=sys.stderr))\n"
     "sys.argv[0] = 'semifront'\n"
     "runpy.run_module('semifront.cli', run_name='__main__', alter_sys=True)\n"
@@ -952,6 +973,7 @@ def test_subcommand_loads_only_the_modules_it_runs(tmp_path, cmd):
     loaded = loaded_modules(tmp_path, LOADED_PROBE, *argv, "--outdir", "out")
     assert {"semifront", "semifront.model", "semifront.chareq"} <= loaded
     assert loaded & {f"semifront.{name}" for name in NOT_LOADED[cmd]} == set()
+    assert ("numpy" in loaded) == (cmd not in ("speed", "zeros"))
 
 
 def test_package_import_loads_no_submodule(tmp_path):
