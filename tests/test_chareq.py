@@ -289,8 +289,8 @@ def test_dominance_rectangles_count_two(item2_rectangles):
 
 
 def test_scalar_walk_matches_the_vectorized_walk(item2_rectangles, monkeypatch):
-    # the walk one segment at a time and the walk as numpy arrays, a level
-    # at a time, split the same segments: same count, same vertices
+    # the scalar walk and the parent's numpy walk split the same segments:
+    # same count, same vertices evaluated
     evaluated = []
     chi = ce._chi
 
