@@ -21,11 +21,11 @@ copied once into rows of 32 nodes, and one product of the rows with a
 matrix folds the cell weights into the powers of a, and the carries
 between blocks are :class:`Recurrence` scans over the block ends, run as
 a loop within one block.  :class:`Recurrence` also runs ``evolution``'s
-implicit diffusion step.  A convolution runs only in the workspace it is
-given (:class:`ScanPlan`): it validates its grid once and holds the
-kernel, nodes and the scan's buffers, so a caller that passes one plan to
-each convolution on its grid neither checks the grid again nor allocates
-more than the arrays the convolution returns.
+implicit diffusion step.  The scan runs only in a :class:`ScanPlan`, the
+workspace a convolution is given: it validates its grid once and holds
+the kernel, nodes and the scan's buffers, so a caller that passes one plan
+to each convolution on its grid neither checks the grid again nor
+allocates more than the arrays the convolution returns.
 
 The scan keeps its two branch accumulators (:class:`Convolution`), left
 tail and right closure included.  The convolution at a sub-step offset
@@ -198,7 +198,7 @@ def _block_matrix(a: float, span: int = 1, near: float = 1.0, far: float = 0.0) 
 class Recurrence:
     """The first-order recurrence y_j = a y_{j-1} + u_j over ``n`` nodes,
     0 < a < 1, in its own input buffer: ``evolution``'s implicit diffusion
-    and the two-branch scan's carry.
+    and the carries of a plan's scan.
 
     The recurrence runs with multiplier b = a^span (span 1, except in a
     carry): within one block of 32 as a plain loop, past it as a blocked
@@ -241,11 +241,19 @@ class Recurrence:
         return np.matmul(self.blocks, self.lower, out=out.reshape(self.blocks.shape)).ravel()[:n]
 
 
-class _TwoBranchScan:
-    """Both branches of the exact convolution on ``n`` nodes: y_0 = start,
-    y_j = a y_{j-1} + far src_{j-1} + near src_j left to right at the
-    decaying branch's rate, and its mirror image, from y_{n-1} = start, at
-    the growing branch's.
+class ScanPlan:
+    """The workspace of :func:`convolve` on one kernel and grid, where both
+    branches of the exact convolution are scanned: y_0 = start, y_j =
+    a y_{j-1} + far src_{j-1} + near src_j left to right at the decaying
+    branch's rate -mu_minus, and its mirror image, from y_{n-1} = start, at
+    the growing branch's rate mu_plus.
+
+    The plan validates its grid once and holds the ``kernel``, the nodes
+    ``t`` and their ``step``, the scan's buffers and the scratch of
+    :meth:`Convolution.shifted_into`.  A caller that convolves on one grid
+    many times (the profile solver) passes one plan to every call; the
+    arrays a convolution returns are their own, never the plan's buffers.
+    A plan serves one convolution or shifted read at a time.
 
     Each row of the buffer holds the forward carry-in, one block's nodes
     and the backward carry-in, so one product scans a branch; the backward
@@ -257,13 +265,20 @@ class _TwoBranchScan:
     buffer's padding stays zero.
     """
 
-    def __init__(self, n: int, step: float, fwd_rate: float, bwd_rate: float):
-        self.n = n
-        rows, r = divmod(n, _BLOCK)
+    __slots__ = (
+        "kernel", "t", "step", "work", "buf", "nodes", "whole", "part", "fwd_near", "bwd_near",
+        "bwd_past", "fwd_mat", "bwd_mat", "end", "ends", "fwd_carry", "bwd_carry", "carried",
+    )
+
+    def __init__(self, k: GreenKernel, t):
+        self.t, self.step = _nodes(t)
+        self.kernel = k
+        self.work = np.empty(self.t.size)
+        rows, r = divmod(self.t.size, _BLOCK)
         self.buf = np.zeros((rows + 1, _BLOCK + 2))  # room for node n
         self.nodes, self.whole, self.part = self.buf[:, 1:-1], self.buf[:rows, 1:-1], self.buf[rows, 1 : r + 2]
-        fwd_far, self.fwd_near, a = _cell_weights(step, fwd_rate)
-        bwd_far, self.bwd_near, b = _cell_weights(step, bwd_rate)
+        fwd_far, self.fwd_near, a = _cell_weights(self.step, -k.mu_minus_root)
+        bwd_far, self.bwd_near, b = _cell_weights(self.step, k.mu_plus_root)
         fwd, bwd = _block_matrix(a, 1, self.fwd_near, fwd_far), _block_matrix(b, 1, self.bwd_near, bwd_far)
         self.bwd_past = bwd[1, 1]  # node n's weight in y_{n-1}, near b + far
         self.fwd_mat, self.bwd_mat = fwd[:, :-1].copy(), bwd[::-1, -2::-1].copy()
@@ -272,9 +287,9 @@ class _TwoBranchScan:
         self.fwd_carry, self.bwd_carry = Recurrence(rows + 1, a, _BLOCK), Recurrence(rows + 1, b, _BLOCK)
         self.carried = np.empty(self.fwd_carry.u.size)
 
-    def __call__(self, src: np.ndarray, fwd_start: float, bwd_start: float) -> tuple[np.ndarray, np.ndarray]:
-        """The forward and the backward branch of ``src``, two new arrays."""
-        buf, n, fc, bc = self.buf, self.n, self.fwd_carry, self.bwd_carry
+    def scan(self, src: np.ndarray, fwd_start: float, bwd_start: float) -> tuple[np.ndarray, np.ndarray]:
+        """The forward and the backward branch of ``src`` on the nodes, two new arrays."""
+        buf, n, fc, bc = self.buf, self.t.size, self.fwd_carry, self.bwd_carry
         self.whole[:] = src[: self.whole.size].reshape(self.whole.shape)
         self.part[:-1] = src[self.whole.size :]
         self.part[-1] = (bwd_start - self.bwd_near * src.item(-1)) / self.bwd_past  # node n
@@ -285,26 +300,6 @@ class _TwoBranchScan:
         buf[::-1, -1] = bc.scan(self.carried)
         fwd = np.matmul(buf[:, :-1], self.fwd_mat).ravel()[:n]
         return fwd, np.matmul(buf[:, 1:], self.bwd_mat).ravel()[:n]
-
-
-class ScanPlan:
-    """The workspace of :func:`convolve` on one kernel and grid: the
-    two-branch scan and the scratch of :meth:`Convolution.shifted_into`.
-
-    The plan validates its grid once and holds the ``kernel``, the nodes
-    ``t`` and their ``step``.  A caller that convolves on one grid many
-    times (the profile solver) passes one plan to every call; the arrays a
-    convolution returns are their own, never the plan's buffers.  A plan
-    serves one convolution or shifted read at a time.
-    """
-
-    __slots__ = ("kernel", "t", "step", "scan", "work")
-
-    def __init__(self, k: GreenKernel, t):
-        self.t, self.step = _nodes(t)
-        self.kernel = k
-        self.scan = _TwoBranchScan(self.t.size, self.step, -k.mu_minus_root, k.mu_plus_root)
-        self.work = np.empty(self.t.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -484,9 +479,8 @@ def exp_integral_right(t, src, rate: float, tail_const: float = 0.0):
     """
     if rate <= 0:
         raise ValueError("rate must be positive")
-    t, step = _nodes(t)
-    src = _on_grid(t, src)
-    return _TwoBranchScan(t.size, step, rate, rate)(src, 0.0, tail_const / rate)[1]
+    # the backward branch of a unit-norm kernel whose two rates are both ``rate``
+    return convolve(ScanPlan(GreenKernel(rate, -rate, 1.0), t), src, LeftTail(0.0, rate), tail_const).bwd
 
 
 def pl_exp_integral(t, src, rate: float) -> float:

@@ -248,34 +248,18 @@ def check_LB(
     rhs = (1.0 - epsilon) * m.lin.mass(read)
     viol = ~(lhs >= rhs - SLACK)
 
-    min_support = 30
     grid = m.kappa * 10.0 ** (-np.arange(0.0, 3.01, 0.1))
-    blocking = None
-    for delta in grid:
-        mask = norms <= delta
-        support = int(np.count_nonzero(mask))
-        if support < min_support:
-            break  # lower levels are even thinner
-        n_bad = int(np.count_nonzero(viol & mask))
-        if n_bad == 0:
-            extra = (
-                f"; first blocking level {blocking[0]:.6g} had {blocking[1]} violations"
-                if blocking
-                else ""
-            )
-            return CheckResult(
-                name="LB",
-                passed=True,
-                n_samples=n_samples,
-                seed=seed,
-                detail=(
-                    f"holds with epsilon={epsilon:g} on all {support} segments of "
-                    f"norm <= delta_hat = {float(delta):.6g}{extra}"
-                ),
-                counterexample=None,
-            )
-        blocking = (float(delta), n_bad)
-    i = int(np.flatnonzero(viol)[np.argmin(norms[viol])]) if viol.any() else -1
+    bad = np.flatnonzero(viol)
+    i = int(bad[np.argmin(norms[bad])]) if bad.size else -1  # the smallest violating segment
+    # the levels decrease, so the first j, those at or above its norm, hold a violation
+    j = int(np.count_nonzero(grid >= norms[i])) if i >= 0 else 0
+    support = int(np.count_nonzero(norms <= grid[j])) if j < grid.size else 0
+    if support >= 30:  # delta_hat is level j, with enough segments to count as tested
+        detail = f"holds with epsilon={epsilon:g} on all {support} segments of norm <= delta_hat = {grid[j]:.6g}"
+        if j:
+            n_bad = int(np.count_nonzero(viol & (norms <= grid[j - 1])))
+            detail += f"; first blocking level {grid[j - 1]:.6g} had {n_bad} violations"
+        return CheckResult(name="LB", passed=True, n_samples=n_samples, seed=seed, detail=detail)
     detail = "no adequately supported norm level passed"
     ce = None
     if i >= 0:

@@ -12,6 +12,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from semifront.verify import SLACK, CheckResult, _counterexample, _log_uniform, _not_finite, _reader, _sampling, _sup_norms
+
 
 def kpp_front_no_delay(c: float, t_eval: np.ndarray) -> np.ndarray:
     """Undelayed logistic front by backward shooting, pinned at 1/2.
@@ -182,3 +184,38 @@ def count_zeros_rect_vectorized(m, c: float, re_range: tuple[float, float], im_m
             continue
         return round(total / (2.0 * math.pi)), vertices
     raise LookupError("a zero sits on every dilated contour")
+
+
+def check_LB_levels(m, epsilon: float, n_samples: int, seed: int):
+    """(LB) as a walk down the 31 norm levels, highest first, stopping at the
+    first level with 30 segments or fewer below it or none violating: the
+    level loop that ``verify.check_LB`` reads off the smallest violating
+    norm instead, whose reference it is.  The samples, the inequality and
+    the failure path are ``check_LB``'s own."""
+    rng, k = _sampling(m, n_samples, seed)
+    vals = _log_uniform(rng, m.kappa * 1e-6, m.kappa, (n_samples, k))
+    norms = _sup_norms(vals)
+    read = _reader(m.h, vals)
+    lhs = m.lin.q * read(0.0) + m.react(read)
+    rhs = (1.0 - epsilon) * m.lin.mass(read)
+    viol = ~(lhs >= rhs - SLACK)
+    blocking = None
+    for delta in m.kappa * 10.0 ** (-np.arange(0.0, 3.01, 0.1)):
+        mask = norms <= delta
+        support = int(np.count_nonzero(mask))
+        if support < 30:
+            break
+        n_bad = int(np.count_nonzero(viol & mask))
+        if n_bad == 0:
+            extra = f"; first blocking level {blocking[0]:.6g} had {blocking[1]} violations" if blocking else ""
+            detail = f"holds with epsilon={epsilon:g} on all {support} segments of norm <= delta_hat = {float(delta):.6g}"
+            return CheckResult("LB", True, n_samples, seed, detail + extra)
+        blocking = (float(delta), n_bad)
+    i = int(np.flatnonzero(viol)[np.argmin(norms[viol])]) if viol.any() else -1
+    detail, ce = "no adequately supported norm level passed", None
+    if i >= 0:
+        row = {"lhs": lhs[i], "rhs": rhs[i]}
+        why = _not_finite(row, int(np.count_nonzero(viol)))
+        detail += f"; violated at sample {i}: {why}" if why else f"; smallest violating norm {norms[i]:.6g}"
+        ce = _counterexample(m, i, seed, phi=vals[i], **row)
+    return CheckResult("LB", False, n_samples, seed, detail, ce)

@@ -159,6 +159,17 @@ def test_sign_search_agrees_with_newton(m):
     assert ce.critical_speed(m) == (c_n, lam_n)
 
 
+@pytest.mark.parametrize("m", [builtin_nicholson(20.0, 2.0), builtin_may(20.0, 2.0, 2.0, 1.0)], ids=["nicholson", "may"])
+def test_newton_restarts_from_the_sign_search(m):
+    # at h = 20 Newton's zero-delay start does not converge; critical_speed
+    # restarts it from the sign search's point, where it stops at once
+    with pytest.raises(RuntimeError, match=r"^Newton failed to converge \(residual 1\.000e\+00\)$"):
+        ce.critical_speed_newton(m)
+    c_b, lam_b = ce.critical_speed_bisection(m)
+    assert (c_b, lam_b) == (0.08815166263225042, 0.6273772568988332)
+    assert ce.critical_speed_newton(m, guess=(lam_b, c_b))[:3] == (c_b, lam_b, 0)
+    assert ce.critical_speed(m) == (c_b, lam_b)
+
 def test_critical_speed_below_zero_delay_bound():
     # delayed atoms only weaken the exponential term, so c* <= 2 sqrt(p-q)
     for m in (NICH, builtin_kpp(3.0), builtin_nicholson(2.0, 1.7)):
@@ -275,12 +286,11 @@ def item2_rectangles():
     return out
 
 
-def test_dominance_rectangles_count_two(item2_rectangles):
-    # each rectangle holds exactly the real pair, and the count's bound on
-    # |chi_z| holds on 64 points an edge of each (2|z| + c alone fails on
-    # 132 of them)
+def test_chi_dz_bound_holds_on_the_dominance_rectangles(item2_rectangles):
+    # the count's bound on |chi_z| holds on 64 points an edge of each
+    # rectangle (2|z| + c alone fails on 132 of them); that each holds
+    # exactly the real pair is asserted by the walk test below
     for label, m, c, (lo, R), Y in item2_rectangles:
-        assert ce.count_zeros_rect(m, c, (lo, R), Y) == 2, label
         corners = [complex(lo, -Y), complex(R, -Y), complex(R, Y), complex(lo, Y)]
         G = ce._growth(m, c)
         for z0, z1 in zip(corners, corners[1:] + corners[:1]):
@@ -289,8 +299,9 @@ def test_dominance_rectangles_count_two(item2_rectangles):
 
 
 def test_scalar_walk_matches_the_vectorized_walk(item2_rectangles, monkeypatch):
-    # the scalar walk and the parent's numpy walk split the same segments:
-    # same count, same vertices evaluated
+    # the scalar walk and the numpy walk split the same segments: same
+    # count, two (each rectangle holds exactly the real pair), and same
+    # vertices evaluated
     evaluated = []
     chi = ce._chi
 
@@ -307,6 +318,7 @@ def test_scalar_walk_matches_the_vectorized_walk(item2_rectangles, monkeypatch):
     for label, m, c, rect, Y in item2_rectangles:
         evaluated.clear()
         n = ce.count_zeros_rect(m, c, rect, Y)
+        assert n == 2, label
         assert (n, len(evaluated)) == count_zeros_rect_vectorized(m, c, rect, Y), label
 
 

@@ -89,13 +89,13 @@ def test_one_kernel_scan_per_map_application(kpp_h1, monkeypatch):
     # the chord probes and the accepted read come from the one scan
     from semifront import kernel
 
-    scan, scans = kernel._TwoBranchScan.__call__, []
+    scan, scans = kernel.ScanPlan.scan, []
 
     def counted(*args, **kwargs):
         scans.append(args[1])
         return scan(*args, **kwargs)
 
-    monkeypatch.setattr(kernel._TwoBranchScan, "__call__", counted)
+    monkeypatch.setattr(kernel.ScanPlan, "scan", counted)
     P = _PinnedMap(kpp_h1.model, kpp_h1.c, SolverOptions())
     out = P(kpp_h1.evaluate(kpp_h1.t + 1.3 * kpp_h1.step))
     assert len(scans) == 1  # one scan gives the forward and the backward branch

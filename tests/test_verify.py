@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -12,6 +13,7 @@ from semifront.model import (
     builtin_mackey_glass,
     builtin_nicholson,
     builtin_square,
+    model_from_config,
 )
 from semifront.chareq import critical_speed
 from semifront.kernel import pl_exp_integral
@@ -30,7 +32,7 @@ from semifront.verify import (
     verify_model,
 )
 
-from oracles import HistorySegment, eval_f, eval_lin
+from oracles import HistorySegment, check_LB_levels, eval_f, eval_lin
 
 #: sample size for unit runs; the acceptance gate drives the full 10_000
 N = 2500
@@ -76,6 +78,33 @@ def test_lower_bound_levels():
     nich = check_LB(builtin_nicholson(1.0, 2.0), 0.1, N)
     assert nich.passed
     assert delta_hat_of(nich) > 0.0
+
+
+# the README's custom kpp, and the same reaction plus 0*log(u1 - 0.5), NaN
+# wherever the delayed value is below 0.5
+_CUSTOM_KPP = {
+    "name": "custom", "h": 1.0, "eval_points": [0.0, -1.0], "expr": "u0 * (1.0 - u1)",
+    "atoms": [[0.0, 1.0]], "q": 0.0, "kappa": 1.0, "smoothness": [1.0, 1.0, 1.0], "bound": 4.0,
+}
+LB_MODELS = [
+    builtin_kpp(0.0), builtin_kpp(1.0), builtin_kpp(4.0), builtin_nicholson(1.0, 2.0),
+    builtin_nicholson(0.5, 10.0), builtin_nicholson(2.0, 1.5), builtin_may(1.0, 2.0, 2.0, 1.0),
+    builtin_may(2.0, 3.0, 2.0, 1.0), builtin_square(), builtin_square(1.0), model_from_config(_CUSTOM_KPP),
+    model_from_config({**_CUSTOM_KPP, "expr": "u0 * (1.0 - u1) + 0.0*log(u1 - 0.5)"}),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaN model's log of a negative number
+@pytest.mark.parametrize("m", LB_MODELS, ids=lambda m: f"{m.name}-h{m.h:g}")
+def test_lower_bound_matches_the_level_loop(m):
+    # delta_hat read off the smallest violating norm equals the walk down the
+    # levels: pass and fail, with and without a blocking level, sample sizes
+    # on both sides of the 30-segment support floor, and (square h=0 and h=1)
+    # every level violated, once with exactly 30 segments at the lowest level
+    for eps, n, seed in itertools.product((0.01, 0.1, 0.5, 0.999), (1, 20, 29, 30, 31, 45, 200, 10_000), (0, 3)):
+        got, ref = check_LB(m, eps, n, seed), check_LB_levels(m, eps, n, seed)
+        assert (got.passed, got.detail) == (ref.passed, ref.detail)
+        assert repr(got.counterexample) == repr(ref.counterexample)  # repr: a NaN lhs equals itself
 
 
 # ------------------------------------------------------- negative controls
