@@ -188,7 +188,7 @@ def count_zeros_rect_vectorized(m, c: float, re_range: tuple[float, float], im_m
 
 def check_LB_levels(m, epsilon: float, n_samples: int, seed: int):
     """(LB) as a walk down the 31 norm levels, highest first, stopping at the
-    first level with 30 segments or fewer below it or none violating: the
+    first level with fewer than 30 segments below it or none violating: the
     level loop that ``verify.check_LB`` reads off the smallest violating
     norm instead, whose reference it is.  The samples, the inequality and
     the failure path are ``check_LB``'s own."""

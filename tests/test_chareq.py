@@ -170,6 +170,7 @@ def test_newton_restarts_from_the_sign_search(m):
     assert ce.critical_speed_newton(m, guess=(lam_b, c_b))[:3] == (c_b, lam_b, 0)
     assert ce.critical_speed(m) == (c_b, lam_b)
 
+
 def test_critical_speed_below_zero_delay_bound():
     # delayed atoms only weaken the exponential term, so c* <= 2 sqrt(p-q)
     for m in (NICH, builtin_kpp(3.0), builtin_nicholson(2.0, 1.7)):
