@@ -42,12 +42,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import _lazy_getattr
-from .chareq import (
-    DOMINANCE_EPS,
-    analyze_speed,
-    count_zeros_rect,
-    critical_speed,
-)
 from .model import MODEL_NAMES, Model, config_number, model_from_config
 
 if TYPE_CHECKING:
@@ -64,13 +58,15 @@ EXIT_NUMERICS = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_HYPOTHESIS = 5
 
-# The library functions only some subcommands call, by defining module.
-# Each is an attribute of this module, bound on first access, so a
-# subcommand imports only the modules it runs.  The subcommands call them
-# through ``_this``, so whatever the attribute holds when they run (a
-# tracer's wrapper, a test's stub) is what runs.
+# The library names the subcommands call, by defining module.  Each is an
+# attribute of this module, bound on first access, so a subcommand imports
+# only the modules it runs: importing this module loads ``model`` alone,
+# and ``verify`` without a speed never loads ``chareq``.  The subcommands
+# call them through ``_this``, so whatever the attribute holds when they
+# run (a tracer's wrapper, a test's stub) is what runs.
 __getattr__ = _lazy_getattr(globals(), {
     "asymptotics": ("detect_oscillation", "fit_decay"),
+    "chareq": ("DOMINANCE_EPS", "analyze_speed", "count_zeros_rect", "critical_speed"),
     "evolution": ("front_speed", "moving_frame_gap"),
     "profile": ("solve_profile",),
     "verify": ("diagnostics_Q", "verify_model"),
@@ -288,16 +284,16 @@ def _svg_profile(sol: ProfileSolution, fit: Optional[DecayFit]) -> str:
 
 
 def _cmd_speed(cfg: dict, m: Model) -> int:
-    _emit_json(cfg, analyze_speed(m, _c_value(cfg))._asdict(), "speed")
+    _emit_json(cfg, _this.analyze_speed(m, _c_value(cfg))._asdict(), "speed")
     return EXIT_OK
 
 
 def _cmd_zeros(cfg: dict, m: Model) -> int:
-    sa = analyze_speed(m, _c_value(cfg), check_dominance=False)
-    re_min = sa.lambda1 - DOMINANCE_EPS if cfg["re_min"] is None else cfg["re_min"]
+    sa = _this.analyze_speed(m, _c_value(cfg), check_dominance=False)
+    re_min = sa.lambda1 - _this.DOMINANCE_EPS if cfg["re_min"] is None else cfg["re_min"]
     re_max = sa.lambda2 + 1e-3 if cfg["re_max"] is None else cfg["re_max"]
     im_max = 50.0 if cfg["im_max"] is None else cfg["im_max"]
-    count = count_zeros_rect(m, sa.c, (re_min, re_max), im_max)
+    count = _this.count_zeros_rect(m, sa.c, (re_min, re_max), im_max)
     payload = sa._asdict()
     del payload["dominance_ok"]  # not checked here: the count is the check
     payload.update(count=count, rectangle={"re_min": re_min, "re_max": re_max, "im_max": im_max})
@@ -308,7 +304,7 @@ def _cmd_zeros(cfg: dict, m: Model) -> int:
 def _cmd_profile(cfg: dict, m: Model) -> int:
     from .profile import SolverOptions
 
-    sa = analyze_speed(m, _c_value(cfg), check_dominance=False)
+    sa = _this.analyze_speed(m, _c_value(cfg), check_dominance=False)
     keys = ("t_minus", "t_plus", "step", "tol", "max_iter", "accel_iter")
     sol = _this.solve_profile(m, sa.c, SolverOptions(**{key: cfg[key] for key in keys}))
     try:
@@ -352,7 +348,11 @@ def _cmd_profile(cfg: dict, m: Model) -> int:
 
 
 def _cmd_verify(cfg: dict, m: Model) -> int:
-    c_val = critical_speed(m)[0] if cfg["c"] == "critical" else _c_value(cfg)
+    c_val = _c_value(cfg)
+    if c_val is not None:  # a speed below c* is refused here, before the sampled checks
+        _this.analyze_speed(m, c_val, check_dominance=False)
+    elif cfg["c"] == "critical":
+        c_val = _this.critical_speed(m)[0]
     opts = {key: cfg[key] for key in ("n_samples", "seed", "epsilon", "n_seeds")}
     report = _this.verify_model(m, c=c_val, **opts)
     _emit_json(cfg, report.to_dict(), "verify")
@@ -366,7 +366,7 @@ def _cmd_verify(cfg: dict, m: Model) -> int:
 def _cmd_evolve(cfg: dict, m: Model) -> int:
     from .evolution import MARGIN, MIN_SAMPLES, step_init, tail_seed
 
-    sa = analyze_speed(m, _c_value(cfg), check_dominance=False)
+    sa = _this.analyze_speed(m, _c_value(cfg), check_dominance=False)
     ic = cfg["ic"]
     if ic == "tail":
         u0 = tail_seed(m.kappa, sa.lambda1, cfg["x0"])

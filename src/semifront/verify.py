@@ -14,6 +14,10 @@ upper-linearization property predicts to be nonnegative) together with its
 exponentially weighted integral (predicted strictly positive), and
 ``uniqueness_harness`` corroborates uniqueness-up-to-translation by
 solving from independent initial guesses and aligning the results.
+
+The sampled checks need the model and numpy alone: the solver and the
+kernel integral are imported on the first call that solves, so a run of
+the checks without a speed loads neither ``profile`` nor ``kernel``.
 """
 
 from __future__ import annotations
@@ -21,16 +25,19 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
+from . import _lazy_getattr
 from ._brentq import brentq
-from .kernel import pl_exp_integral
 from .model import Model
-from .profile import ProfileSolution, ShiftedRead, SolverOptions, scan_shift, solve_profile, tail_start, up_crossing
+
+if TYPE_CHECKING:
+    from .profile import ProfileSolution, SolverOptions
 
 __all__ = [
     "CheckResult",
@@ -64,6 +71,16 @@ N_SAMPLES = 10_000
 EPSILON = 0.1
 
 MAX_SAMPLE_VALUES = 10_000_000  # samples x knots of one batch, refused before any draw
+
+# The solver and kernel names the diagnostics and the harness call, bound
+# on first access as in ``semifront.cli`` and called through ``_this``: a
+# wrapper or stub set on this module's attribute (the benchmark's tracer,
+# a test's capped solve) is what runs.
+__getattr__ = _lazy_getattr(globals(), {
+    "kernel": ("pl_exp_integral",),
+    "profile": ("SolverOptions", "ShiftedRead", "scan_shift", "solve_profile", "tail_start", "up_crossing"),
+})
+_this = sys.modules[__name__]
 
 
 @dataclass(frozen=True)
@@ -378,11 +395,11 @@ def diagnostics_Q(sol: ProfileSolution) -> tuple[float, float]:
     t = sol.t
 
     def history(s: float) -> np.ndarray:  # phi(t + c s) at every node
-        return ShiftedRead(t, c * s)(sol.phi, sol.tail)
+        return _this.ShiftedRead(t, c * s)(sol.phi, sol.tail)
 
     Q = m.lin.apply(history) - m.react(history)
 
-    core = pl_exp_integral(t, Q, -lam)
+    core = _this.pl_exp_integral(t, Q, -lam)
     # left: integral over (-inf, T-] of e^{-lam s} * Q(T-) e^{2 lam (s - T-)}
     left = float(Q[0]) * math.exp(-lam * t[0]) / lam
     # right: Q is asymptotically constant, weight e^{-lam s} integrates itself
@@ -397,7 +414,7 @@ def diagnostics_Q(sol: ProfileSolution) -> tuple[float, float]:
 def _half_crossing(sol: ProfileSolution) -> float:
     """Location of the first upward crossing of kappa/2, linearly interpolated."""
     half = sol.model.kappa / 2.0
-    tc = up_crossing(sol.t, sol.phi, half)
+    tc = _this.up_crossing(sol.t, sol.phi, half)
     return float(sol.t[int(np.argmin(np.abs(sol.phi - half)))]) if tc is None else tc
 
 
@@ -408,7 +425,7 @@ def _sup_distance(a: ProfileSolution, b: ProfileSolution, shift: float) -> float
     step = b.step
     if abs(a.step - step) > 1e-9 * step:
         raise ValueError(f"profiles must share one grid step, got {a.step:g} and {step:g}")
-    read = ShiftedRead(b.t, b.t[0] + shift - a.t[0], a.t.size, snap=False)
+    read = _this.ShiftedRead(b.t, b.t[0] + shift - a.t[0], a.t.size, snap=False)
     if read.hi - read.lo < 10:
         return math.inf
     va = read.into(a.phi)
@@ -426,7 +443,7 @@ def align_profiles(a: ProfileSolution, b: ProfileSolution) -> tuple[float, float
     """
     step, tenths = b.step, np.arange(-10, 11)
     shift0 = _half_crossing(a) - _half_crossing(b)
-    return scan_shift(lambda s: _sup_distance(a, b, s), shift0, step * tenths, (step / 10.0) * tenths)
+    return _this.scan_shift(lambda s: _sup_distance(a, b, s), shift0, step * tenths, (step / 10.0) * tenths)
 
 
 def _harness_seeds(
@@ -435,7 +452,7 @@ def _harness_seeds(
     """Distinct initial guesses: scaled tails, shifted pins, bounded noise."""
 
     def tail(scale: float, shift: float = 0.0) -> np.ndarray:
-        return tail_start(grid, kappa, lam, scale, shift)
+        return _this.tail_start(grid, kappa, lam, scale, shift)
 
     def wavy() -> np.ndarray:
         # bounded multiplicative noise built from a few long-wavelength
@@ -485,14 +502,14 @@ def uniqueness_harness(
     if n_seeds < 2:
         raise ValueError("need at least two seeds to compare profiles")
     if opts is None:
-        opts = SolverOptions(tol=1e-10, accel_iter=3000, t_plus=120.0)
+        opts = _this.SolverOptions(tol=1e-10, accel_iter=3000, t_plus=120.0)
     rng = np.random.default_rng(seed)
 
-    first = solve_profile(m, c, opts)
+    first = _this.solve_profile(m, c, opts)
     seeds = _harness_seeds(n_seeds, first.t, first.lambda1, m.kappa, rng)
     sols: list[ProfileSolution] = [first]
     for guess in seeds[1:]:
-        sols.append(solve_profile(m, c, dataclasses.replace(opts, initial_phi=guess)))
+        sols.append(_this.solve_profile(m, c, dataclasses.replace(opts, initial_phi=guess)))
 
     kept: list[ProfileSolution] = []
     for i, s in enumerate(sols):
@@ -537,7 +554,7 @@ def verify_model(
     dropped: list[int] = []
     failed = []
     if c is not None:
-        sol = solve_profile(m, c)
+        sol = _this.solve_profile(m, c)
         if sol.converged:
             q_min, pi = diagnostics_Q(sol)
         else:

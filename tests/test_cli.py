@@ -96,13 +96,15 @@ def test_conflicting_speed_flags_rejected(tmp_path, capsys):
     assert "either --c or --critical" in err
 
 
-def test_subcritical_speed_is_config_error(tmp_path, capsys):
-    code, _, err = run(
-        capsys, "speed", "--model", "kpp", "--h", "1", "--c", "1.0",
-        "--outdir", str(tmp_path),
-    )
-    assert code == EXIT_CONFIG
-    assert "critical" in err
+@pytest.mark.parametrize("cmd", ["speed", "zeros", "profile", "verify", "evolve"])
+def test_subcritical_speed_is_config_error(tmp_path, capsys, cmd):
+    # every subcommand refuses a speed below c* with one message, before it
+    # samples, solves or writes anything
+    outdir = tmp_path / "out"
+    code, out, err = run(capsys, cmd, "--model", "kpp", "--h", "1", "--c", "1.5", "--outdir", str(outdir))
+    assert code == EXIT_CONFIG and out == ""
+    assert err == "error: speed 1.5 is below the critical speed 2.0: no real roots\n"
+    assert not (outdir / f"{cmd}.json").exists()
 
 
 def test_missing_model_prints_usage(tmp_path, capsys):
@@ -924,12 +926,16 @@ def test_import_leaves_scipy_signal_unloaded():
 
 # the semifront modules a subcommand must not load: speed and zeros run
 # the characteristic equation alone, in scalar arithmetic without numpy,
-# and no subcommand loads the modules of the others that it does not call
+# verify without a speed runs the sampled checks alone, and no subcommand
+# loads the modules of the others that it does not call.  A README
+# command is named by its subcommand; verify at a speed, which solves a
+# profile, by its own argv
 NOT_LOADED = {
     "speed": {"profile", "kernel", "verify", "evolution", "asymptotics"},
     "zeros": {"profile", "kernel", "verify", "evolution", "asymptotics"},
     "profile": {"evolution"},
-    "verify": {"evolution", "asymptotics"},
+    "verify": {"chareq", "kernel", "profile", "evolution", "asymptotics"},
+    "verify --model kpp --h 1 --c 2.5 --n-samples 200": {"evolution", "asymptotics"},
     "evolve": {"verify", "asymptotics"},
 }
 
@@ -969,10 +975,12 @@ def loaded_modules(tmp_path, code: str, *argv) -> set:
 
 @pytest.mark.parametrize("cmd", sorted(NOT_LOADED))
 def test_subcommand_loads_only_the_modules_it_runs(tmp_path, cmd):
-    argv = next(argv for argv in readme_commands() if argv[0] == cmd)
+    argv = shlex.split(cmd) if " " in cmd else next(argv for argv in readme_commands() if argv[0] == cmd)
     loaded = loaded_modules(tmp_path, LOADED_PROBE, *argv, "--outdir", "out")
-    assert {"semifront", "semifront.model", "semifront.chareq"} <= loaded
-    assert loaded & {f"semifront.{name}" for name in NOT_LOADED[cmd]} == set()
+    unloaded = {f"semifront.{name}" for name in NOT_LOADED[cmd]}
+    # of the modules a profile solve runs on, each one not refused is loaded
+    assert {"semifront", "semifront.model", "semifront.chareq", "semifront.kernel", "semifront.profile"} - unloaded <= loaded
+    assert loaded & unloaded == set()
     assert ("numpy" in loaded) == (cmd not in ("speed", "zeros"))
 
 
@@ -996,19 +1004,22 @@ def test_help_is_that_of_the_parser_of_all_subcommands(argv, capsys, monkeypatch
 
 def test_tracer_wraps_each_cli_site_once(tmp_path):
     # the benchmark tracer wraps a function's own module site before the
-    # CLI's; the CLI's lazily bound name must still be the library's
-    # function, or one call would record two spans
+    # CLI's and verify's; their lazily bound names must still be the
+    # library's functions, or one call would record two spans
     probe = (
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
-        "import measure, semifront.cli as cli\n"
+        "import measure, semifront.cli\n"
         "with measure.Tracer().installed():\n"
         "    for site in (site for sites in measure.BINDINGS.values() for site in sites):\n"
         "        mod, attr = site.split(':')\n"
-        "        if mod == 'semifront.cli':\n"
-        "            print(attr, hasattr(getattr(cli, attr).__wrapped__, '__wrapped__'), file=sys.stderr)\n"
+        "        if mod in ('semifront.cli', 'semifront.verify'):\n"
+        "            fn = getattr(sys.modules[mod], attr)\n"
+        "            print(site, hasattr(fn.__wrapped__, '__wrapped__'), file=sys.stderr)\n"
     )
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     wrapped_twice = dict(line.split() for line in fresh_python(tmp_path, probe, str(perfbench)).splitlines())
-    assert {"solve_profile", "fit_decay", "verify_model", "front_speed"} <= set(wrapped_twice)
+    lazy = {f"semifront.cli:{name}" for name in ("solve_profile", "fit_decay", "verify_model", "front_speed",
+                                                  "critical_speed", "analyze_speed", "count_zeros_rect")}
+    assert lazy | {"semifront.verify:solve_profile", "semifront.verify:pl_exp_integral"} <= set(wrapped_twice)
     assert set(wrapped_twice.values()) == {"False"}
