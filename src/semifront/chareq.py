@@ -74,6 +74,11 @@ class SubcriticalError(ValueError):
     """Operation requires real characteristic roots (c >= c*)."""
 
 
+def subcritical_error(m: Model, c: float) -> SubcriticalError:
+    """The one refusal of a speed c < c*; c* is computed for its message alone."""
+    return SubcriticalError(f"speed {float(c)} is below the critical speed {critical_speed(m)[0]}: no real roots")
+
+
 # ------------------------------------------------------------ evaluation
 #
 # All partials below are plain calculus on chi, at one point z (real or
@@ -151,15 +156,11 @@ def char_min(m: Model, c: float) -> tuple[float, float]:
     chi_z is strictly increasing with chi_z(0) = -c - c*sum w_j|s_j| < 0,
     so the minimizer is the unique positive zero of chi_z.
     """
-    if c <= 0:
-        raise ValueError("speed must be positive")
+    if not 0.0 < c < math.inf:  # a NaN or infinite c would never bracket
+        raise ValueError(f"speed must be positive and finite, got {c}")
     b = max(1.0, 0.5 * (c + math.sqrt(c * c + 4.0 * m.lin.q)))
-    for _ in range(80):
-        if chi_dz(m, b, c) > 0:
-            break
+    while chi_dz(m, b, c) <= 0:  # chi_z(z) >= 2z - c - c p h is eventually positive
         b *= 2.0
-    else:  # chi_z(z) >= 2z - c - c p h eventually positive; unreachable
-        raise RuntimeError("could not bracket the characteristic minimum")
     z_min = brentq(lambda z: chi_dz(m, z, c), 0.0, b, xtol=1e-14, rtol=4e-15)
     return z_min, eval_chi(m, z_min, c)
 
@@ -417,7 +418,7 @@ def dominance_check(m: Model, c: float) -> bool:
     """
     rr = real_roots(m, c)
     if rr is None:
-        raise SubcriticalError("dominance check requires c >= c* (no real roots)")
+        raise subcritical_error(m, c)
     R = zero_modulus_bound(m, c) + 1.0
     Y = 10.0 * (c + m.lin.p + m.lin.q + 1.0)  # R <= c + sqrt(p + q) + 1 < Y
     return count_zeros_rect(m, c, (rr.lambda1 - DOMINANCE_EPS, R), Y) == 2
@@ -432,7 +433,7 @@ class SpeedAnalysis(NamedTuple):
     lambda2: float
     critical: bool
     c_star: float
-    dominance_ok: bool
+    dominance_ok: Optional[bool]  # None: not checked
 
 
 def analyze_speed(
@@ -440,14 +441,12 @@ def analyze_speed(
 ) -> SpeedAnalysis:
     """Full root/speed report at speed c (or at c* when c is None).
 
-    Raises SubcriticalError when c < c* (no real decay rates exist).
+    Raises SubcriticalError when c < c*, ValueError when c is not positive and finite.
     """
-    c_star, lam_star = critical_speed(m)
+    c_star = critical_speed(m)[0]
     c_eff = c_star if c is None else float(c)
     rr = real_roots(m, c_eff)
     if rr is None:
-        raise SubcriticalError(
-            f"speed {c_eff} is below the critical speed {c_star}: no real roots"
-        )
-    dom = dominance_check(m, c_eff) if check_dominance else False
+        raise subcritical_error(m, c_eff)
+    dom = dominance_check(m, c_eff) if check_dominance else None
     return SpeedAnalysis(c_eff, rr.lambda1, rr.lambda2, rr.critical, c_star, dom)

@@ -348,11 +348,7 @@ def _cmd_profile(cfg: dict, m: Model) -> int:
 
 
 def _cmd_verify(cfg: dict, m: Model) -> int:
-    c_val = _c_value(cfg)
-    if c_val is not None:  # a speed below c* is refused here, before the sampled checks
-        _this.analyze_speed(m, c_val, check_dominance=False)
-    elif cfg["c"] == "critical":
-        c_val = _this.critical_speed(m)[0]
+    c_val = _this.critical_speed(m)[0] if cfg["c"] == "critical" else cfg["c"]
     opts = {key: cfg[key] for key in ("n_samples", "seed", "epsilon", "n_seeds")}
     report = _this.verify_model(m, c=c_val, **opts)
     _emit_json(cfg, report.to_dict(), "verify")

@@ -95,8 +95,8 @@ class GreenKernel:
 
 
 def make_kernel(c: float, q: float) -> GreenKernel:
-    if c <= 0:
-        raise ValueError(f"speed must be positive, got {c}")
+    if not 0.0 < c < math.inf:  # a NaN kernel would pass the self-check below
+        raise ValueError(f"speed must be positive and finite, got {c}")
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
     disc = math.sqrt(c * c + 4.0 * (1.0 + q))

@@ -47,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chareq import SubcriticalError, chi_dz, real_roots
+from .chareq import chi_dz, real_roots, subcritical_error
 from .kernel import (
     Convolution,
     LeftTail,
@@ -101,13 +101,13 @@ class SolverOptions:
     initial_phi: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.step <= 0:
+        if not self.step > 0:  # each test is written so that a NaN fails it
             raise ValueError("step must be positive")
-        if self.t_plus <= self.step:
+        if not self.t_plus > self.step:
             raise ValueError("t_plus must exceed one step")
-        if self.t_minus is not None and self.t_minus >= -self.step:
+        if self.t_minus is not None and not self.t_minus < -self.step:
             raise ValueError("t_minus must be below -step")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 0 or self.accel_iter < 0:  # zero skips a stage
             raise ValueError("max_iter and accel_iter must be nonnegative")
@@ -261,10 +261,7 @@ class _PinnedMap:
     def __init__(self, m: Model, c: float, opts: SolverOptions):
         roots = real_roots(m, c)
         if roots is None:
-            raise SubcriticalError(
-                f"speed {c:g} is below the critical speed of '{m.name}': "
-                "the decay equation has no positive real root"
-            )
+            raise subcritical_error(m, c)
         self.m, self.c = m, c
         self.lam = roots.lambda1
         self.lam2 = roots.lambda2
@@ -473,8 +470,9 @@ def solve_profile(
 ) -> ProfileSolution:
     """Compute the speed-c profile of ``m`` by pinned fixed-point iteration.
 
-    Raises :class:`SubcriticalError` when c lies below the critical
-    speed.  The returned solution is pinned: its first upward kappa/2
+    Raises :class:`~.chareq.SubcriticalError` below the critical speed and
+    ValueError at a speed that is not positive and finite, before it builds
+    a grid.  The returned solution is pinned: its first upward kappa/2
     crossing sits at t = 0.
     """
     opts = options or SolverOptions()

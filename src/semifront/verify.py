@@ -15,9 +15,9 @@ exponentially weighted integral (predicted strictly positive), and
 ``uniqueness_harness`` corroborates uniqueness-up-to-translation by
 solving from independent initial guesses and aligning the results.
 
-The sampled checks need the model and numpy alone: the solver and the
-kernel integral are imported on the first call that solves, so a run of
-the checks without a speed loads neither ``profile`` nor ``kernel``.
+The sampled checks need the model and numpy alone: the speed gate, the
+solver and the kernel integral are imported on first use, so the checks
+without a speed load no ``chareq``, ``profile`` or ``kernel``.
 """
 
 from __future__ import annotations
@@ -72,11 +72,12 @@ EPSILON = 0.1
 
 MAX_SAMPLE_VALUES = 10_000_000  # samples x knots of one batch, refused before any draw
 
-# The solver and kernel names the diagnostics and the harness call, bound
-# on first access as in ``semifront.cli`` and called through ``_this``: a
-# wrapper or stub set on this module's attribute (the benchmark's tracer,
-# a test's capped solve) is what runs.
+# The speed gate, solver and kernel names the driver, the diagnostics and
+# the harness call, bound on first access as in ``semifront.cli`` and
+# called through ``_this``: a wrapper or stub set on this module's
+# attribute (the benchmark's tracer, a test's capped solve) is what runs.
 __getattr__ = _lazy_getattr(globals(), {
+    "chareq": ("analyze_speed",),
     "kernel": ("pl_exp_integral",),
     "profile": ("SolverOptions", "ShiftedRead", "scan_shift", "solve_profile", "tail_start", "up_crossing"),
 })
@@ -538,11 +539,14 @@ def verify_model(
     diagnostics and (for n_seeds >= 2) the uniqueness harness, each with
     its default solver options.  An ``n_seeds`` that would skip the
     harness silently (1, negative, or >= 2 without a speed) raises
-    ValueError."""
+    ValueError, and a speed is refused before any check runs, as
+    :func:`~.chareq.analyze_speed` refuses it (SubcriticalError below c*)."""
     if n_seeds == 1 or n_seeds < 0:
         raise ValueError(f"n_seeds must be 0 (no uniqueness harness) or at least 2, got {n_seeds}")
     if n_seeds >= 2 and c is None:
         raise ValueError("the uniqueness harness needs a speed (c or critical)")
+    if c is not None:
+        _this.analyze_speed(m, c, check_dominance=False)
     hyp = dict(check_structure(m))
     hyp["S"] = check_S(m, n_samples, seed + 1)
     hyp["UB"] = check_UB(m, n_samples, seed + 2)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import count_zeros_rect_vectorized
 from semifront import chareq as ce
+from semifront import kernel, profile, verify
 from semifront.model import Measure, builtin_kpp, builtin_mackey_glass, builtin_may, builtin_nicholson
 
 KPP = builtin_kpp(1.0)
@@ -369,3 +370,51 @@ def test_analyze_speed_defaults_to_critical():
 def test_analyze_speed_subcritical_raises():
     with pytest.raises(ce.SubcriticalError):
         ce.analyze_speed(KPP, 1.5)
+
+
+def test_unchecked_dominance_reads_none():
+    assert ce.analyze_speed(KPP, 2.5, check_dominance=False).dominance_ok is None
+
+
+# ------------------------------------------------------------ speed gate
+
+
+@pytest.fixture
+def no_checks(monkeypatch):
+    """verify's structural and sampled checks, each failing the test if called."""
+
+    def check(*args, **kwargs):
+        pytest.fail("a check ran before the speed was refused")
+
+    for name in ("check_structure", "check_S", "check_UB", "check_LB"):
+        monkeypatch.setattr(verify, name, check)
+
+
+@pytest.mark.parametrize("entry", [
+    ce.analyze_speed,
+    ce.dominance_check,
+    profile.solve_profile,
+    lambda m, c: verify.verify_model(m, c=c),
+], ids=["analyze_speed", "dominance_check", "solve_profile", "verify_model"])
+def test_subcritical_speed_refused_with_one_message(entry, no_checks):
+    # every library entry point refuses c < c* with the message the CLI
+    # prints, and verify_model does so before any check runs
+    with pytest.raises(ce.SubcriticalError) as refused:
+        entry(KPP, 1.5)
+    assert str(refused.value) == "speed 1.5 is below the critical speed 2.0: no real roots"
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("entry", [
+    ce.char_min,
+    ce.real_roots,
+    ce.analyze_speed,
+    profile.solve_profile,
+    lambda m, c: verify.verify_model(m, c=c),
+    lambda m, c: kernel.make_kernel(c, m.lin.q),
+], ids=["char_min", "real_roots", "analyze_speed", "solve_profile", "verify_model", "make_kernel"])
+def test_speed_not_positive_and_finite_refused(entry, c, no_checks):
+    # a NaN or infinite speed used to double char_min's bracket 80 times
+    # and fail as a RuntimeError, and make_kernel returned a NaN kernel
+    with pytest.raises(ValueError, match=f"speed must be positive and finite, got {c}"):
+        entry(KPP, c)

@@ -497,6 +497,19 @@ def test_options_validated(kwargs):
         SolverOptions(**kwargs)
 
 
+@pytest.mark.parametrize("key, message", [
+    ("step", "step must be positive"),
+    ("t_plus", "t_plus must exceed one step"),
+    ("t_minus", "t_minus must be below -step"),
+    ("tol", "tol must be positive"),
+])
+def test_nan_options_refused(key, message):
+    # every check used to read x <= 0, which a NaN passes: a NaN tol ran
+    # the whole budget, a NaN step failed later converting NaN to int
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SolverOptions(**{key: math.nan})
+
+
 def test_zero_budgets_are_valid():
     # a zero budget skips its stage: only the final bookkeeping maps phi
     opts = SolverOptions(step=0.05, t_plus=20.0, max_iter=0, accel_iter=0)
