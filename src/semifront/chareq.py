@@ -74,11 +74,6 @@ class SubcriticalError(ValueError):
     """Operation requires real characteristic roots (c >= c*)."""
 
 
-def subcritical_error(m: Model, c: float) -> SubcriticalError:
-    """The one refusal of a speed c < c*; c* is computed for its message alone."""
-    return SubcriticalError(f"speed {float(c)} is below the critical speed {critical_speed(m)[0]}: no real roots")
-
-
 # ------------------------------------------------------------ evaluation
 #
 # All partials below are plain calculus on chi, at one point z (real or
@@ -165,13 +160,14 @@ def char_min(m: Model, c: float) -> tuple[float, float]:
     return z_min, eval_chi(m, z_min, c)
 
 
-def real_roots(m: Model, c: float) -> Optional[RealRoots]:
-    """The two positive real zeros lambda1 <= lambda2 of chi(., c), or None.
+def real_roots(m: Model, c: float) -> RealRoots:
+    """The two positive real zeros lambda1 <= lambda2 of chi(., c).
 
-    None means subcritical: the convex minimum of chi stays positive, so
-    c < c*.  Roots closer than the double-root tolerance are merged and
-    flagged critical.  Near-critical minima within the merge band of zero
-    are treated as a double root at the minimizer (either sign).
+    Roots closer than the double-root tolerance are merged and flagged
+    critical.  Near-critical minima within the merge band of zero are
+    treated as a double root at the minimizer (either sign).  A positive
+    convex minimum means c < c*, the one refusal of a speed: it raises
+    SubcriticalError, computing c* for its message alone.
     """
     z_min, chi_min = char_min(m, c)
     sep_tol = DOUBLE_ROOT_RTOL * max(1.0, z_min)
@@ -181,7 +177,7 @@ def real_roots(m: Model, c: float) -> Optional[RealRoots]:
     band = max(0.5 * chi_dzz(m, z_min, c) * (0.5 * sep_tol) ** 2,
                CHI_ATOL * (1.0 + m.lin.p + m.lin.q))
     if chi_min > band:
-        return None
+        raise SubcriticalError(f"speed {float(c)} is below the critical speed {critical_speed(m)[0]}: no real roots")
     if chi_min >= -band:
         return RealRoots(z_min, z_min, True)
 
@@ -417,8 +413,6 @@ def dominance_check(m: Model, c: float) -> bool:
     2 (a double root counts twice).
     """
     rr = real_roots(m, c)
-    if rr is None:
-        raise subcritical_error(m, c)
     R = zero_modulus_bound(m, c) + 1.0
     Y = 10.0 * (c + m.lin.p + m.lin.q + 1.0)  # R <= c + sqrt(p + q) + 1 < Y
     return count_zeros_rect(m, c, (rr.lambda1 - DOMINANCE_EPS, R), Y) == 2
@@ -446,7 +440,5 @@ def analyze_speed(
     c_star = critical_speed(m)[0]
     c_eff = c_star if c is None else float(c)
     rr = real_roots(m, c_eff)
-    if rr is None:
-        raise subcritical_error(m, c_eff)
     dom = dominance_check(m, c_eff) if check_dominance else None
     return SpeedAnalysis(c_eff, rr.lambda1, rr.lambda2, rr.critical, c_star, dom)

@@ -101,13 +101,8 @@ def _plain(obj):
         return [_plain(v) for v in obj]
     if hasattr(obj, "item"):  # a numpy scalar
         obj = obj.item()
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return int(obj)
-    if isinstance(obj, float):
-        v = float(obj)
-        return v if math.isfinite(v) else None
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 

@@ -269,7 +269,7 @@ def moving_frame_gap(run: FrontRun, sol: ProfileSolution) -> tuple[float, float]
         inside = (tq >= sol.t[0]) & (tq <= sol.t[-1])
         if np.count_nonzero(inside) < 10:
             return math.inf
-        return float(np.max(np.abs(sol.evaluate(tq[inside]) - uw[inside])))
+        return float(np.max(np.abs(np.interp(tq[inside], sol.t, sol.phi) - uw[inside])))
 
     # phase guess from the half-crossings (the profile's sits at 0)
     tc = up_crossing(xi, uw, 0.5 * sol.model.kappa)

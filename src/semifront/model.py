@@ -54,13 +54,13 @@ class Measure:
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if self.q < 0:
-            raise ValueError(f"q must be nonnegative, got {self.q}")
+        if not 0 <= self.q < math.inf:
+            raise ValueError(f"q must be nonnegative and finite, got {self.q}")
         for s, w in self.atoms:
             if s > 1e-12:
                 raise ValueError(f"atom ({s}, {w}) sits at a positive lag; locations must be <= 0")
-            if w <= 0:
-                raise ValueError(f"atom weight must be positive, got {w}")
+            if not 0 < w < math.inf:
+                raise ValueError(f"atom weight must be positive and finite, got {w}")
         if self.p <= self.q:
             raise ValueError(
                 f"degenerate linearization: delayed mass p={self.p} must exceed q={self.q}"

@@ -47,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chareq import chi_dz, real_roots, subcritical_error
+from .chareq import chi_dz, real_roots
 from .kernel import (
     Convolution,
     LeftTail,
@@ -101,14 +101,14 @@ class SolverOptions:
     initial_phi: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not self.step > 0:  # each test is written so that a NaN fails it
-            raise ValueError("step must be positive")
-        if not self.t_plus > self.step:
-            raise ValueError("t_plus must exceed one step")
-        if self.t_minus is not None and not self.t_minus < -self.step:
-            raise ValueError("t_minus must be below -step")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.step < math.inf:  # each test is written so that a NaN fails it
+            raise ValueError("step must be positive and finite")
+        if not self.step < self.t_plus < math.inf:
+            raise ValueError("t_plus must exceed one step and be finite")
+        if self.t_minus is not None and not -math.inf < self.t_minus < -self.step:
+            raise ValueError("t_minus must be below -step and be finite")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 0 or self.accel_iter < 0:  # zero skips a stage
             raise ValueError("max_iter and accel_iter must be nonnegative")
 
@@ -158,10 +158,6 @@ class ProfileSolution:
         clamped = self.clamp_low + self.clamp_high
         return f"residual {self.residual:.3g}, {self.iterations} iterations, {clamped} clamped nodes"
 
-    def evaluate(self, tq):
-        """phi at arbitrary points: tail below t[0], frozen value above t[-1]."""
-        return _extended(np.asarray(tq, dtype=float), self.t, self.phi, self.tail)
-
 
 def tail_start(t, kappa: float, lam: float, scale: float = 1.0, shift: float = 0.0) -> np.ndarray:
     """The left-tail start min(kappa, scale * kappa/2 * e^{lam (t - shift)}) at ``t``."""
@@ -198,23 +194,13 @@ def scan_shift(distance, start: float, coarse: np.ndarray, fine: np.ndarray) -> 
     return start, float(d[i])
 
 
-def _extended(tq: np.ndarray, t: np.ndarray, phi: np.ndarray, tail: LeftTail) -> np.ndarray:
-    """Grid values ``phi`` at points ``tq``: linear interpolation, the
-    ``tail`` below t[0] and the last value frozen above t[-1]."""
-    out = np.interp(tq, t, phi)
-    left = tq < t[0]
-    if np.any(left):
-        out[left] = tail.at(tq[left] - t[0])
-    return out
-
-
 class ShiftedRead:
     """A grid function read at t_j + d for one fixed shift d, without search.
 
     t_j + d lies k whole steps plus a fraction theta past t_j, so nodes
     lo <= j < hi read (1-theta) v[j+k] + theta v[j+k+1] from values ``v``
     on a grid of the same step and ``n_src`` nodes (default: those of
-    ``t``).  Called with a tail, it is ``_extended(t + d, t, phi, tail)``:
+    ``t``).  Called with a tail, it reads every node, past the grid too:
     the tail at the precomputed offsets u below t[0] and phi[-1] above
     t[-1].  The step comes from the whole span (one node difference is
     off by ~1e-12).  With ``snap`` a read within 1e-9 of a node reads the
@@ -260,8 +246,6 @@ class _PinnedMap:
 
     def __init__(self, m: Model, c: float, opts: SolverOptions):
         roots = real_roots(m, c)
-        if roots is None:
-            raise subcritical_error(m, c)
         self.m, self.c = m, c
         self.lam = roots.lambda1
         self.lam2 = roots.lambda2

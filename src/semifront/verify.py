@@ -77,7 +77,7 @@ MAX_SAMPLE_VALUES = 10_000_000  # samples x knots of one batch, refused before a
 # called through ``_this``: a wrapper or stub set on this module's
 # attribute (the benchmark's tracer, a test's capped solve) is what runs.
 __getattr__ = _lazy_getattr(globals(), {
-    "chareq": ("analyze_speed",),
+    "chareq": ("real_roots",),
     "kernel": ("pl_exp_integral",),
     "profile": ("SolverOptions", "ShiftedRead", "scan_shift", "solve_profile", "tail_start", "up_crossing"),
 })
@@ -540,13 +540,13 @@ def verify_model(
     its default solver options.  An ``n_seeds`` that would skip the
     harness silently (1, negative, or >= 2 without a speed) raises
     ValueError, and a speed is refused before any check runs, as
-    :func:`~.chareq.analyze_speed` refuses it (SubcriticalError below c*)."""
+    :func:`~.chareq.real_roots` refuses it (SubcriticalError below c*)."""
     if n_seeds == 1 or n_seeds < 0:
         raise ValueError(f"n_seeds must be 0 (no uniqueness harness) or at least 2, got {n_seeds}")
     if n_seeds >= 2 and c is None:
         raise ValueError("the uniqueness harness needs a speed (c or critical)")
     if c is not None:
-        _this.analyze_speed(m, c, check_dominance=False)
+        _this.real_roots(m, c)
     hyp = dict(check_structure(m))
     hyp["S"] = check_S(m, n_samples, seed + 1)
     hyp["UB"] = check_UB(m, n_samples, seed + 2)

@@ -2,7 +2,9 @@
 
 Besides the shooting oracle, this holds the reference evaluation of a
 model's functional and linearization on a history segment, which the
-hypothesis checks' counterexamples are replayed through.
+hypothesis checks' counterexamples are replayed through, and the
+reference read of a grid function past its grid, which the solver's
+shifted reads are compared against.
 """
 
 import math
@@ -40,6 +42,16 @@ def kpp_front_no_delay(c: float, t_eval: np.ndarray) -> np.ndarray:
     )
     shift = brentq(lambda s: sol.sol(s)[0] - 0.5, t_lo, t_hi, xtol=1e-13)
     return sol.sol(np.clip(t_eval + shift, t_lo, t_hi))[0]
+
+
+def extended(tq: np.ndarray, t: np.ndarray, phi: np.ndarray, tail) -> np.ndarray:
+    """Grid values ``phi`` at points ``tq`` by search: linear interpolation,
+    the ``LeftTail`` ``tail`` below t[0] and the last value frozen above t[-1]."""
+    tq = np.asarray(tq, dtype=float)
+    out = np.interp(tq, t, phi)
+    left = tq < t[0]
+    out[left] = tail.at(tq[left] - t[0])
+    return out
 
 
 class HistorySegment:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import shifted_log_slope_by_lstsq
+from oracles import extended, shifted_log_slope_by_lstsq
 from semifront.asymptotics import (
     DecayFit,
     _shifted_log_slope,
@@ -108,8 +108,9 @@ def test_window_and_amplitude_reported(kpp_half):
     assert t_a >= kpp_half.t[0]
     # right end is the first grid node at or above the 5% level
     step = kpp_half.step
-    assert kpp_half.evaluate(np.array([t_b - step]))[0] < 0.05 * 1.0
-    assert kpp_half.evaluate(np.array([t_b]))[0] <= 0.05 * 1.0 * 1.05
+    below, at = extended([t_b - step, t_b], kpp_half.t, kpp_half.phi, kpp_half.tail)
+    assert below < 0.05 * 1.0
+    assert at <= 0.05 * 1.0 * 1.05
     assert fit.amplitude > 0.0
 
 

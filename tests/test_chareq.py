@@ -55,7 +55,7 @@ def test_partials_match_finite_differences():
 
 def test_kpp_roots_at_2_5():
     rr = ce.real_roots(KPP, 2.5)
-    assert rr is not None and not rr.critical
+    assert not rr.critical
     # h=0-form quadratic z^2 - 2.5 z + 1 = (z - 0.5)(z - 2)
     assert rr.lambda1 == pytest.approx(0.5, abs=1e-10)
     assert rr.lambda2 == pytest.approx(2.0, abs=1e-10)
@@ -63,13 +63,9 @@ def test_kpp_roots_at_2_5():
 
 def test_kpp_double_root_at_2():
     rr = ce.real_roots(KPP, 2.0)
-    assert rr is not None and rr.critical
+    assert rr.critical
     assert rr.lambda1 == pytest.approx(1.0, abs=1e-9)
     assert rr.lambda1 == rr.lambda2
-
-
-def test_kpp_subcritical_returns_none():
-    assert ce.real_roots(KPP, 1.9) is None
 
 
 def test_zero_delay_models_reduce_to_quadratic():
@@ -103,7 +99,6 @@ def test_root_residual_invariant(q, w, s, dc):
     m = dataclasses.replace(builtin_kpp(-s), lin=Measure(q=q, atoms=((s, q + w),)))
     c_star, _ = ce.critical_speed_bisection(m)
     rr = ce.real_roots(m, c_star + dc)
-    assert rr is not None
     for lam in (rr.lambda1, rr.lambda2):
         assert abs(ce.eval_chi(m, lam, c_star + dc)) <= 1e-9 * (1 + lam * lam)
         # roots live strictly inside the a-priori interval (0, z2)
@@ -190,7 +185,7 @@ def test_critical_speed_has_a_double_root(name, h, p):
     m = builtin_nicholson(h, p) if name == "nicholson" else builtin_may(h, p, 2.0, 1.0)
     c_star, _ = ce.critical_speed(m)
     roots = ce.real_roots(m, c_star)
-    assert roots is not None and roots.critical
+    assert roots.critical
     assert not ce.real_roots(m, c_star * (1.0 + 1e-6)).critical
 
 
@@ -391,17 +386,26 @@ def no_checks(monkeypatch):
 
 
 @pytest.mark.parametrize("entry", [
+    ce.real_roots,
     ce.analyze_speed,
     ce.dominance_check,
     profile.solve_profile,
     lambda m, c: verify.verify_model(m, c=c),
-], ids=["analyze_speed", "dominance_check", "solve_profile", "verify_model"])
+], ids=["real_roots", "analyze_speed", "dominance_check", "solve_profile", "verify_model"])
 def test_subcritical_speed_refused_with_one_message(entry, no_checks):
     # every library entry point refuses c < c* with the message the CLI
     # prints, and verify_model does so before any check runs
     with pytest.raises(ce.SubcriticalError) as refused:
         entry(KPP, 1.5)
     assert str(refused.value) == "speed 1.5 is below the critical speed 2.0: no real roots"
+
+
+def test_supercritical_gate_computes_no_critical_speed(monkeypatch):
+    # c* is computed for the refusal's message alone: verify_model's gate
+    # and the solve it runs call real_roots and nothing that finds c*
+    monkeypatch.setattr(ce, "critical_speed", lambda m: pytest.fail("c* was computed"))
+    report = verify.verify_model(KPP, n_samples=20, c=2.5)
+    assert report.q_min is not None and not report.failed_solves
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 0.0])

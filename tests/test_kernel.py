@@ -78,8 +78,11 @@ def test_kernel_derivative_jump_is_one():
 def test_make_kernel_rejects_bad_args():
     with pytest.raises(ValueError):
         make_kernel(0.0, 1.0)
-    with pytest.raises(ValueError):
-        make_kernel(2.0, -0.1)
+    # a NaN q used to give a NaN kernel, an infinite one (inf, -inf, 0.0),
+    # and both passed the self-check
+    for q in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"q must be nonnegative and finite, got {q}"):
+            make_kernel(2.0, q)
 
 
 # ------------------------------------------------------------- convolution

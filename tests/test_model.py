@@ -25,10 +25,12 @@ from oracles import HistorySegment, eval_f, eval_lin
 def test_measure_mass_and_validation():
     mu = Measure(q=0.5, atoms=((0.0, 1.0), (-1.0, 1.0)))
     assert mu.p == 2.0
-    with pytest.raises(ValueError):
-        Measure(q=-0.1, atoms=((0.0, 1.0),))
-    with pytest.raises(ValueError):
-        Measure(q=0.0, atoms=((0.0, -1.0),))
+    for q in (-0.1, math.nan, math.inf):  # a NaN or infinite q used to pass
+        with pytest.raises(ValueError, match=f"q must be nonnegative and finite, got {q}"):
+            Measure(q=q, atoms=((0.0, 1.0),))
+    for w in (-1.0, 0.0, math.nan, math.inf):  # so did a NaN or infinite weight
+        with pytest.raises(ValueError, match=f"atom weight must be positive and finite, got {w}"):
+            Measure(q=0.0, atoms=((0.0, w),))
     with pytest.raises(ValueError, match="atom location"):  # below -h: the model owns h
         dataclasses.replace(builtin_kpp(1.0), lin=Measure(q=0.0, atoms=((-2.0, 1.0),)))
     with pytest.raises(ValueError, match=r"atom \(0.5, 2.0\) sits at a positive lag"):

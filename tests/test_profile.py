@@ -13,7 +13,6 @@ from semifront.kernel import LeftTail, ScanPlan, convolve, make_kernel
 from semifront.model import builtin_kpp, builtin_nicholson, model_from_config
 from semifront.profile import (
     _AndersonRing,
-    _extended,
     _PinnedMap,
     ShiftedRead,
     SolverOptions,
@@ -24,7 +23,7 @@ from semifront.profile import (
 )
 from semifront.verify import _harness_seeds
 
-from oracles import kpp_front_no_delay
+from oracles import extended, kpp_front_no_delay
 
 NICH_C_STAR = math.sqrt(math.log(2.0))
 
@@ -97,7 +96,7 @@ def test_one_kernel_scan_per_map_application(kpp_h1, monkeypatch):
 
     monkeypatch.setattr(kernel.ScanPlan, "scan", counted)
     P = _PinnedMap(kpp_h1.model, kpp_h1.c, SolverOptions())
-    out = P(kpp_h1.evaluate(kpp_h1.t + 1.3 * kpp_h1.step))
+    out = P(extended(kpp_h1.t + 1.3 * kpp_h1.step, kpp_h1.t, kpp_h1.phi, kpp_h1.tail))
     assert len(scans) == 1  # one scan gives the forward and the backward branch
     i0 = int(np.argmin(np.abs(kpp_h1.t)))
     assert abs(out[i0] - 0.5 * kpp_h1.model.kappa) <= 1e-12
@@ -157,7 +156,7 @@ def test_map_outputs_are_not_overwritten_by_later_calls(kpp_h1):
     # the map's buffers are scratch only: a convolution A(phi) and a pinned
     # image keep their values through later applications of the map
     P = _PinnedMap(kpp_h1.model, kpp_h1.c, SolverOptions())
-    a, b = (kpp_h1.evaluate(kpp_h1.t + s * kpp_h1.step) for s in (1.3, -0.6))
+    a, b = (extended(kpp_h1.t + s * kpp_h1.step, kpp_h1.t, kpp_h1.phi, kpp_h1.tail) for s in (1.3, -0.6))
     conv = P.raw(a)
     pinned = P.pin(conv)
     arrays = (conv.src, conv.fwd, conv.bwd, conv.values, pinned)
@@ -292,7 +291,7 @@ def test_pin_clamps_like_clip_then_pin(h, critical, monkeypatch):
     P = _PinnedMap(bounded, c, SolverOptions())
     filled = set()
     for shift in (1.3, -2.7, 0.4, 3.0, -3.0):
-        conv = P.raw(base.evaluate(base.t + shift * base.step))
+        conv = P.raw(extended(base.t + shift * base.step, base.t, base.phi, base.tail))
         assert np.any(conv.values < P.floor) and np.any(conv.values > P.ceil)
         clipped = dataclasses.replace(conv, values=np.clip(conv.values, P.floor, P.ceil))
         assert np.array_equal(P.pin(conv), P.pin(clipped))
@@ -311,8 +310,8 @@ def test_pin_clamps_like_clip_then_pin(h, critical, monkeypatch):
         tc = float(P.t[j - 1]) + (0.5 - v[j - 1]) / ((0.5 - v[j - 1]) / P.step)
         for Q in (P, unclamped):
             out, vc = Q.pin(on_node), Q.clip(v)
-            extended = _extended(Q.t + tc, Q.t, vc, Q.tail_of(vc))
-            assert np.array_equal(out[:lo], extended[:lo]) and np.array_equal(out[hi:], extended[hi:])
+            ref = extended(Q.t + tc, Q.t, vc, Q.tail_of(vc))
+            assert np.array_equal(out[:lo], ref[:lo]) and np.array_equal(out[hi:], ref[hi:])
         filled.update({"head"} if lo else (), {"right"} if hi < size else ())
     assert filled == {"head", "right"}
 
@@ -428,7 +427,7 @@ def test_derivative_tail_rate(kpp_h1):
 
 
 def test_shifted_restart_lands_on_same_profile(kpp_h1):
-    shifted = kpp_h1.evaluate(kpp_h1.t + 1.5)
+    shifted = extended(kpp_h1.t + 1.5, kpp_h1.t, kpp_h1.phi, kpp_h1.tail)
     again = solve_profile(
         builtin_kpp(1.0), 2.5, SolverOptions(initial_phi=shifted)
     )
@@ -436,12 +435,14 @@ def test_shifted_restart_lands_on_same_profile(kpp_h1):
 
 
 def test_evaluate_extends_both_sides(kpp_h1):
-    assert np.allclose(kpp_h1.evaluate(kpp_h1.t), kpp_h1.phi)
-    left = kpp_h1.evaluate(np.array([kpp_h1.t[0] - 2.0]))[0]
-    expected = kpp_h1.tail.value * math.exp(-2.0 * kpp_h1.lambda1)
-    assert abs(left - expected) <= 1e-12
-    right = kpp_h1.evaluate(np.array([kpp_h1.t[-1] + 5.0]))[0]
-    assert right == kpp_h1.phi[-1]
+    # the solution extends past its grid by its tail and its last node,
+    # which the reference read of the oracles returns there
+    t, phi, tail = kpp_h1.t, kpp_h1.phi, kpp_h1.tail
+    assert np.allclose(extended(t, t, phi, tail), phi)
+    expected = tail.value * math.exp(-2.0 * kpp_h1.lambda1)
+    left, right = extended([t[0] - 2.0, t[-1] + 5.0], t, phi, tail)
+    assert abs(tail.at(-2.0) - expected) <= 1e-12 and abs(left - expected) <= 1e-12
+    assert right == phi[-1]
 
 
 # ------------------------------------------------------------- bad inputs
@@ -505,9 +506,11 @@ def test_options_validated(kwargs):
 ])
 def test_nan_options_refused(key, message):
     # every check used to read x <= 0, which a NaN passes: a NaN tol ran
-    # the whole budget, a NaN step failed later converting NaN to int
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        SolverOptions(**{key: math.nan})
+    # the whole budget, a NaN step failed later converting NaN to int; an
+    # infinite tol took the seed as converged, an infinite edge overflowed
+    for bad in (math.nan, -math.inf if key == "t_minus" else math.inf):
+        with pytest.raises(ValueError, match=f"^{message} and (be )?finite$"):
+            SolverOptions(**{key: bad})
 
 
 def test_zero_budgets_are_valid():
@@ -564,7 +567,7 @@ def test_delay_reads_match_interpolation(m, c):
     phi = P.seed()
     tail = P.tail_of(phi)
     for s, read in P.reads.items():
-        ref = _extended(P.t + c * s, P.t, phi, tail)
+        ref = extended(P.t + c * s, P.t, phi, tail)
         assert np.max(np.abs(read(phi, tail) - ref)) <= 1e-14 * max(1.0, m.kappa)
     assert P.reads[0.0](phi, tail) is phi  # s = 0 reads phi itself
 
@@ -576,7 +579,7 @@ def test_delay_read_critical_tail():
     phi = P.seed()
     tail = P.tail_of(phi)
     assert P.critical and tail.slope < 0.0
-    ref = _extended(P.t - c_star, P.t, phi, tail)
+    ref = extended(P.t - c_star, P.t, phi, tail)
     assert np.max(np.abs(P.reads[-1.0](phi, tail) - ref)) <= 1e-14
 
 
@@ -587,7 +590,7 @@ def test_delay_read_any_shift(d):
     t = 0.02 * np.arange(-2000, 2001)
     phi = 3.0 / (1.0 + np.exp(-t)) + 0.1 * np.sin(t)
     tail = LeftTail(float(phi[0]), 0.8, -0.2)
-    ref = _extended(t + d, t, phi, tail)
+    ref = extended(t + d, t, phi, tail)
     assert np.max(np.abs(ShiftedRead(t, d)(phi, tail) - ref)) <= 3e-14
 
 

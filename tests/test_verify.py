@@ -32,7 +32,7 @@ from semifront.verify import (
     verify_model,
 )
 
-from oracles import HistorySegment, check_LB_levels, eval_f, eval_lin
+from oracles import HistorySegment, check_LB_levels, eval_f, eval_lin, extended
 
 #: sample size for unit runs; the acceptance gate drives the full 10_000
 N = 2500
@@ -198,12 +198,12 @@ def test_gap_exact_for_undelayed_logistic():
 
 
 def diagnostics_by_interp(sol):
-    """diagnostics_Q with its history read by searching interpolation,
-    sol.evaluate(t + c s), instead of a shifted grid read."""
+    """diagnostics_Q with its history read by searching interpolation
+    (the oracles' ``extended`` at t + c s) instead of a shifted grid read."""
     m, t = sol.model, sol.t
 
     def history(s):
-        return sol.phi if s == 0.0 else sol.evaluate(t + sol.c * s)
+        return sol.phi if s == 0.0 else extended(t + sol.c * s, t, sol.phi, sol.tail)
 
     f_vals = np.asarray(m.f_pointwise(*(history(s) for s in m.eval_points)), dtype=float)
     q = -m.lin.q * sol.phi + sum(w * history(s) for s, w in m.lin.atoms) - f_vals
@@ -261,7 +261,7 @@ def sup_distance_by_interp(a, b, shift):
 
 def test_sup_distance_slices_match_interpolation(kpp1_sol):
     a, step = kpp1_sol, kpp1_sol.step
-    moved = dataclasses.replace(a, phi=a.evaluate(a.t + 0.123))
+    moved = dataclasses.replace(a, phi=extended(a.t + 0.123, a.t, a.phi, a.tail))
     origin = dataclasses.replace(moved, t=a.t - 3.0)
     rng = np.random.default_rng(3)
     shifts = np.concatenate(

@@ -1,4 +1,4 @@
-"""Two digests of what semifront computes, for checking that a change keeps it.
+"""Digests of what semifront computes, for checking that a change keeps it.
 
 Run from any directory, on the checkout this file sits in:
 
@@ -21,6 +21,10 @@ It prints SHA-256 digests, each over a fixed set of runs:
     reads the same in every run.  One more digest per subcommand (speed,
     zeros, profile, verify, evolve) hashes its commands alone, so a change
     that moves one command shows which one.
+
+Last it prints the line count of the library, ``src/semifront/*.py``
+(the total of ``wc -l``), so a change that keeps the numbers in fewer
+lines shows both in one run.
 
 A change that keeps the numbers prints the same digests as its parent,
 run on the same machine.  BLAS is held to one thread (set before numpy
@@ -147,6 +151,8 @@ def main() -> None:
     print(f"harness {harness}  ({solves} solves, {pairs} pairs)", flush=True)
     for name, (digest, commands) in cli_digests().items():
         print(f"{name:<7} {digest}  ({commands} commands)")
+    lines = sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "semifront").glob("*.py"))
+    print(f"src     {lines} lines")
 
 
 if __name__ == "__main__":
