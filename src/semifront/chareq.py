@@ -437,8 +437,11 @@ def analyze_speed(
 
     Raises SubcriticalError when c < c*, ValueError when c is not positive and finite.
     """
+    # a given speed is refused before c* is computed, so a refusal computes c* once
+    rr = None if c is None else real_roots(m, float(c))
     c_star = critical_speed(m)[0]
     c_eff = c_star if c is None else float(c)
-    rr = real_roots(m, c_eff)
+    if rr is None:
+        rr = real_roots(m, c_eff)
     dom = dominance_check(m, c_eff) if check_dominance else None
     return SpeedAnalysis(c_eff, rr.lambda1, rr.lambda2, rr.critical, c_star, dom)

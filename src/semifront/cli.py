@@ -323,6 +323,8 @@ def _cmd_profile(cfg: dict, m: Model) -> int:
         "lambda1": sol.lambda1,
         "lambda2": sol.lambda2,
         "critical": sol.critical,
+        "t_left": sol.t[0],  # the grid's left edge, and its depth lambda1*|t_left|
+        "left_depth": -sol.lambda1 * sol.t[0],
         "residual": sol.residual,
         "drift": sol.drift,
         "iterations": sol.iterations,

@@ -57,8 +57,8 @@ class Measure:
         if not 0 <= self.q < math.inf:
             raise ValueError(f"q must be nonnegative and finite, got {self.q}")
         for s, w in self.atoms:
-            if s > 1e-12:
-                raise ValueError(f"atom ({s}, {w}) sits at a positive lag; locations must be <= 0")
+            if not s <= 1e-12:  # written so that a NaN fails it
+                raise ValueError(f"atom ({s}, {w}) sits at a positive lag or at NaN; locations must be <= 0")
             if not 0 < w < math.inf:
                 raise ValueError(f"atom weight must be positive and finite, got {w}")
         if self.p <= self.q:

@@ -71,7 +71,7 @@ SWITCH_RES = 1e-4  # residual, scaled by max(1, kappa), that hands over to Ander
 ACCEL_DEPTH = 20  # iterates Anderson mixing combines
 ACCEL_DAMPING = 0.5  # Anderson's mixing weight beta
 # lower clamp of the map, relative to kappa: keeps the image positive and
-# lies far below the deepest tail value a default grid resolves (~e^-40)
+# lies far below the deepest tail value a default grid resolves (~e^-20)
 CLAMP_FLOOR = 1e-30
 # the most grid nodes a solve allocates: Anderson's ring alone then holds
 # 2*ACCEL_DEPTH columns of this length, about 300 MB
@@ -82,8 +82,10 @@ MAX_NODES = 1_000_000
 class SolverOptions:
     """Grid and iteration controls for :func:`solve_profile`.
 
-    ``t_minus=None`` places the left edge at -40/lambda1 (rounded to the
-    grid), deep enough that the exponential tail is below double noise.
+    ``t_minus=None`` places the left edge at -12/lambda1, -20/lambda1 at
+    the critical speed (rounded outward to the grid), where the left tail
+    closure still pulls the profile toward the speed-c wave and its
+    truncation error stays below the default step's.
     ``tol`` bounds the absolute sup-norm residual sup|P(phi) - phi| (not
     scaled by kappa); a solve counts as converged at residual <= 2*tol
     when its final raw image needed no clamp.
@@ -252,17 +254,19 @@ class _PinnedMap:
         self.critical = roots.critical
         step = opts.step
         # snap to whole steps so 0 is a node; the 1e-9 slack keeps an
-        # already-aligned edge from spilling onto an extra node.  At the
-        # critical speed the edge stays shallow: the (A - t)e^{lam t} tail
-        # structure is only resolvable where phi is well above the solver
-        # tolerance, and the analytic tail carries the rest of the line.
+        # already-aligned edge from spilling onto an extra node.  The edge
+        # sits where phi ~ e^{-12}: deeper, the tail closure pulls too
+        # weakly to tell the speed-c wave from a nearby speed's, which the
+        # map then keeps as a fixed point; shallower, its truncation error
+        # exceeds the default step's.  At the critical speed depth 20 already
+        # selects the wave, and a shallower edge would move the profile.
         if opts.t_minus is None:
-            depth = 20.0 if self.critical else 40.0
+            depth = 20.0 if self.critical else 12.0
             n_lo = math.ceil(depth / self.lam / step - 1e-9)
         else:
             n_lo = math.ceil(-opts.t_minus / step - 1e-9)
         n_hi = math.ceil(opts.t_plus / step - 1e-9)
-        if n_lo + n_hi + 1 > MAX_NODES:  # the automatic left edge grows like 40c
+        if n_lo + n_hi + 1 > MAX_NODES:  # the automatic left edge grows like 12c
             raise ValueError(f"the grid would have {n_lo + n_hi + 1} nodes, above {MAX_NODES}: "
                              "set a shallower --t-minus or a larger --step")
         # integer-multiple grid so the pin node sits at exactly 0.0, validated by the scan's plan

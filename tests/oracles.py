@@ -30,7 +30,9 @@ def kpp_front_no_delay(c: float, t_eval: np.ndarray) -> np.ndarray:
     mu_minus = (c - math.sqrt(c * c + 4.0)) / 2.0  # decay rate toward 1
     delta = 1e-10
     t_hi = float(np.max(t_eval)) + 1.0
-    t_lo = float(np.min(t_eval)) - 1.0
+    # the trajectory needs ~63 units to fall from 1 - delta to 1/2, so the
+    # window reaches at least 100 units below t_hi whatever t_eval spans
+    t_lo = min(float(np.min(t_eval)) - 1.0, t_hi - 100.0)
     sol = solve_ivp(
         lambda s, y: [y[1], c * y[1] - y[0] * (1.0 - y[0])],
         (t_hi, t_lo),

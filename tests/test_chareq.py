@@ -408,6 +408,17 @@ def test_supercritical_gate_computes_no_critical_speed(monkeypatch):
     assert report.q_min is not None and not report.failed_solves
 
 
+def test_analyze_speed_refusal_computes_critical_speed_once(monkeypatch):
+    # analyze_speed used to find c* for its own report before real_roots
+    # found it again for the refusal's message
+    calls = []
+    critical_speed = ce.critical_speed
+    monkeypatch.setattr(ce, "critical_speed", lambda m: calls.append(m) or critical_speed(m))
+    with pytest.raises(ce.SubcriticalError):
+        ce.analyze_speed(KPP, 1.5)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 0.0])
 @pytest.mark.parametrize("entry", [
     ce.char_min,

@@ -279,6 +279,29 @@ def test_clamped_profile_is_not_converged(tmp_path, capsys):
     assert doc["q_min"] is None and doc["pi_integral"] is None
 
 
+@pytest.mark.parametrize(
+    "argv, depth",
+    [(("--c", "2.5"), 12.0), (("--critical",), 20.0)],
+    ids=["supercritical", "critical"],
+)
+def test_profile_reports_its_automatic_left_edge(tmp_path, capsys, argv, depth):
+    # the edge sits at the first node at or below -depth/lambda1
+    code, doc = run_json(capsys, "profile", "--model", "kpp", "--h", "1", *argv, "--outdir", str(tmp_path))
+    assert code == EXIT_OK and doc["config"]["t_minus"] is None
+    assert depth <= doc["left_depth"] < depth + doc["lambda1"] * SolverOptions().step
+    assert doc["t_left"] == pytest.approx(-doc["left_depth"] / doc["lambda1"], rel=1e-15)
+
+
+def test_profile_reports_an_explicit_left_edge(tmp_path, capsys):
+    code, doc = run_json(
+        capsys, "profile", "--model", "kpp", "--h", "1", "--c", "2.5", "--t-minus", "-30",
+        "--outdir", str(tmp_path),
+    )
+    assert code == EXIT_OK
+    assert doc["t_left"] == pytest.approx(-30.0, abs=1e-12)
+    assert doc["left_depth"] == pytest.approx(30.0 * doc["lambda1"], rel=1e-12)
+
+
 def test_profile_reruns_are_byte_identical(tmp_path, capsys):
     argv = (
         "profile", "--model", "kpp", "--c", "2.5", "--t-plus", "20",
@@ -743,10 +766,10 @@ def test_evolve_nonpositive_run_time_exit_2(tmp_path, capsys, t_run):
             ("profile", "--model", "kpp", "--c", "2.5", "--max-iter", "-5", "--accel-iter", "-1"),
             "max_iter and accel_iter must be nonnegative",
         ),
-        # the automatic left edge -40/lambda1 grows like 40c: refused before allocation
+        # the automatic left edge -12/lambda1 grows like 12c: refused before allocation
         (
             ("profile", "--model", "kpp", "--h", "1", "--c", "1e6"),
-            "the grid would have 2000002001 nodes, above 1000000: "
+            "the grid would have 600002001 nodes, above 1000000: "
             "set a shallower --t-minus or a larger --step",
         ),
         # chi overflows on a zero-count contour far left (the delayed

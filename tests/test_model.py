@@ -39,6 +39,13 @@ def test_measure_mass_and_validation():
         Measure(q=2.0, atoms=((0.0, 1.0),))  # p <= q
 
 
+def test_measure_refuses_a_nan_atom_location():
+    # a NaN location passed the old s > 1e-12 test and the model's -h bound,
+    # then failed inside Brent's method naming neither the atom nor the model
+    with pytest.raises(ValueError, match=r"atom \(nan, 1.0\) sits at a positive lag or at NaN"):
+        Measure(q=0.0, atoms=((math.nan, 1.0),))
+
+
 # ------------------------------------------------------- history segments
 
 
