@@ -169,6 +169,10 @@ def _resolve(args) -> dict:
             overrides = json.load(fh)
         if not isinstance(overrides, dict):
             raise ValueError("config file must contain a JSON object")
+        # a report echoes its config: a key no flag reads would pose as used
+        unknown = sorted(set(overrides) - set(cfg) - {"config_file"})
+        if unknown:
+            raise ValueError(f"unknown {args.cmd} config key(s): {', '.join(map(repr, unknown))}")
         cfg = _merge(cfg, overrides)
         cfg["config_file"] = args.config
     if cfg["c"] not in (None, "critical"):
@@ -300,7 +304,7 @@ def _cmd_profile(cfg: dict, m: Model) -> int:
     from .profile import SolverOptions
 
     sa = _this.analyze_speed(m, _c_value(cfg), check_dominance=False)
-    keys = ("t_minus", "t_plus", "step", "tol", "max_iter", "accel_iter")
+    keys = ("t_minus", "t_plus", "step", "tol", "accel_iter")
     sol = _this.solve_profile(m, sa.c, SolverOptions(**{key: cfg[key] for key in keys}))
     try:
         fit = _this.fit_decay(sol)
@@ -321,8 +325,8 @@ def _cmd_profile(cfg: dict, m: Model) -> int:
         "c": sa.c,
         "c_star": sa.c_star,
         "lambda1": sol.lambda1,
-        "lambda2": sol.lambda2,
-        "critical": sol.critical,
+        "lambda2": sa.lambda2,
+        "critical": sa.critical,
         "t_left": sol.t[0],  # the grid's left edge, and its depth lambda1*|t_left|
         "left_depth": -sol.lambda1 * sol.t[0],
         "residual": sol.residual,
@@ -447,7 +451,6 @@ def build_parser(cmd: Optional[str] = None) -> argparse.ArgumentParser:
         flag("--t-minus", type=float, default=solver.t_minus, help="left edge of the grid (default auto)")
         flag("--step", type=float, default=solver.step, help="grid step")
         flag("--tol", type=float, default=solver.tol, help="absolute sup-norm residual tolerance")
-        flag("--max-iter", type=int, default=solver.max_iter, help="damped iteration budget")
         flag("--accel-iter", type=int, default=solver.accel_iter, help="accelerated iteration budget")
         flag("--svg", action="store_true", help="also write an SVG figure")
 

@@ -90,7 +90,7 @@ class Model:
     arrays) to the reaction value, called only through :meth:`react`;
     both built-ins and config-defined models are expressed this way.
     Read points and ``lin``'s atoms lie in [-h, 0].  ``bound`` is an
-    a-priori sup bound used by the profile solver's clamp.
+    a-priori sup bound above kappa, used by the profile solver's clamp.
 
     numpy is imported where arrays are handled: in :meth:`react`, in the
     nicholson and may birth functions and in a config expression's
@@ -107,7 +107,7 @@ class Model:
     bound: float
 
     def __post_init__(self):
-        if self.h < 0:
+        if not self.h >= 0:  # each test is written so that a NaN fails it
             raise ValueError("delay must be nonnegative")
         for s, _ in self.lin.atoms:
             if s < -self.h - 1e-12:
@@ -115,10 +115,12 @@ class Model:
         for s in self.eval_points:
             if not (-self.h - 1e-12 <= s <= 1e-12):
                 raise ValueError(f"read point {s} outside [-h, 0]")
-        if self.kappa <= 0:
+        if not self.kappa > 0:
             raise ValueError("positive equilibrium kappa required")
+        if not self.bound > self.kappa:  # at or below kappa the clamp cuts the profile itself
+            raise ValueError(f"bound {self.bound} must exceed kappa = {self.kappa}")
         K, alpha, delta = self.smoothness
-        if K <= 0 or alpha <= 0 or delta <= 0:
+        if not (K > 0 and alpha > 0 and delta > 0):
             raise ValueError("smoothness constants (K, alpha, delta) must be positive")
 
     def react(self, read: Callable) -> np.ndarray:

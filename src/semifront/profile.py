@@ -21,9 +21,9 @@ iteration cannot finish the job — it ends up orbiting the fixed point
 along the translation direction at the drift amplitude.
 
 The stages' parameters are module constants, not options: the CLI, the
-uniqueness harness and the benchmark all run one value of each, and the
-values tried instead (damping 0.7-0.9, an earlier hand-over to Anderson)
-made kpp fail or land on another fixed point.
+harness and the benchmark run one value of each, none reaching the damped
+cap, and the values tried instead (damping 0.7-0.9, an earlier hand-over
+to Anderson) made kpp fail or land on another fixed point.
 
 An iteration costs one kernel scan plus a few O(n) passes, with no search
 and no n-row factorisation, and it allocates only the arrays it returns.
@@ -66,10 +66,10 @@ __all__ = [
     "solve_profile",
 ]
 
-DAMPING = 0.5  # relaxation of the damped stage
+BETA = 0.5  # mixing weight: the damped step's relaxation and Anderson's beta
+DAMPED_STEPS = 600  # the damped stage's cap: criterion 09's solves hand over within 250 steps
 SWITCH_RES = 1e-4  # residual, scaled by max(1, kappa), that hands over to Anderson
 ACCEL_DEPTH = 20  # iterates Anderson mixing combines
-ACCEL_DAMPING = 0.5  # Anderson's mixing weight beta
 # lower clamp of the map, relative to kappa: keeps the image positive and
 # lies far below the deepest tail value a default grid resolves (~e^-20)
 CLAMP_FLOOR = 1e-30
@@ -89,16 +89,15 @@ class SolverOptions:
     ``tol`` bounds the absolute sup-norm residual sup|P(phi) - phi| (not
     scaled by kappa); a solve counts as converged at residual <= 2*tol
     when its final raw image needed no clamp.
-    ``max_iter`` and ``accel_iter`` budget the damped and the Anderson
-    steps (the hand-over step is Anderson's first); each stage's own
-    parameters are module constants (the module docstring says why).
+    ``accel_iter``, a nonnegative integer, budgets the Anderson steps (the
+    hand-over step is Anderson's first); the damped stage's cap and each
+    stage's own parameters are module constants (the module docstring says why).
     """
 
     t_minus: Optional[float] = None
     t_plus: float = 40.0
     step: float = 0.02
     tol: float = 1e-9
-    max_iter: int = 600
     accel_iter: int = 400
     initial_phi: Optional[np.ndarray] = None
 
@@ -111,8 +110,8 @@ class SolverOptions:
             raise ValueError("t_minus must be below -step and be finite")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
-        if self.max_iter < 0 or self.accel_iter < 0:  # zero skips a stage
-            raise ValueError("max_iter and accel_iter must be nonnegative")
+        if not (self.accel_iter >= 0 and self.accel_iter % 1 == 0):  # a NaN, inf or fraction fails
+            raise ValueError(f"accel_iter must be a nonnegative integer, got {self.accel_iter!r}")
 
 
 @dataclass
@@ -135,8 +134,6 @@ class ProfileSolution:
     dphi: np.ndarray
     tail: LeftTail
     lambda1: float
-    lambda2: float
-    critical: bool
     residual: float
     drift: float
     converged: bool
@@ -250,7 +247,6 @@ class _PinnedMap:
         roots = real_roots(m, c)
         self.m, self.c = m, c
         self.lam = roots.lambda1
-        self.lam2 = roots.lambda2
         self.critical = roots.critical
         step = opts.step
         # snap to whole steps so 0 is a node; the 1e-9 slack keeps an
@@ -422,9 +418,9 @@ class _AndersonRing:
     def step(self, x: np.ndarray, f: np.ndarray, work: np.ndarray) -> np.ndarray:
         """The Anderson iterate x + beta f - C gamma as a new array, gamma =
         argmin |f - dF gamma| once the ring has taken the differences from
-        the last step's x and f (on the first step a damped one).  The ring
-        keeps x and f, so neither may be written later; ``work`` takes C
-        gamma."""
+        the last step's x and f.  The first step, with an empty ring, is
+        the damped step x + beta f with the same beta.  The ring keeps x and
+        f, so neither may be written later; ``work`` takes C gamma."""
         if self.last is not None:
             h, beta, (x_prev, f_prev) = self.head, self.beta, self.last
             d = np.subtract(f, f_prev, out=self.pair[:, 0])
@@ -485,10 +481,10 @@ def solve_profile(
     # so aim below the contracted tolerance to resolve the tail scale
     goal = opts.tol * (1e-2 if P.critical else 1.0)
     # Anderson mixing on P: combine the differences between the last
-    # ACCEL_DEPTH iterates by least squares, damped by ACCEL_DAMPING.  The
+    # ACCEL_DEPTH iterates by least squares, damped by BETA.  The
     # difference columns live in a ring: each step writes one, and the
     # least squares are the normal equations of the ring's Gram matrix.
-    ring = _AndersonRing(phi.size, ACCEL_DEPTH - 1, ACCEL_DAMPING)
+    ring = _AndersonRing(phi.size, ACCEL_DEPTH - 1, BETA)
     # a solve that runs out of budget ends on its least-residual iterate
     res, best_res, best_phi = math.inf, math.inf, None
     # the solve's scratch; each iterate is a new array (the pinned image, or
@@ -496,7 +492,7 @@ def solve_profile(
     work = np.empty(phi.size)
     # each step maps phi once: damped while the damped budget lasts and the
     # residual is above switch, Anderson from the first other step on
-    damped = opts.max_iter
+    damped = DAMPED_STEPS
     while len(history) < damped + opts.accel_iter:
         img = P(phi)
         res = _sup_gap(img, phi, work)
@@ -507,8 +503,8 @@ def solve_profile(
             break
         if len(history) <= damped:  # a step of the damped budget
             if res > switch:
-                img *= DAMPING
-                img += np.multiply(phi, 1.0 - DAMPING, out=work)
+                img *= BETA
+                img += np.multiply(phi, 1.0 - BETA, out=work)
                 phi = img
                 continue
             damped = len(history) - 1  # this step hands over to Anderson
@@ -540,8 +536,6 @@ def solve_profile(
         dphi=conv.derivative(),
         tail=P.tail_of(phi),
         lambda1=P.lam,
-        lambda2=P.lam2,
-        critical=P.critical,
         residual=res,
         drift=drift,
         # a clamped image is not A(phi): the solve then rests on the clamp

@@ -25,9 +25,8 @@ def synthetic_profile(fn, lam, t_lo=-80.0):
     phi = fn(t)
     return ProfileSolution(
         model=m, c=2.5, t=t, phi=phi, dphi=np.gradient(phi, t),
-        tail=LeftTail(float(phi[0]), lam, 0.0), lambda1=lam, lambda2=lam,
-        critical=False, residual=0.0, drift=0.0,
-        converged=True, clamp_low=0, clamp_high=0,
+        tail=LeftTail(float(phi[0]), lam, 0.0), lambda1=lam,
+        residual=0.0, drift=0.0, converged=True, clamp_low=0, clamp_high=0,
     )
 
 

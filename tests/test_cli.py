@@ -28,6 +28,7 @@ from semifront.cli import (
     main,
 )
 from semifront.model import builtin_nicholson
+import semifront.profile as profile_mod
 from semifront.profile import SolverOptions
 from semifront.verify import EPSILON, N_SAMPLES, verify_model
 
@@ -124,6 +125,12 @@ def test_unknown_flag_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_max_iter_is_no_flag(capsys):
+    # the damped stage's cap is a solver constant: no run set another
+    assert main(["profile", "--model", "kpp", "--c", "2.5", "--max-iter", "5"]) == EXIT_CONFIG
+    assert "unrecognized arguments: --max-iter 5" in capsys.readouterr().err
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "speed" in capsys.readouterr().out
@@ -136,7 +143,7 @@ def test_help_exits_0(capsys):
 OWN_CONFIG_KEYS = {
     "speed": set(),
     "zeros": {"re_min", "re_max", "im_max"},
-    "profile": {"t_plus", "t_minus", "step", "tol", "max_iter", "accel_iter", "svg"},
+    "profile": {"t_plus", "t_minus", "step", "tol", "accel_iter", "svg"},
     "verify": {"n_samples", "seed", "epsilon", "n_seeds"},
     "evolve": {"ic", "x0", "x_lo", "x_hi", "dx", "dt", "t_run", "compare"},
 }
@@ -215,10 +222,11 @@ def test_profile_outputs(tmp_path, capsys):
     assert doc["files"]["svg"] == "profile.svg"
 
 
-def test_profile_nonconvergence_still_writes(tmp_path, capsys):
+def test_profile_nonconvergence_still_writes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(profile_mod, "DAMPED_STEPS", 2)
     code, doc = run_json(
         capsys, "profile", "--model", "kpp", "--h", "1", "--c", "2.5",
-        "--tol", "1e-14", "--max-iter", "2", "--accel-iter", "1",
+        "--tol", "1e-14", "--accel-iter", "1",
         "--outdir", str(tmp_path),
     )
     assert code == EXIT_NO_CONVERGENCE
@@ -250,15 +258,16 @@ def test_loose_solve_without_fit_window_still_reports(tmp_path, capsys, argv, ex
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, damped",
     [
-        ("--h", "1", "--c", "2.5", "--tol", "1e-14", "--max-iter", "2", "--accel-iter", "1"),
-        ("--h", "4", "--c", "2.5"),  # within tolerance, but on clamped nodes
+        (("--h", "1", "--c", "2.5", "--tol", "1e-14", "--accel-iter", "1"), 2),
+        (("--h", "4", "--c", "2.5"), profile_mod.DAMPED_STEPS),  # within tolerance, but on clamped nodes
     ],
     ids=["budget", "clamped"],
 )
-def test_profile_says_why_it_did_not_converge(tmp_path, capsys, argv):
+def test_profile_says_why_it_did_not_converge(tmp_path, capsys, monkeypatch, argv, damped):
     # exit 4 comes with the one line verify prints for the same solve
+    monkeypatch.setattr(profile_mod, "DAMPED_STEPS", damped)
     code, out, err = run(capsys, "profile", "--model", "kpp", *argv, "--outdir", str(tmp_path))
     doc = json.loads(out)
     assert code == EXIT_NO_CONVERGENCE and doc["converged"] is False
@@ -509,11 +518,11 @@ def test_config_values_take_their_flag_type(tmp_path, capsys):
     # a config value is converted, and echoed, with its flag's type
     argv = ("profile", "--model", "kpp", "--c", "2.5", "--step", "0.05")
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"t_plus": 30, "max_iter": 600.0}))
+    cfg.write_text(json.dumps({"t_plus": 30, "accel_iter": 400.0}))
     code, doc = run_json(capsys, *argv, "--config", str(cfg), "--outdir", str(tmp_path / "a"))
     assert code == EXIT_OK
     assert doc["config"]["t_plus"] == 30.0 and isinstance(doc["config"]["t_plus"], float)
-    assert doc["config"]["max_iter"] == 600 and isinstance(doc["config"]["max_iter"], int)
+    assert doc["config"]["accel_iter"] == 400 and isinstance(doc["config"]["accel_iter"], int)
     code, ref = run_json(capsys, *argv, "--t-plus", "30", "--outdir", str(tmp_path / "b"))
     assert code == EXIT_OK
     for d in (doc, ref):
@@ -527,6 +536,53 @@ def test_config_values_take_their_flag_type(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert doc["c"] == 3.0 and doc["config"]["c"] == 3.0 and isinstance(doc["config"]["c"], float)
+
+
+@pytest.mark.parametrize(
+    "argv, override, message",
+    [
+        (("profile", "--model", "kpp", "--h", "1", "--c", "2.5"), {"t_plsu": 30},
+         "unknown profile config key(s): 't_plsu'"),
+        (("profile", "--model", "kpp", "--c", "2.5"), {"max_iter": 600, "h": 1},
+         "unknown profile config key(s): 'h', 'max_iter'"),
+    ],
+    ids=["misspelt", "no-flag"],
+)
+def test_config_keys_no_flag_reads_exit_2(tmp_path, capsys, argv, override, message):
+    # a key no flag reads used to be echoed in the report's config, though
+    # the run ignored it
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(override))
+    code, out, err = run(capsys, *argv, "--config", str(cfg), "--outdir", str(tmp_path / "out"))
+    assert (code, out, err) == (EXIT_CONFIG, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_config_reproduces_its_run(tmp_path, capsys):
+    argv = ("profile", "--model", "kpp", "--h", "1", "--c", "2.5", "--step", "0.05", "--t-plus", "20", "--svg")
+    code, doc = run_json(capsys, *argv, "--outdir", str(tmp_path / "a"))
+    assert code == EXIT_OK
+    files = {name: (tmp_path / "a" / name).read_bytes() for name in ("profile.csv", "profile.svg")}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc["config"]))
+    code, again = run_json(capsys, "profile", "--config", str(cfg))
+    assert code == EXIT_OK
+    assert again["config"].pop("config_file") == str(cfg)
+    assert again == doc
+    assert files == {name: (tmp_path / "a" / name).read_bytes() for name in files}
+
+
+@pytest.mark.parametrize("bound", [0.3, 0.6, 1.0])
+@pytest.mark.parametrize("cmd", ["profile", "verify"])
+def test_custom_bound_at_or_below_kappa_exits_2(tmp_path, capsys, cmd, bound):
+    # a clamp at or below kappa used to fail the solve: exit 3 (a zero
+    # chord slope in the pin) at 0.3, exit 4 on ~1900 clamped nodes above
+    model = {"name": "custom", "h": 1.0, "eval_points": [0.0, -1.0], "expr": "u0 * (1.0 - u1)",
+             "atoms": [[0.0, 1.0]], "kappa": 1.0, "bound": bound}
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"model": model}))
+    code, out, err = run(capsys, cmd, "--c", "2.5", "--config", str(cfg), "--outdir", str(tmp_path / "out"))
+    assert (code, out, err) == (EXIT_CONFIG, "", f"error: bound {bound} must exceed kappa = 1.0\n")
 
 
 def _error_of(convert, value) -> str:
@@ -551,8 +607,8 @@ def _error_of(convert, value) -> str:
         # a JSON boolean is no number, though float(true) would read it as 1.0
         (("profile", "--c", "2.5"), {"model": {"name": "kpp", "h": 0.1}, "t_plus": True},
          "t_plus must be a number, got true"),
-        (("profile", "--model", "kpp", "--c", "2.5"), {"max_iter": False},
-         "max_iter must be a number, got false"),
+        (("profile", "--model", "kpp", "--c", "2.5"), {"accel_iter": False},
+         "accel_iter must be a number, got false"),
         (("speed",), {"model": {"name": "kpp", "h": True}}, "h must be a number, got true"),
         (("speed", "--model", "kpp"), {"c": True}, "c must be a number, got true"),
         (
@@ -568,16 +624,16 @@ def _error_of(convert, value) -> str:
          "compare must be true or false, got 1"),
         # NaN and +-inf are no configuration: an own flag, the speed, a model parameter
         (("profile", "--model", "kpp", "--c", "2.5"), {"tol": math.nan}, "tol must be finite, got nan"),
-        (("profile", "--model", "kpp", "--c", "2.5"), {"max_iter": math.inf},
-         "max_iter must be finite, got inf"),
+        (("profile", "--model", "kpp", "--c", "2.5"), {"accel_iter": math.inf},
+         "accel_iter must be finite, got inf"),
         (("speed", "--model", "kpp"), {"c": "-inf"}, "c must be finite, got -inf"),
         (("speed", "--c", "3"), {"model": {"name": "nicholson", "h": 1, "p": math.inf}},
          "p must be finite, got inf"),
         # an integer setting refuses a fraction, which int() would truncate
         (("verify", "--model", "kpp"), {"n_samples": 2.9, "seed": 1.5},
          "n_samples must be an integer, got 2.9"),
-        (("profile", "--model", "kpp", "--c", "2.5"), {"max_iter": 600.7},
-         "max_iter must be an integer, got 600.7"),
+        (("profile", "--model", "kpp", "--c", "2.5"), {"accel_iter": 400.7},
+         "accel_iter must be an integer, got 400.7"),
     ],
 )
 def test_bad_typed_config_values_exit_2(tmp_path, capsys, argv, override, message):
@@ -763,8 +819,8 @@ def test_evolve_nonpositive_run_time_exit_2(tmp_path, capsys, t_run):
         (("profile", "--model", "kpp", "--c", "2.5", "--tol", "nan"), "tol must be finite, got nan"),
         # zero skips a stage; a negative budget is no budget
         (
-            ("profile", "--model", "kpp", "--c", "2.5", "--max-iter", "-5", "--accel-iter", "-1"),
-            "max_iter and accel_iter must be nonnegative",
+            ("profile", "--model", "kpp", "--c", "2.5", "--accel-iter", "-1"),
+            "accel_iter must be a nonnegative integer, got -1",
         ),
         # the automatic left edge -12/lambda1 grows like 12c: refused before allocation
         (

@@ -93,6 +93,28 @@ def test_kpp_bound_saturates_where_its_product_overflows(h):
     assert bound == (2.0 * math.exp(h) if h < 709.0896 else math.inf)
 
 
+def test_model_refuses_a_bound_at_or_below_kappa():
+    # the profile reaches kappa: a clamp at or below it cut every solve
+    # (exit 4 on clamped nodes) or, with both crossing nodes at the
+    # ceiling, left the pin a zero chord slope (a division by zero)
+    for bound in (0.3, 1.0, math.nan):
+        with pytest.raises(ValueError, match=f"^bound {bound} must exceed kappa = 1.0$"):
+            dataclasses.replace(builtin_kpp(1.0), bound=bound)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("h", math.nan, "delay must be nonnegative"),
+    ("kappa", math.nan, "positive equilibrium kappa required"),
+    ("smoothness", (math.nan, 1.0, 1.0), r"smoothness constants \(K, alpha, delta\) must be positive"),
+    ("smoothness", (1.0, math.nan, 1.0), r"smoothness constants \(K, alpha, delta\) must be positive"),
+    ("smoothness", (1.0, 1.0, math.nan), r"smoothness constants \(K, alpha, delta\) must be positive"),
+], ids=["h", "kappa", "K", "alpha", "delta"])
+def test_model_refuses_nan_parameters(field, value, message):
+    # each check used to read x <= 0 or x < 0, which a NaN passes
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dataclasses.replace(builtin_kpp(1.0), **{field: value})
+
+
 def test_kpp_linearization_is_identity_on_value_at_zero():
     m = builtin_kpp(1.0)
     seg = HistorySegment(1.0, [0.7, 0.3])

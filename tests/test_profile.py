@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import semifront.profile as profile_mod
 from semifront.asymptotics import detect_oscillation
-from semifront.chareq import SubcriticalError, critical_speed
+from semifront.chareq import SubcriticalError, critical_speed, real_roots
 from semifront.kernel import LeftTail, ScanPlan, convolve, make_kernel
 from semifront.model import builtin_kpp, builtin_nicholson, model_from_config
 from semifront.profile import (
@@ -319,7 +319,8 @@ def test_pin_clamps_like_clip_then_pin(h, critical, monkeypatch):
 def test_clamp_counts_are_those_of_the_final_raw_image(kpp_h2, monkeypatch):
     m = dataclasses.replace(kpp_h2.model, bound=1.0 + 0.5 * (np.max(kpp_h2.phi) - 1.0))
     monkeypatch.setattr(profile_mod, "CLAMP_FLOOR", 1e-3)
-    opts = SolverOptions(max_iter=5, accel_iter=5, initial_phi=kpp_h2.phi)
+    monkeypatch.setattr(profile_mod, "DAMPED_STEPS", 5)
+    opts = SolverOptions(accel_iter=5, initial_phi=kpp_h2.phi)
     sol = solve_profile(m, kpp_h2.c, opts)
     P = _PinnedMap(m, sol.c, SolverOptions())
     img = P.raw(sol.phi).values
@@ -348,9 +349,10 @@ def test_residual_history_shrinks(kpp_h1):
 
 
 def test_critical_run_converges(kpp_crit):
-    assert kpp_crit.critical
+    roots = real_roots(kpp_crit.model, kpp_crit.c)
+    assert roots.critical
     assert abs(kpp_crit.lambda1 - 1.0) <= 1e-6
-    assert kpp_crit.lambda1 == kpp_crit.lambda2
+    assert kpp_crit.lambda1 == roots.lambda1 == roots.lambda2
     assert kpp_crit.converged and kpp_crit.residual <= 2e-9
 
 
@@ -489,12 +491,18 @@ def test_non_finite_image_raises_at_its_iteration():
         {"tol": 0.0},
         {"t_plus": 0.0},
         {"t_minus": 3.0},
-        {"max_iter": -1},
+        # the loop's test len(history) < budget is False for NaN, so a NaN
+        # budget returned the seed unconverged; inf never ends a solve that
+        # does not converge, and a fraction is no count of steps
+        {"accel_iter": math.nan},
         {"accel_iter": -1},
+        {"accel_iter": math.inf},
+        {"accel_iter": 2.5},
     ],
 )
 def test_options_validated(kwargs):
-    with pytest.raises(ValueError):
+    (key,) = kwargs
+    with pytest.raises(ValueError, match=f"^{key} must "):
         SolverOptions(**kwargs)
 
 
@@ -513,17 +521,19 @@ def test_nan_options_refused(key, message):
             SolverOptions(**{key: bad})
 
 
-def test_zero_budgets_are_valid():
+def test_zero_budgets_are_valid(monkeypatch):
     # a zero budget skips its stage: only the final bookkeeping maps phi
-    opts = SolverOptions(step=0.05, t_plus=20.0, max_iter=0, accel_iter=0)
+    monkeypatch.setattr(profile_mod, "DAMPED_STEPS", 0)
+    opts = SolverOptions(step=0.05, t_plus=20.0, accel_iter=0)
     sol = solve_profile(builtin_kpp(0.0), 2.5, opts)
     assert sol.iterations == 0 and len(sol.residual_history) == 1
 
 
-def test_budget_bound_solve_ends_on_its_best_iterate():
+def test_budget_bound_solve_ends_on_its_best_iterate(monkeypatch):
     # 13 Anderson steps from the seed leave kpp h=2 on a worse iterate than
     # an earlier one: the solve reports the earlier iterate, remapped
-    sol = solve_profile(builtin_kpp(2.0), 2.5, SolverOptions(max_iter=0, accel_iter=13))
+    monkeypatch.setattr(profile_mod, "DAMPED_STEPS", 0)
+    sol = solve_profile(builtin_kpp(2.0), 2.5, SolverOptions(accel_iter=13))
     loop = sol.residual_history[:-1]
     assert not sol.converged and len(loop) == 13
     assert sol.residual == min(loop) < loop[-1]
@@ -640,7 +650,7 @@ def test_gram_matrix_follows_ring_wraparound(monkeypatch):
         (x_prev, f_prev), (x, f) = steps[j - 1], steps[j]
         col = (j - 1) % k
         assert np.array_equal(ring.dF[:, col], f - f_prev)
-        assert np.array_equal(ring.C[:, col], profile_mod.ACCEL_DAMPING * ring.dF[:, col] + x - x_prev)
+        assert np.array_equal(ring.C[:, col], profile_mod.BETA * ring.dF[:, col] + x - x_prev)
 
 
 # ------------------------------------------------------- metamorphic models

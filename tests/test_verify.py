@@ -17,6 +17,7 @@ from semifront.model import (
 )
 from semifront.chareq import critical_speed
 from semifront.kernel import pl_exp_integral
+import semifront.profile as profile_mod
 from semifront.profile import SolverOptions, solve_profile
 from semifront.verify import (
     FALSIFICATION_NOTE,
@@ -299,9 +300,10 @@ def test_harness_distances_tiny_for_monotone_front():
         assert dist <= 1e-7
 
 
-def test_harness_reports_exclusions():
+def test_harness_reports_exclusions(monkeypatch):
     # a tiny iteration budget cannot converge; every run must be excluded
-    opts = SolverOptions(tol=1e-14, max_iter=2, accel_iter=1)
+    monkeypatch.setattr(profile_mod, "DAMPED_STEPS", 2)
+    opts = SolverOptions(tol=1e-14, accel_iter=1)
     dropped = []
     pairs = uniqueness_harness(builtin_kpp(0.0), 2.5, 3, opts, on_exclude=dropped.append)
     assert pairs == []
@@ -404,9 +406,10 @@ def test_verify_model_names_the_solves_that_failed(monkeypatch):
     import semifront.verify as verify_mod
 
     solve = verify_mod.solve_profile
+    monkeypatch.setattr(profile_mod, "DAMPED_STEPS", 2)
 
     def capped(m, c, opts=None):
-        return solve(m, c, dataclasses.replace(opts or SolverOptions(), max_iter=2, accel_iter=0))
+        return solve(m, c, dataclasses.replace(opts or SolverOptions(), accel_iter=0))
 
     monkeypatch.setattr(verify_mod, "solve_profile", capped)
     rep = verify_model(builtin_kpp(1.0), n_samples=200, c=2.5, n_seeds=2)
@@ -417,7 +420,7 @@ def test_verify_model_names_the_solves_that_failed(monkeypatch):
     assert harness_failure == "uniqueness harness: only 0 of 2 runs converged"
     assert rep.to_dict()["failed_solves"] == (profile_failure, harness_failure)
     # a converged profile and a harness left with two runs fail nothing
-    monkeypatch.setattr(verify_mod, "solve_profile", solve)
+    monkeypatch.undo()
     assert verify_model(builtin_kpp(1.0), n_samples=200, c=2.5).failed_solves == ()
 
 

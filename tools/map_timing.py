@@ -70,7 +70,7 @@ def main() -> None:
     n, cols = 10001, profile.ACCEL_DEPTH - 1
     rng = np.random.default_rng(0)
     xs, fs = rng.standard_normal((2, cols + 5, n))
-    ring, work = profile._AndersonRing(n, cols, profile.ACCEL_DAMPING), np.empty(n)
+    ring, work = profile._AndersonRing(n, cols, profile.BETA), np.empty(n)
     steps = iter(range(10**9))
 
     def step() -> None:

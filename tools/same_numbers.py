@@ -21,6 +21,12 @@ It prints SHA-256 digests, each over a fixed set of runs:
     reads the same in every run.  One more digest per subcommand (speed,
     zeros, profile, verify, evolve) hashes its commands alone, so a change
     that moves one command shows which one.
+``reports``
+    The same runs as ``cli``, with the echoed ``"config"`` object dropped
+    from every JSON document (stdout when it parses as JSON, and each
+    ``*.json`` file) before hashing; every other file, stderr and the exit
+    code are hashed as in ``cli``.  A change that edits only the echoed
+    configuration keeps this digest while ``cli`` moves.
 
 Last it prints the line count of the library, ``src/semifront/*.py``
 (the total of ``wc -l``), so a change that keeps the numbers in fewer
@@ -40,6 +46,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import hashlib  # noqa: E402 - the thread count must be set before numpy loads
+import json  # noqa: E402
 import shlex  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -121,28 +128,47 @@ def readme_commands() -> list[list[str]]:
     return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.strip()]
 
 
+def _without_config(data: bytes) -> bytes:
+    """A JSON object's bytes re-serialized without its "config" entry;
+    bytes that do not parse as JSON come back as they are."""
+    try:
+        doc = json.loads(data)
+    except ValueError:  # UnicodeDecodeError included
+        return data
+    if isinstance(doc, dict):
+        doc.pop("config", None)
+    return json.dumps(doc, sort_keys=True).encode()
+
+
 def cli_digests() -> dict[str, tuple[str, int]]:
     """(digest, commands) of all CLI runs, each in a fresh interpreter,
-    under "cli", and of each subcommand's runs under its name."""
+    under "cli", of each subcommand's runs under its name, and of all
+    runs with the echoed configuration dropped under "reports"."""
     commands = [argv for seed in CLI_SEEDS for argv in cli_inputs(seed)["commands"]]
     commands += readme_commands() + EXIT_CASES
     src_path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     # argparse wraps the usage line at the terminal width, which COLUMNS sets
     env = dict(os.environ, PYTHONPATH=src_path, COLUMNS="80")
     env.pop("SEMIFRONT_OUTDIR", None)
-    digests = {name: hashlib.sha256() for name in ("cli", "speed", "zeros", "profile", "verify", "evolve")}
+    names = ("cli", "speed", "zeros", "profile", "verify", "evolve", "reports")
+    digests = {name: hashlib.sha256() for name in names}
     counts = dict.fromkeys(digests, 0)
     for argv in commands:
         with tempfile.TemporaryDirectory() as cwd:
             proc = subprocess.run([sys.executable, "-m", "semifront.cli", *argv, "--outdir", "out"],
                                   cwd=cwd, env=env, capture_output=True, timeout=300)
             items = [" ".join(argv), proc.stdout, proc.stderr, str(proc.returncode)]
+            reports = [items[0], _without_config(proc.stdout), *items[2:]]
             for path in sorted(Path(cwd).rglob("*")):
                 if path.is_file():
-                    items += [str(path.relative_to(cwd)), path.read_bytes()]
+                    data = path.read_bytes()
+                    items += [str(path.relative_to(cwd)), data]
+                    reports += [items[-2], _without_config(data) if path.suffix == ".json" else data]
         for name in ("cli", argv[0]):
             _feed(digests[name], *items)
             counts[name] += 1
+        _feed(digests["reports"], *reports)
+        counts["reports"] += 1
     return {name: (digest.hexdigest(), counts[name]) for name, digest in digests.items()}
 
 
