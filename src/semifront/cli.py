@@ -173,6 +173,9 @@ def _resolve(args) -> dict:
         unknown = sorted(set(overrides) - set(cfg) - {"config_file"})
         if unknown:
             raise ValueError(f"unknown {args.cmd} config key(s): {', '.join(map(repr, unknown))}")
+        if overrides.get("command", args.cmd) != args.cmd:  # the report would name another run
+            raise ValueError(f"config command {json.dumps(overrides['command'])} does not match "
+                             f"the subcommand {args.cmd}")
         cfg = _merge(cfg, overrides)
         cfg["config_file"] = args.config
     if cfg["c"] not in (None, "critical"):

@@ -133,7 +133,7 @@ class EvolutionState:
         if u.shape != self.x.shape:
             raise ValueError(f"initial data has {u.size} values, grid has {self.x.size}")
 
-        self.t = 0.0
+        self.steps = 0
         self.clamped = 0
         # ring rows sit at tau, tau-dt, ..., tau-(n_rows-1)*dt; the segment
         # before tau = 0 is the initial field held constant
@@ -183,7 +183,12 @@ class EvolutionState:
             inc[neg] -= new[neg]
             new[neg] = 0.0
         self._inc, self._react = inc, react
-        self.t += self.dt
+        self.steps += 1
+
+    @property
+    def t(self) -> float:
+        """The time reached, steps x dt: a running sum would carry each step's rounding."""
+        return self.steps * self.dt
 
 
 @dataclass(frozen=True)

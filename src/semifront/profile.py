@@ -18,12 +18,14 @@ One loop, one map application per step: damped steps take the seed into
 the contraction basin, then Anderson mixing on P finishes to tolerance,
 and the hand-over step's image is Anderson's first residual.  Plain damped
 iteration cannot finish the job — it ends up orbiting the fixed point
-along the translation direction at the drift amplitude.
+along the translation direction at the drift amplitude.  No fixed damping
+weight serves every model, so each damped step reads its own from the last
+two residuals (Aitken-type; Irons & Tuck, Int. J. Numer. Meth. Eng. 1, 1969).
 
 The stages' parameters are module constants, not options: the CLI, the
 harness and the benchmark run one value of each, none reaching the damped
-cap, and the values tried instead (damping 0.7-0.9, an earlier hand-over
-to Anderson) made kpp fail or land on another fixed point.
+cap, and an earlier hand-over to Anderson made kpp fail or land on another
+fixed point.
 
 An iteration costs one kernel scan plus a few O(n) passes, with no search
 and no n-row factorisation, and it allocates only the arrays it returns.
@@ -66,7 +68,8 @@ __all__ = [
     "solve_profile",
 ]
 
-BETA = 0.5  # mixing weight: the damped step's relaxation and Anderson's beta
+BETA = 0.5  # Anderson's beta and the floor of the damped step's weight
+DAMPED_RISE = 0.05  # the most the damped step's weight rises in one step
 DAMPED_STEPS = 600  # the damped stage's cap: criterion 09's solves hand over within 250 steps
 SWITCH_RES = 1e-4  # residual, scaled by max(1, kappa), that hands over to Anderson
 ACCEL_DEPTH = 20  # iterates Anderson mixing combines
@@ -91,7 +94,8 @@ class SolverOptions:
     when its final raw image needed no clamp.
     ``accel_iter``, a nonnegative integer, budgets the Anderson steps (the
     hand-over step is Anderson's first); the damped stage's cap and each
-    stage's own parameters are module constants (the module docstring says why).
+    stage's own parameters are module constants (the module docstring says
+    why): Anderson mixes with beta = ``BETA``, the floor of the damped step's own weight.
     """
 
     t_minus: Optional[float] = None
@@ -419,7 +423,7 @@ class _AndersonRing:
         """The Anderson iterate x + beta f - C gamma as a new array, gamma =
         argmin |f - dF gamma| once the ring has taken the differences from
         the last step's x and f.  The first step, with an empty ring, is
-        the damped step x + beta f with the same beta.  The ring keeps x and
+        the relaxation x + beta f.  The ring keeps x and
         f, so neither may be written later; ``work`` takes C gamma."""
         if self.last is not None:
             h, beta, (x_prev, f_prev) = self.head, self.beta, self.last
@@ -490,6 +494,14 @@ def solve_profile(
     # the solve's scratch; each iterate is a new array (the pinned image, or
     # Anderson's mix), since the ring keeps the last one and its residual
     work = np.empty(phi.size)
+    # the damped step phi + w f (f = P(phi) - phi, left in work by _sup_gap)
+    # takes its weight w from the last two residuals: r = <f, f_prev> /
+    # <f_prev, f_prev> implies the eigenvalue lam = 1 + (r - 1)/w of P's
+    # dominant mode, and w = 1/(1 - lam) would annihilate it.  w starts
+    # undamped, falls at once and rises by DAMPED_RISE a step, never below
+    # BETA; once a mode would oscillate undamped (lam < -1) it stays BETA.
+    w, ff_prev, latched = 1.0, 0.0, False
+    f_prev = np.empty(phi.size)  # swapped with work, so no step allocates
     # each step maps phi once: damped while the damped budget lasts and the
     # residual is above switch, Anderson from the first other step on
     damped = DAMPED_STEPS
@@ -503,8 +515,17 @@ def solve_profile(
             break
         if len(history) <= damped:  # a step of the damped budget
             if res > switch:
-                img *= BETA
-                img += np.multiply(phi, 1.0 - BETA, out=work)
+                f = work
+                if not latched:
+                    ff = float(f @ f)
+                    if len(history) > 1:  # f_prev is the last damped step's
+                        lam = 1.0 + (float(f @ f_prev) / ff_prev - 1.0) / w
+                        latched = lam < -1.0
+                        target = 1.0 if lam >= 0.0 else max(BETA, 1.0 / (1.0 - lam))
+                        w = BETA if latched else min(target, w + DAMPED_RISE)
+                    work, f_prev, ff_prev = f_prev, f, ff
+                np.multiply(f, w, out=img)
+                img += phi
                 phi = img
                 continue
             damped = len(history) - 1  # this step hands over to Anderson

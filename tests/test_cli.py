@@ -558,6 +558,21 @@ def test_config_keys_no_flag_reads_exit_2(tmp_path, capsys, argv, override, mess
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["speed", ["zeros"]], ids=["other", "not-a-string"])
+def test_config_command_of_another_subcommand_exits_2(tmp_path, capsys, command):
+    # zeros used to run with {"command": "speed"} and echo "command": "speed"
+    cfg = tmp_path / "other.json"
+    cfg.write_text(json.dumps({"command": command}))
+    argv = ("zeros", "--model", "kpp", "--h", "1", "--c", "2.5", "--config", str(cfg))
+    code, out, err = run(capsys, *argv, "--outdir", str(tmp_path / "out"))
+    message = f"config command {json.dumps(command)} does not match the subcommand zeros"
+    assert (code, out, err) == (EXIT_CONFIG, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+    cfg.write_text(json.dumps({"command": "zeros"}))  # the run's own command stays accepted
+    code, doc = run_json(capsys, *argv, "--outdir", str(tmp_path / "same"))
+    assert code == EXIT_OK and doc["config"]["command"] == "zeros"
+
+
 def test_report_config_reproduces_its_run(tmp_path, capsys):
     argv = ("profile", "--model", "kpp", "--h", "1", "--c", "2.5", "--step", "0.05", "--t-plus", "20", "--svg")
     code, doc = run_json(capsys, *argv, "--outdir", str(tmp_path / "a"))

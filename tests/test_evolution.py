@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -156,6 +157,18 @@ def test_second_order_in_time():
 
     gaps = [np.max(np.abs(field(dt) - field(dt / 8))) for dt in (0.1, 0.05)]
     assert 3.5 <= gaps[0] / gaps[1] <= 4.5
+
+
+@pytest.mark.parametrize("t_run, dt", [(18.0, None), (1.0, 0.03)], ids=["default", "partial-step"])
+def test_clock_is_the_step_count_times_dt(t_run, dt):
+    # a running sum t += dt read t_final 18.000000000000046 after 18 units
+    m = builtin_kpp(1.0)
+    run = front_speed(m, tail_seed(m.kappa, 0.5), -80.0, 30.0, 0.1, t_run, dt=dt)
+    dt = evolution.DT if dt is None else dt
+    steps = math.ceil(t_run / dt)
+    assert run.t_final == steps * dt
+    every = round(evolution.SAMPLE_DT / dt)
+    assert run.times.tolist() == [k * dt for k in range(1, steps + 1, every)]
 
 
 def test_step_count_and_ring_do_not_depend_on_dx(monkeypatch):

@@ -356,6 +356,26 @@ def test_critical_run_converges(kpp_crit):
     assert kpp_crit.converged and kpp_crit.residual <= 2e-9
 
 
+# the damped weight: each bound fails when one part of its rule is dropped
+
+
+def test_damped_weight_starts_undamped(kpp_h2):
+    # 63 iterations; a fixed weight BETA = 0.5 took 123
+    assert kpp_h2.converged and kpp_h2.iterations <= 80
+
+
+def test_damped_weight_rises_slowly():
+    # 133 iterations; a weight that jumps back up to its target takes 518
+    sol = solve_profile(builtin_kpp(2.5), 2.25)
+    assert sol.converged and sol.iterations <= 250
+
+
+def test_damped_weight_latches_at_beta_once_a_mode_oscillates():
+    # 231 iterations; without the latch the weight keeps probing and takes 692
+    sol = solve_profile(builtin_kpp(3.0), 2.5)
+    assert sol.converged and sol.iterations <= 250
+
+
 # ------------------------------------------------------------ front shapes
 
 
