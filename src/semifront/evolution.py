@@ -269,7 +269,7 @@ def moving_frame_gap(run: FrontRun, sol: ProfileSolution) -> tuple[float, float]
     xi = run.x[sel] + sol.c * run.t_final
     uw = run.u[sel]
 
-    def gap(shift: float) -> float:
+    def gap(shift: float, bound: float) -> float:  # scores every shift in full, whatever the bound
         tq = xi + shift
         inside = (tq >= sol.t[0]) & (tq <= sol.t[-1])
         if np.count_nonzero(inside) < 10:

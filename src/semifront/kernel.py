@@ -302,6 +302,18 @@ class ScanPlan:
         return fwd, np.matmul(buf[:, 1:], self.bwd_mat).ravel()[:n]
 
 
+class _NodeValues:
+    """``Convolution.values``, norm * (fwd + bwd): unless given, formed on its first read."""
+
+    def __get__(self, conv, owner=None):  # read on the class, it is the field's default, None
+        if conv is not None and conv.__dict__["values"] is None:
+            conv.__dict__["values"] = conv.nodes(slice(None))
+        return None if conv is None else conv.__dict__["values"]
+
+    def __set__(self, conv, values):
+        conv.__dict__["values"] = values
+
+
 @dataclass(frozen=True, eq=False)
 class Convolution:
     """One exact convolution, kept as its two kernel-branch accumulators.
@@ -331,7 +343,15 @@ class Convolution:
     right_const: float
     fwd: np.ndarray
     bwd: np.ndarray
-    values: np.ndarray
+    values: np.ndarray = _NodeValues()
+
+    def nodes(self, part: slice) -> np.ndarray:
+        """values[part]; until ``values`` is formed, those nodes alone are
+        formed, in its arithmetic, so a reader of a few nodes forms no more."""
+        if self.__dict__["values"] is not None:
+            return self.__dict__["values"][part]
+        out = np.add(self.fwd[part], self.bwd[part])
+        return np.multiply(out, self.plan.kernel.norm, out=out)
 
     def _weights(self, d: float) -> tuple[float, float, float, float]:
         """Coefficients of (fwd_i, bwd_{i+1}, src_i, src_{i+1}) in the
@@ -379,7 +399,7 @@ class Convolution:
                 return self._below_first(-delta)
             i, delta = i - 1, delta + self.plan.step  # t_i - ell = t_{i-1} + (step - ell)
         elif delta == 0.0:
-            return float(self.values[i])
+            return self.nodes(slice(i, i + 1)).item()
         return self._in_cell(i, self._weights(delta))
 
     def _in_cell(self, i: int, weights: tuple[float, float, float, float]) -> float:
@@ -403,7 +423,7 @@ class Convolution:
         """
         n, stop = self.src.size, first + out.size
         if delta == 0.0:
-            out[:] = self.values[first:stop]
+            out[:] = self.nodes(slice(first, stop))
             return out
         lag = int(delta < 0.0)  # t_j - ell = t_{j-1} + (step - ell): node j reads cell j-1
         weights = self._weights(delta + self.plan.step if lag else delta)
@@ -444,9 +464,7 @@ def convolve(plan: ScanPlan, src, left_tail, right_const: float) -> Convolution:
     # the decaying branch starts from the whole left tail, the growing branch
     # from the constant right closure
     fwd, bwd = plan.scan(src, _tail_moment(k, left_tail), rc / k.mu_plus_root)
-    values = np.add(fwd, bwd)
-    values *= k.norm
-    return Convolution(plan, src, left_tail, rc, fwd, bwd, values)
+    return Convolution(plan, src, left_tail, rc, fwd, bwd)
 
 
 def convolve_at_offset(k: GreenKernel, t, src, left_tail, right_const: float, delta: float):

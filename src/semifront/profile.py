@@ -187,11 +187,15 @@ def up_crossing(x: np.ndarray, values: np.ndarray, level: float) -> Optional[flo
 
 
 def scan_shift(distance, start: float, coarse: np.ndarray, fine: np.ndarray) -> tuple[float, float]:
-    """(shift, distance(shift)) minimising ``distance`` over start + coarse,
-    then over the best coarse shift + fine."""
+    """(shift, distance) minimising ``distance`` over start + coarse, then
+    over the best coarse shift + fine, each pick as np.argmin's.  Offsets
+    go nearest 0 first; distance(s, bound) gets the least distance so far
+    and may return any value above it once s cannot win (a NaN can)."""
     for offsets in (coarse, fine):
-        shifts = start + offsets
-        d = [distance(s) for s in shifts]
+        shifts, d, best = start + offsets, np.empty(offsets.size), math.inf
+        for j in np.argsort(np.abs(offsets), kind="stable"):
+            d[j] = distance(shifts[j], best)
+            best = min(best, d[j])
         i = int(np.argmin(d))
         start = float(shifts[i])
     return start, float(d[i])
@@ -214,15 +218,19 @@ class ShiftedRead:
     """
 
     def __init__(self, t: np.ndarray, d: float, n_src: Optional[int] = None, snap: bool = True):
-        x = d * (t.size - 1) / (t[-1] - t[0])
+        self.k, self.theta, self.lo, self.hi = self.span(t, d, n_src, snap)
+        self.u = t[: self.lo] + d - t[0]
+        self.out = np.empty(t.size)
+
+    @staticmethod
+    def span(t: np.ndarray, d: float, n_src: Optional[int] = None, snap: bool = True) -> tuple:
+        """(k, theta, lo, hi) of the read, computed without building it."""
+        x = d * (t.size - 1) / (t.item(-1) - t.item(0))
         whole = snap and abs(x - round(x)) < 1e-9
         k = round(x) if whole else math.floor(x)
         n, theta = t.size, 0.0 if whole else x - k
-        self.k, self.theta = k, theta
-        self.lo = min(n, max(0, -k))
-        self.hi = max(self.lo, min(n, (n if n_src is None else n_src) - k - (theta > 0.0)))
-        self.u = t[: self.lo] + d - t[0]
-        self.out = np.empty(n)
+        lo = min(n, max(0, -k))
+        return k, theta, lo, max(lo, min(n, (n if n_src is None else n_src) - k - (theta > 0.0)))
 
     def into(self, v: np.ndarray) -> np.ndarray:
         """Write the reads of nodes lo .. hi-1 from ``v`` into ``out[lo:hi]``; return that view."""
@@ -285,6 +293,7 @@ class _PinnedMap:
         # the nodes tail_of reads: a multi-unit window at the critical speed
         span = min(5.0 / self.lam, 0.25 * (self.t[-1] - self.t[0]))
         self.tail_nodes = max(2, int(round(span / self.step))) + 1 if self.critical else 1
+        self.head = slice(max(self.i_zero + 256, self.tail_nodes + 1))  # a pinned phi's image crosses near 0
 
     def seed(self) -> np.ndarray:
         base = tail_start(self.t, self.m.kappa, self.lam)
@@ -354,8 +363,10 @@ class _PinnedMap:
         every node on its side of kappa/2, so only the nodes the result
         reads are clamped.
         """
-        img, half = conv.values, 0.5 * self.m.kappa
+        img, half = conv.nodes(self.head), 0.5 * self.m.kappa
         i = first_up_crossing(img, half)
+        if i is None:  # the first crossing lies past the head, or nowhere
+            img, i = conv.values, first_up_crossing(conv.values, half)
         if i is None:
             return self.clip(img)
         lo_v, hi_v = self.clamp(float(img[i])), self.clamp(float(img[i + 1]))
@@ -392,7 +403,7 @@ class _PinnedMap:
             tail = self.tail_of(self.clip(img[: self.tail_nodes]))
             out[:lo] = tail.at(self.t[:lo] + tc - self.t[0])
         if hi < size:
-            out[hi:] = self.clamp(float(img[-1]))
+            out[hi:] = self.clamp(conv.nodes(slice(-1, None)).item())
         return out
 
     def __call__(self, phi: np.ndarray) -> np.ndarray:

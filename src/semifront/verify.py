@@ -419,16 +419,23 @@ def _half_crossing(sol: ProfileSolution) -> float:
     return float(sol.t[int(np.argmin(np.abs(sol.phi - half)))]) if tc is None else tc
 
 
-def _sup_distance(a: ProfileSolution, b: ProfileSolution, shift: float) -> float:
+def _sup_distance(a: ProfileSolution, b: ProfileSolution, shift: float, bound=math.inf, probe=None) -> float:
     """sup |a(t + shift) - b(t)| over b's nodes whose shifted point lies on
     a's grid (inf below 10), a linearly interpolated.  With one shared
-    step every node reads k whole steps plus the same fraction theta."""
+    step every node reads k whole steps plus the same fraction theta.
+    A gap at b's node ``probe`` above ``bound`` is returned alone: the sup is no less."""
     step = b.step
     if abs(a.step - step) > 1e-9 * step:
         raise ValueError(f"profiles must share one grid step, got {a.step:g} and {step:g}")
-    read = _this.ShiftedRead(b.t, b.t[0] + shift - a.t[0], a.t.size, snap=False)
-    if read.hi - read.lo < 10:
+    d = float(b.t[0] + shift - a.t[0])
+    k, theta, lo, hi = _this.ShiftedRead.span(b.t, d, a.t.size, snap=False)
+    if hi - lo < 10:
         return math.inf
+    if probe is not None and lo <= probe < hi:  # one node first, in ShiftedRead.into's arithmetic
+        va = a.phi.item(probe + k) * (1.0 - theta) + (theta * a.phi.item(probe + k + 1) if theta else 0.0)
+        if abs(va - b.phi.item(probe)) > bound:
+            return abs(va - b.phi.item(probe))
+    read = _this.ShiftedRead(b.t, d, a.t.size, snap=False)
     va = read.into(a.phi)
     va -= b.phi[read.lo : read.hi]
     return float(np.max(np.abs(va, out=va)))
@@ -440,11 +447,15 @@ def align_profiles(a: ProfileSolution, b: ProfileSolution) -> tuple[float, float
     The profiles must share one grid step (their origins may differ).
     The search starts from the offset of the half-level crossings, scans a
     coarse grid at the grid step, then refines around the coarse minimum
-    at a tenth of the step.  Distances interpolate linearly between nodes.
+    at a tenth of the step.  Distances interpolate linearly between nodes,
+    and a shift that cannot win is dropped after b's crossing node.
     """
-    step, tenths = b.step, np.arange(-10, 11)
-    shift0 = _half_crossing(a) - _half_crossing(b)
-    return _this.scan_shift(lambda s: _sup_distance(a, b, s), shift0, step * tenths, (step / 10.0) * tenths)
+    step, tenths, cross = b.step, np.arange(-10, 11), _half_crossing(b)
+    shift0 = _half_crossing(a) - cross
+    # a profile with a NaN or inf can have a NaN sup, which wins: then no shift is dropped
+    probe = round((cross - b.t[0]) / step) if math.isfinite(a.phi.sum() + b.phi.sum()) else None
+    return _this.scan_shift(lambda s, bound: _sup_distance(a, b, s, bound, probe),
+                            shift0, step * tenths, (step / 10.0) * tenths)
 
 
 def _harness_seeds(

@@ -17,6 +17,11 @@ BLAS held to one thread as in ``same_numbers.py``:
     One Anderson step on 10,001 nodes with a full ring (ACCEL_DEPTH - 1
     columns), cycling through more random iterates than the ring holds, so
     its columns stay independent.
+``align_<n>``
+    One ``verify.align_profiles`` of two converged kpp h=2, c = 2.5
+    profiles at criterion 09's options (tol 1e-9, t_plus 120; n nodes):
+    the default solve and the solve from the harness's first start, twice
+    the default tail.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from semifront import profile  # noqa: E402
+from semifront import profile, verify  # noqa: E402
 from semifront.kernel import convolve  # noqa: E402
 from semifront.model import builtin_kpp  # noqa: E402
 
@@ -80,6 +85,12 @@ def main() -> None:
     for _ in range(cols + 1):  # fill the ring
         step()
     out[f"anderson_{n}"] = best_us(step, 200)
+    opts = profile.SolverOptions(tol=1e-9, accel_iter=3000, t_plus=120.0)
+    a = profile.solve_profile(m, c, opts)
+    start = profile.tail_start(a.t, m.kappa, a.lambda1, 2.0)
+    b = profile.solve_profile(m, c, profile.SolverOptions(tol=1e-9, accel_iter=3000, t_plus=120.0, initial_phi=start))
+    assert a.converged and b.converged
+    out[f"align_{a.t.size}"] = best_us(lambda: verify.align_profiles(a, b), 200)
     print(json.dumps(out, sort_keys=True))
 
 
