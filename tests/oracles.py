@@ -4,7 +4,8 @@ Besides the shooting oracle, this holds the reference evaluation of a
 model's functional and linearization on a history segment, which the
 hypothesis checks' counterexamples are replayed through, and the
 reference read of a grid function past its grid, which the solver's
-shifted reads are compared against.
+shifted reads are compared against, and the exhaustive shift scan, which
+the pruning scan of the profile alignment is compared against.
 """
 
 import math
@@ -54,6 +55,18 @@ def extended(tq: np.ndarray, t: np.ndarray, phi: np.ndarray, tail) -> np.ndarray
     left = tq < t[0]
     out[left] = tail.at(tq[left] - t[0])
     return out
+
+
+def scan_shift_exhaustive(distance, start: float, coarse: np.ndarray, fine: np.ndarray) -> tuple[float, float]:
+    """(shift, distance(shift)) minimising ``distance`` over start + coarse,
+    then over the best coarse shift + fine, scoring every shift in full
+    and picking as np.argmin does: the first least value, or the first NaN."""
+    for offsets in (coarse, fine):
+        shifts = start + offsets
+        d = [distance(s) for s in shifts]
+        i = int(np.argmin(d))
+        start = float(shifts[i])
+    return start, float(d[i])
 
 
 class HistorySegment:

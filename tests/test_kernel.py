@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -367,6 +368,20 @@ def test_convolutions_keep_their_arrays():
             assert all(np.array_equal(x, y) for x, y in zip(arrays, kept))
         convolve(plan, later_src, tail, 0.2)
         convolve(fresh.plan, later_src, tail, 0.2)
+
+
+def test_node_values_are_norm_times_both_branches():
+    # formed whole on first read or a slice at a time, the node values are
+    # norm * (fwd + bwd) bit for bit, and values given to a copy are read
+    k, grid = make_kernel(2.5, 0.0), 0.02 * np.arange(-1500, 1501)
+    conv = convolve(ScanPlan(k, grid), RNG.uniform(0.1, 1.0, grid.size), LeftTail(0.01, 0.4), 0.7)
+    ref = (conv.fwd + conv.bwd) * k.norm
+    for c, v in ((conv, ref), (dataclasses.replace(conv, values=ref + 1.0), ref + 1.0)):
+        for part in (slice(0, 40), slice(1200, 1201), slice(-1, None)):
+            assert np.array_equal(c.nodes(part), v[part])
+        assert c.at(1200, 0.0) == v[1200]
+        assert np.array_equal(c.shifted_into(np.empty(10), 3, 0.0), v[3:13])
+        assert np.array_equal(c.values, v) and c.values is c.values
 
 
 # ------------------------------------------------------------- tail pieces

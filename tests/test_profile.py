@@ -17,13 +17,14 @@ from semifront.profile import (
     ShiftedRead,
     SolverOptions,
     first_up_crossing,
+    scan_shift,
     solve_profile,
     tail_start,
     up_crossing,
 )
 from semifront.verify import _harness_seeds
 
-from oracles import extended, kpp_front_no_delay
+from oracles import extended, kpp_front_no_delay, scan_shift_exhaustive
 
 NICH_C_STAR = math.sqrt(math.log(2.0))
 
@@ -343,6 +344,22 @@ def test_pinned_at_half_kappa(kpp_h0, kpp_h2, nich):
         assert abs(sol.phi[i0] - sol.model.kappa / 2) <= 1e-12 * sol.model.kappa
 
 
+def test_pin_searches_a_head_then_the_whole_image(kpp_h2):
+    # a pinned iterate's image crosses kappa/2 inside the head, and the pin
+    # forms no other node value; a start translated 30 units right crosses
+    # past the head; either pins exactly as a search of the whole image does
+    m, c = kpp_h2.model, kpp_h2.c
+    P, whole = _PinnedMap(m, c, SolverOptions()), _PinnedMap(m, c, SolverOptions())
+    whole.head = slice(None)
+    for shift, in_head in ((0.0, True), (30.0, False)):
+        phi = extended(kpp_h2.t - shift, kpp_h2.t, kpp_h2.phi, kpp_h2.tail)
+        conv = P.raw(phi)
+        pinned = P.pin(conv)
+        assert (conv.__dict__["values"] is None) == in_head
+        assert (first_up_crossing(conv.values, 0.5 * m.kappa) + 1 < P.head.stop) == in_head
+        assert np.array_equal(pinned, whole.pin(whole.raw(phi)))
+
+
 def test_residual_history_shrinks(kpp_h1):
     assert len(kpp_h1.residual_history) == kpp_h1.iterations + 1
     assert kpp_h1.residual_history[-1] < kpp_h1.residual_history[0]
@@ -622,6 +639,37 @@ def test_delay_read_any_shift(d):
     tail = LeftTail(float(phi[0]), 0.8, -0.2)
     ref = extended(t + d, t, phi, tail)
     assert np.max(np.abs(ShiftedRead(t, d)(phi, tail) - ref)) <= 3e-14
+
+
+def test_scan_shift_picks_as_the_exhaustive_scan():
+    # random distance tables with ties, inf and NaN entries: given a distance
+    # that returns a random value above the bound wherever it may, the
+    # pruning scan picks the shift and distance of the exhaustive scan
+    rng = np.random.default_rng(11)
+    coarse, fine = 1.0 * np.arange(-10, 11), 0.1 * np.arange(-10, 11)
+    pools = ([1.0, 2.0, 3.0], [0.5, 1.0, math.inf], [1.0, 2.0, math.nan], [math.inf], [math.nan, 1.0, 0.0, -0.0])
+    pruned = 0
+    for trial in range(400):
+        table = dict(zip(range(-110, 111), rng.choice(pools[trial % len(pools)], 221).tolist()))
+        calls = []
+
+        def exact(s):  # the table entry at s, in tenths
+            return table[round(float(s) * 10)]
+
+        def bounded(s, bound):
+            nonlocal pruned
+            calls.append((float(s), bound))
+            d = exact(s)
+            if not d > bound:  # a NaN, a tie or a lower distance: exact
+                return d
+            pruned += 1
+            return float(rng.choice([d, np.nextafter(bound, math.inf), 2.0 * d - bound]))
+
+        got, ref = scan_shift(bounded, 0.0, coarse, fine), scan_shift_exhaustive(exact, 0.0, coarse, fine)
+        assert got[0] == ref[0] and (got[1] == ref[1] or math.isnan(got[1]) and math.isnan(ref[1]))
+        # each scan scores its offset 0 first, with no bound
+        assert len(calls) == 42 and calls[0] == (0.0, math.inf) and calls[21][1] == math.inf
+    assert pruned > 1000
 
 
 def test_gram_step_matches_tall_least_squares():

@@ -18,9 +18,11 @@ from semifront.model import (
 from semifront.chareq import critical_speed
 from semifront.kernel import pl_exp_integral
 import semifront.profile as profile_mod
-from semifront.profile import SolverOptions, solve_profile
+from semifront.profile import ShiftedRead, SolverOptions, solve_profile
+import semifront.verify as verify_mod
 from semifront.verify import (
     FALSIFICATION_NOTE,
+    _half_crossing,
     _harness_seeds,
     _sup_distance,
     align_profiles,
@@ -33,7 +35,7 @@ from semifront.verify import (
     verify_model,
 )
 
-from oracles import HistorySegment, check_LB_levels, eval_f, eval_lin, extended
+from oracles import HistorySegment, check_LB_levels, eval_f, eval_lin, extended, scan_shift_exhaustive
 
 #: sample size for unit runs; the acceptance gate drives the full 10_000
 N = 2500
@@ -279,6 +281,68 @@ def test_sup_distance_slices_match_interpolation(kpp1_sol):
         assert sup_distance_by_interp(a, a, s) == math.inf
         assert _sup_distance(a, a, s) == math.inf
     assert math.isfinite(_sup_distance(a, a, span - 9.5 * step))  # 10 nodes
+
+
+def test_sup_distance_probe_returns_its_node_gap_above_the_bound(kpp1_sol):
+    # the probe reads b's node exactly as the full read does: above the
+    # bound it returns that node's entry of the full gap, at the bound or
+    # below it scores the shift in full; a probe the shift does not read
+    # is skipped
+    a, step = kpp1_sol, kpp1_sol.step
+    moved = dataclasses.replace(a, phi=extended(a.t + 0.123, a.t, a.phi, a.tail))
+    rng = np.random.default_rng(5)
+    for b in (a, moved, dataclasses.replace(moved, t=a.t - 3.0)):
+        for s in np.concatenate((rng.uniform(-1.0, 1.0, 20), step * rng.integers(-50, 50, 5), [3.0 + 0.3 * step])):
+            read = ShiftedRead(b.t, b.t[0] + s - a.t[0], a.t.size, snap=False)
+            gaps = np.abs(read.into(a.phi) - b.phi[read.lo : read.hi])
+            full = _sup_distance(a, b, s)
+            for probe in rng.integers(read.lo, read.hi, 3):
+                gap = gaps[probe - read.lo]
+                assert _sup_distance(a, b, s, 0.5 * gap, probe) == gap
+                assert _sup_distance(a, b, s, gap, probe) == _sup_distance(a, b, s, math.inf, probe) == full
+            assert _sup_distance(a, b, s, 0.0, read.hi) == full
+
+
+def exhaustive_align(a, b):
+    """align_profiles scoring every shift in full, as before shifts were pruned."""
+    step, tenths = b.step, np.arange(-10, 11)
+    shift0 = _half_crossing(a) - _half_crossing(b)
+    return scan_shift_exhaustive(lambda s: _sup_distance(a, b, s), shift0, step * tenths, (step / 10.0) * tenths)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_align_matches_the_exhaustive_scan_on_harness_pairs(seed, monkeypatch):
+    # criterion 09's pairs at tol 1e-8: pruning keeps every (shift, distance) bit
+    sols = []
+
+    def recorded(*args, **kwargs):
+        sols.append(solve_profile(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(verify_mod, "solve_profile", recorded)
+    nich = builtin_nicholson(1.0, 2.0)
+    opts = SolverOptions(tol=1e-8, accel_iter=3000, t_plus=120.0)
+    for m, c in ((builtin_kpp(2.0), 2.5), (nich, critical_speed(nich)[0] + 0.5)):
+        sols.clear()
+        pairs = uniqueness_harness(m, c, 5, opts=opts, seed=seed)
+        assert len(pairs) == 10
+        assert pairs == [exhaustive_align(a, b) for a, b in itertools.combinations(sols, 2)]
+
+
+def test_align_prunes_nothing_when_a_profile_is_not_finite(kpp1_sol):
+    # a profile 3 units left of the other, with a NaN node that the aligned
+    # shift does not read but shifts a few steps off it do: their sup is
+    # NaN, which wins np.argmin's pick, so none may be dropped on the gap at
+    # the crossing node; an inf node leaves the exact pick finite
+    a = kpp1_sol
+    for bad in (math.nan, math.inf):
+        phi = extended(a.t + 3.0, a.t, a.phi, a.tail)
+        phi[-145] = bad
+        moved = dataclasses.replace(a, phi=phi)
+        for x, y in ((a, moved), (moved, a)):
+            got, ref = align_profiles(x, y), exhaustive_align(x, y)
+            assert got[0] == ref[0] and (got[1] == ref[1] or math.isnan(bad) and math.isnan(got[1]))
+            assert math.isnan(ref[1]) == math.isnan(bad)
 
 
 def test_sup_distance_rejects_unequal_steps(kpp1_sol):

@@ -9,6 +9,12 @@ and writes, per workload, the seeds, each end-to-end metric's median over
 the runs on each side and its value in every run, and the failed-operation
 shares, with both sides' commit and source digests.  The run length is
 not in a result file, so it is given here and copied into the record.
+
+Each metric also carries both sides' quartiles [Q1, median, Q3] (linear
+between order statistics, numpy's default percentile), the parent's
+interquartile range, and the seed-paired counts of change runs lower,
+higher and tied against the parent's run of the same seed, so that a
+gain claim's pair rule and its parent-IQR test read off the record.
 """
 
 from __future__ import annotations
@@ -38,6 +44,11 @@ def side(recs: list) -> dict:
     return {"git_sha": git_sha, "src_sha256": src_sha256}
 
 
+def quartiles(runs: list) -> list:
+    """[Q1, median, Q3] of ``runs``, interpolated linearly between order statistics."""
+    return statistics.quantiles(runs, n=4, method="inclusive") if len(runs) > 1 else runs * 3
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
@@ -58,10 +69,17 @@ def main() -> None:
         metrics = {}
         for metric, detail in pairs[0][0]["end_to_end"].items():
             p, c = ([rec["end_to_end"][metric]["value"] for rec in recs] for recs in zip(*pairs))
+            pq = quartiles(p)
             metrics[metric] = {
                 "unit": detail["unit"],
                 "parent_median": statistics.median(p),
                 "change_median": statistics.median(c),
+                "parent_quartiles": pq,
+                "change_quartiles": quartiles(c),
+                "parent_iqr": pq[2] - pq[0],
+                "paired": {"lower": sum(b < a for a, b in zip(p, c)),
+                           "higher": sum(b > a for a, b in zip(p, c)),
+                           "tied": sum(b == a for a, b in zip(p, c))},
                 "parent_runs": p,
                 "change_runs": c,
             }
